@@ -5,14 +5,24 @@
 //! is the standard central difference with a lumped (diagonal) mass matrix:
 //!
 //! `u⁺ = 2u − u⁻ + Δt²·M⁻¹·(f − K·u)`
+//!
+//! [`Simulation::advance`] runs the product and the update as one fused
+//! pass over row ranges: each range multiplies a block of rows on the tile
+//! kernel and updates those nodes while their products are still in cache.
+//! Row `i` of the update reads only `u[i]`, `u⁻[i]` and row `i` of `K·u`,
+//! so `u⁺` overwrites `u⁻` in place and the two buffers swap after the
+//! step — no second pass, no extra displacement buffer.
 
 use crate::assembly::AssembledSystem;
 use crate::source::PointSource;
 use quake_mesh::mesh::TetMesh;
-use quake_spark::{bmv_pooled_into, WorkerPool};
+use quake_spark::{bmv_tiles_range_into, broadcast_rows, WorkerPool};
 use quake_sparse::dense::Vec3;
+use quake_sparse::tiles::Bcsr3Tiles;
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Error produced by simulation configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,7 +90,13 @@ impl Clone for PoolHandle {
 /// An explicit central-difference wave-propagation simulation.
 #[derive(Debug, Clone)]
 pub struct Simulation {
-    system: AssembledSystem,
+    /// The stiffness in the tile kernel's layout. It is never written after
+    /// construction, so clones share it instead of copying the matrix.
+    stiffness: Arc<Bcsr3Tiles>,
+    /// Lumped nodal mass.
+    mass: Vec<f64>,
+    /// Point sources, stably sorted by node: a step walks them with a
+    /// cursor, and sources on one node keep their insertion order.
     sources: Vec<PointSource>,
     receivers: Vec<usize>,
     dt: f64,
@@ -89,16 +105,69 @@ pub struct Simulation {
     /// Mass-proportional Rayleigh damping coefficient α (1/s); the damping
     /// force is `α·M·u̇`.
     damping: f64,
-    /// Pooled workers for the per-step SMVP, or `None` for the serial path.
+    /// Pooled workers for the fused step, or `None` for the serial path.
     pool: Option<PoolHandle>,
+    /// `u⁻` before a step; the step overwrites it with `u⁺`.
     u_prev: Vec<Vec3>,
     u_curr: Vec<Vec3>,
-    scratch: Vec<Vec3>,
     records: Vec<Seismogram>,
 }
 
+/// Rows per kernel call inside a step: the block's 6 KB of products stay
+/// in L1 while the update consumes them.
+const STEP_BLOCK: usize = 256;
+
+/// Everything one time step reads; shared by every row range of the step.
+struct Step<'a> {
+    stiffness: &'a Bcsr3Tiles,
+    mass: &'a [f64],
+    u_curr: &'a [Vec3],
+    /// Sorted by node.
+    sources: &'a [PointSource],
+    time: f64,
+    /// `1/Δt²`.
+    c1: f64,
+    /// `α/(2Δt)`.
+    c2: f64,
+    /// `1/(c1 + c2)`.
+    inv_denom: f64,
+}
+
+impl Step<'_> {
+    /// The step body for the nodes `rows`: `u_prev` holds `u⁻` for exactly
+    /// those nodes on entry and `u⁺` on return.
+    ///
+    /// Per node this is `f = −(K·u)ᵢ + Σ sources`, then the
+    /// central-difference update with the same operations in the same
+    /// order as the original two-pass step, so the result is bitwise equal
+    /// to it for any split of the rows.
+    fn rows(&self, rows: Range<usize>, u_prev: &mut [Vec3]) {
+        let mut ku = [Vec3::ZERO; STEP_BLOCK];
+        let mut src = self.sources.partition_point(|s| s.node < rows.start);
+        for lo in rows.clone().step_by(STEP_BLOCK) {
+            let hi = (lo + STEP_BLOCK).min(rows.end);
+            let ku = &mut ku[..hi - lo];
+            bmv_tiles_range_into(self.stiffness, self.u_curr, lo..hi, ku);
+            let prev = &mut u_prev[lo - rows.start..hi - rows.start];
+            for ((i, &k), up) in (lo..hi).zip(ku.iter()).zip(prev) {
+                let mut f = -k;
+                while let Some(s) = self.sources.get(src).filter(|s| s.node == i) {
+                    f += s.force_at(self.time);
+                    src += 1;
+                }
+                let rhs = f * (1.0 / self.mass[i])
+                    + (self.u_curr[i] * 2.0 - *up) * self.c1
+                    + *up * self.c2;
+                *up = rhs * self.inv_denom;
+            }
+        }
+    }
+}
+
 impl Simulation {
-    /// Creates a simulation with time step `dt` (seconds).
+    /// Creates a simulation with time step `dt` (seconds). The stiffness is
+    /// converted once into the tile layout the step kernel runs on, and the
+    /// source matrix is dropped.
     ///
     /// # Errors
     ///
@@ -111,9 +180,11 @@ impl Simulation {
         if let Some(n) = system.mass.iter().position(|&m| m <= 0.0) {
             return Err(SimError::ZeroMass(n));
         }
-        let n = system.stiffness.block_rows();
+        let AssembledSystem { stiffness, mass } = system;
+        let n = stiffness.block_rows();
         Ok(Simulation {
-            system,
+            stiffness: Arc::new(Bcsr3Tiles::from_bcsr(&stiffness)),
+            mass,
             sources: Vec::new(),
             receivers: Vec::new(),
             dt,
@@ -123,7 +194,6 @@ impl Simulation {
             pool: None,
             u_prev: vec![Vec3::ZERO; n],
             u_curr: vec![Vec3::ZERO; n],
-            scratch: vec![Vec3::ZERO; n],
             records: Vec::new(),
         })
     }
@@ -142,11 +212,13 @@ impl Simulation {
         self
     }
 
-    /// Switches the per-step SMVP onto a persistent worker pool of `threads`
-    /// workers (`threads <= 1` restores the serial path). The pool lives for
-    /// the rest of the simulation, so the 6000-step loop pays thread spawn
-    /// cost once instead of per step. Rows are visited in the same order as
-    /// the serial kernel, so results are bitwise identical.
+    /// Runs each step on a persistent worker pool of `threads` workers
+    /// (`threads <= 1` restores the serial path). The pool lives for the
+    /// rest of the simulation, so the 6000-step loop pays thread spawn cost
+    /// once instead of per step. Each worker runs the whole fused step —
+    /// product and update — for one contiguous range of nodes, in one
+    /// broadcast per step. Every node's arithmetic is independent of the
+    /// split, so results are bitwise identical to the serial path.
     pub fn set_parallel(&mut self, threads: usize) -> &mut Self {
         self.pool = if threads > 1 {
             Some(PoolHandle(WorkerPool::new(threads)))
@@ -161,9 +233,11 @@ impl Simulation {
         self.pool.as_ref().map_or(1, |h| h.0.threads())
     }
 
-    /// Adds a point source.
+    /// Adds a point source. Forces of sources on the same node are summed
+    /// in the order the sources were added.
     pub fn add_source(&mut self, source: PointSource) -> &mut Self {
-        self.sources.push(source);
+        let at = self.sources.partition_point(|s| s.node <= source.node);
+        self.sources.insert(at, source);
         self
     }
 
@@ -223,44 +297,36 @@ impl Simulation {
 
     /// Advances one time step (one SMVP plus vector updates — the paper's
     /// unit of work).
+    ///
+    /// The product and the update are one fused pass: the serial path runs
+    /// it over all nodes, the pooled path over one node range per worker in
+    /// a single broadcast. Each range writes `u⁺` over its slice of `u⁻`
+    /// while `u` stays read-only, and the two buffers swap after the
+    /// barrier. The step allocates nothing, and each source's force is
+    /// evaluated once.
     pub fn advance(&mut self) {
-        // scratch = K·u (the SMVP). Both paths write every entry of the
-        // persistent scratch buffer in place, so the step allocates nothing.
-        match &self.pool {
-            Some(handle) => bmv_pooled_into(
-                &self.system.stiffness,
-                &self.u_curr,
-                &handle.0,
-                &mut self.scratch,
-            ),
-            None => self
-                .system
-                .stiffness
-                .spmv(&self.u_curr, &mut self.scratch)
-                .expect("dimensions fixed at construction"),
-        }
         // Central difference with mass-proportional damping α:
         //   M·(u⁺−2u+u⁻)/Δt² + α·M·(u⁺−u⁻)/(2Δt) + K·u = f
         // solved per node for u⁺ (M is lumped/diagonal).
         let c1 = 1.0 / (self.dt * self.dt);
         let c2 = self.damping / (2.0 * self.dt);
-        let denom = c1 + c2;
-        // External forces at the current time.
-        let t = self.time;
-        for i in 0..self.u_curr.len() {
-            let mut f = -self.scratch[i];
-            for s in &self.sources {
-                if s.node == i {
-                    f += s.force_at(t);
-                }
-            }
-            let rhs = f * (1.0 / self.system.mass[i])
-                + (self.u_curr[i] * 2.0 - self.u_prev[i]) * c1
-                + self.u_prev[i] * c2;
-            let next = rhs * (1.0 / denom);
-            self.u_prev[i] = self.u_curr[i];
-            self.u_curr[i] = next;
+        let step = Step {
+            stiffness: &self.stiffness,
+            mass: &self.mass,
+            u_curr: &self.u_curr,
+            sources: &self.sources,
+            time: self.time,
+            c1,
+            c2,
+            inv_denom: 1.0 / (c1 + c2),
+        };
+        match &self.pool {
+            Some(handle) => broadcast_rows(&handle.0, &mut self.u_prev, |rows, u_prev| {
+                step.rows(rows, u_prev)
+            }),
+            None => step.rows(0..self.u_prev.len(), &mut self.u_prev),
         }
+        std::mem::swap(&mut self.u_prev, &mut self.u_curr);
         self.step += 1;
         self.time += self.dt;
         for (r, &node) in self.receivers.iter().enumerate() {
@@ -281,7 +347,7 @@ impl Simulation {
     pub fn displacement_energy(&self) -> f64 {
         self.u_curr
             .iter()
-            .zip(&self.system.mass)
+            .zip(&self.mass)
             .map(|(u, &m)| m * u.norm_squared())
             .sum()
     }
@@ -477,8 +543,8 @@ mod tests {
             assert_eq!(par.parallelism(), threads.max(1));
             par.add_source(src);
             par.run(100);
-            // Row order matches the serial kernel, so the floating-point
-            // operations are identical, not merely close.
+            // Each node's arithmetic is independent of the row split, so
+            // the floating-point operations are identical, not merely close.
             assert_eq!(serial.displacement(), par.displacement());
         }
         // Cloning a parallel simulation keeps the configured width.

@@ -58,7 +58,7 @@ unsafe impl<T> Send for SendPtr<T> {}
 unsafe impl<T> Sync for SendPtr<T> {}
 
 impl<T> SendPtr<T> {
-    fn get(self) -> *mut T {
+    fn get(&self) -> *mut T {
         self.0
     }
 }
@@ -638,17 +638,32 @@ pub fn bmv_pooled_into(matrix: &Bcsr3, x: &[Vec3], pool: &WorkerPool, y: &mut [V
         matrix.block_rows(),
         "y length must match block rows"
     );
-    let n = matrix.block_rows();
+    broadcast_rows(pool, y, |rows, out| bmv_range_into(matrix, x, rows, out));
+}
+
+/// Runs `f(rows, &mut out[rows])` once on every worker of `pool`, where
+/// worker `w` owns the `w`-th of `threads` near-equal contiguous ranges of
+/// `0..out.len()` (empty when there are more workers than rows) — one
+/// broadcast batch, a full barrier, nothing allocated. This is the
+/// row-parallel skeleton of [`bmv_pooled_into`], exposed so fused per-row
+/// passes (such as a time step's product-plus-update) split rows exactly as
+/// the pooled kernels do.
+pub fn broadcast_rows<T: Send>(
+    pool: &WorkerPool,
+    out: &mut [T],
+    f: impl Fn(std::ops::Range<usize>, &mut [T]) + Sync,
+) {
+    let n = out.len();
     let threads = pool.threads();
-    let y_ptr = SendPtr(y.as_mut_ptr());
-    pool.broadcast(&move |w| {
-        let range = chunk_range(n, threads, w);
-        // SAFETY: chunk_range partitions 0..n, so workers write disjoint
-        // block rows of `y`; the broadcast barrier ends the writes before
-        // the caller's `&mut y` is used again.
-        let out =
-            unsafe { std::slice::from_raw_parts_mut(y_ptr.get().add(range.start), range.len()) };
-        bmv_range_into(matrix, x, range, out);
+    let out_ptr = SendPtr(out.as_mut_ptr());
+    pool.broadcast(&|w| {
+        let rows = chunk_range(n, threads, w);
+        // SAFETY: chunk_range partitions 0..n, so workers get disjoint
+        // ranges of `out`; the broadcast barrier ends every access before
+        // the caller's `&mut out` is used again.
+        let mine =
+            unsafe { std::slice::from_raw_parts_mut(out_ptr.get().add(rows.start), rows.len()) };
+        f(rows, mine);
     });
 }
 

@@ -16,7 +16,8 @@
 //! their scratch space from a reusable [`workspace::KernelWorkspace`] and
 //! dispatch over [`pool::WorkerPool::broadcast`], making the steady-state
 //! product allocation-free; `bench_executor` and `bench_smvp` track the
-//! pooled-vs-spawned and alloc-vs-in-place gaps.
+//! pooled-vs-spawned and alloc-vs-in-place gaps. [`kernels::broadcast_rows`]
+//! exposes their row split for fused per-row passes such as the time step.
 
 //!
 //! The [`tile_kernels`] module layers an AVX microkernel (behind the
@@ -30,8 +31,9 @@ pub mod tile_kernels;
 pub mod workspace;
 
 pub use kernels::{
-    bmv, bmv_into, bmv_pooled, bmv_pooled_into, bmv_range_into, lmv, lmv_into, pmv, pmv_into,
-    pmv_pooled, pmv_pooled_into, rmv, rmv_into, rmv_pooled, rmv_pooled_into, smv, smv_into,
+    bmv, bmv_into, bmv_pooled, bmv_pooled_into, bmv_range_into, broadcast_rows, lmv, lmv_into, pmv,
+    pmv_into, pmv_pooled, pmv_pooled_into, rmv, rmv_into, rmv_pooled, rmv_pooled_into, smv,
+    smv_into,
 };
 pub use pool::{BatchFailure, PoolStats, SupervisionPolicy, WorkerPool};
 pub use tile_kernels::{bmv_tiles_banded_into, bmv_tiles_range_into, force_scalar, simd_active};
