@@ -14,9 +14,8 @@ use quake_fem::assembly::MaterialField;
 use quake_fem::elasticity::{element_stiffness, DegenerateElement};
 use quake_mesh::mesh::TetMesh;
 use quake_partition::partition::Partition;
-use quake_sparse::bcsr::{Bcsr3, Bcsr3Builder};
+use quake_sparse::bcsr::{Bcsr3, ElementAssembler};
 use quake_sparse::dense::Vec3;
-use std::collections::HashMap;
 
 /// One PE's share of the distributed system.
 #[derive(Debug, Clone)]
@@ -80,66 +79,84 @@ impl DistributedSystem {
             "partition does not match mesh"
         );
         let p = partition.parts();
-        // Local node lists (sorted because node ids ascend) and g→l maps.
+        let n = mesh.node_count();
+        // Local node lists (sorted because node ids ascend), and each
+        // node's local index on every PE it resides on, in a table aligned
+        // with `node_pes`: `slot[first[v] + k]` is v's index on
+        // `node_pes(v)[k]`.
         let mut global_nodes: Vec<Vec<usize>> = vec![Vec::new(); p];
-        for v in 0..mesh.node_count() {
+        let mut first = Vec::with_capacity(n + 1);
+        let mut slot = Vec::with_capacity(n);
+        first.push(0);
+        for v in 0..n {
             for &q in partition.node_pes(v) {
+                slot.push(global_nodes[q].len());
                 global_nodes[q].push(v);
             }
+            first.push(slot.len());
         }
-        let g2l: Vec<HashMap<usize, usize>> = global_nodes
+        let local = |q: usize, v: usize| {
+            let pes = partition.node_pes(v);
+            let k = pes
+                .iter()
+                .position(|&r| r == q)
+                .expect("an element's nodes reside on its PE");
+            slot[first[v] + k]
+        };
+        // Each PE's elements in local numbering, in global element order.
+        let mut elements: Vec<Vec<[usize; 4]>> = vec![Vec::new(); p];
+        for (conn, &q) in mesh.elements().iter().zip(partition.assignments()) {
+            elements[q].push(conn.map(|g| local(q, g)));
+        }
+        // Local assembly from each PE's own elements, in element order.
+        let mut assemblers: Vec<ElementAssembler> = global_nodes
             .iter()
-            .map(|nodes| nodes.iter().enumerate().map(|(l, &g)| (g, l)).collect())
+            .zip(&elements)
+            .map(|(nodes, elems)| ElementAssembler::new(nodes.len(), elems))
             .collect();
-        // Local assembly from each PE's own elements.
-        let mut builders: Vec<Bcsr3Builder> = global_nodes
-            .iter()
-            .map(|n| Bcsr3Builder::new(n.len()))
-            .collect();
+        let mut next = vec![0usize; p];
         for (e, &q) in partition.assignments().iter().enumerate() {
             let tet = mesh.tetra(e);
             let mat = field.material(mesh, e);
             let ke = element_stiffness(&tet, mat.lambda(), mat.mu())?;
-            let conn = mesh.elements()[e];
-            for (a, &ga) in conn.iter().enumerate() {
-                let la = g2l[q][&ga];
-                for (b, &gb) in conn.iter().enumerate() {
-                    let lb = g2l[q][&gb];
-                    builders[q].add_block(la, lb, ke[a][b]);
-                }
-            }
+            assemblers[q].add_element(&elements[q][next[q]], &ke);
+            next[q] += 1;
         }
-        let subdomains: Vec<LocalSubdomain> = builders
+        let subdomains: Vec<LocalSubdomain> = assemblers
             .into_iter()
             .zip(global_nodes)
-            .map(|(b, nodes)| LocalSubdomain {
+            .map(|(a, nodes)| LocalSubdomain {
                 global_nodes: nodes,
-                stiffness: b.build(),
+                stiffness: a.finish(),
             })
             .collect();
         // Exchange schedule: for every node shared by several PEs, each
-        // unordered pair of sharers exchanges that node's values.
-        let mut pair_map: HashMap<(usize, usize), Vec<(usize, usize)>> = HashMap::new();
-        for v in 0..mesh.node_count() {
+        // unordered pair of sharers exchanges that node's values. Entries
+        // are listed in node order; the stable sort groups them by pair and
+        // keeps node order within each pair.
+        let mut shared: Vec<((usize, usize), (usize, usize))> = Vec::new();
+        for v in 0..n {
             let pes = partition.node_pes(v);
+            let slots = &slot[first[v]..first[v + 1]];
             for (ai, &a) in pes.iter().enumerate() {
-                for &b in &pes[ai + 1..] {
-                    pair_map
-                        .entry((a, b))
-                        .or_default()
-                        .push((g2l[a][&v], g2l[b][&v]));
+                for (bi, &b) in pes.iter().enumerate().skip(ai + 1) {
+                    shared.push(((a, b), (slots[ai], slots[bi])));
                 }
             }
         }
-        let mut exchanges: Vec<Exchange> = pair_map
-            .into_iter()
-            .map(|((a, b), pairs)| Exchange { a, b, pairs })
+        shared.sort_by_key(|&(pair, _)| pair);
+        let exchanges: Vec<Exchange> = shared
+            .chunk_by(|x, y| x.0 == y.0)
+            .map(|run| Exchange {
+                a: run[0].0 .0,
+                b: run[0].0 .1,
+                pairs: run.iter().map(|&(_, l)| l).collect(),
+            })
             .collect();
-        exchanges.sort_by_key(|e| (e.a, e.b));
         Ok(DistributedSystem {
             subdomains,
             exchanges,
-            node_count: mesh.node_count(),
+            node_count: n,
         })
     }
 

@@ -1,10 +1,14 @@
 //! Global assembly: element stiffness and mass contributions summed into
 //! the block-CSR stiffness matrix `K` and the lumped mass vector.
+//!
+//! The matrix pattern comes from the element connectivity before any value
+//! is computed ([`ElementAssembler`]); element blocks are then summed into
+//! place in element order.
 
 use crate::elasticity::{element_stiffness, lumped_element_mass, DegenerateElement};
 use quake_mesh::ground::Material;
 use quake_mesh::mesh::TetMesh;
-use quake_sparse::bcsr::{Bcsr3, Bcsr3Builder};
+use quake_sparse::bcsr::{Bcsr3, ElementAssembler};
 
 /// A per-element material sampler. Implemented for closures taking the
 /// element index and centroid-derived material.
@@ -77,23 +81,20 @@ pub fn assemble<F: MaterialField>(
     field: &F,
 ) -> Result<AssembledSystem, DegenerateElement> {
     let n = mesh.node_count();
-    let mut builder = Bcsr3Builder::new(n);
+    let mut stiffness = ElementAssembler::new(n, mesh.elements());
     let mut mass = vec![0.0; n];
-    for e in 0..mesh.element_count() {
+    for (e, conn) in mesh.elements().iter().enumerate() {
         let tet = mesh.tetra(e);
         let mat = field.material(mesh, e);
         let ke = element_stiffness(&tet, mat.lambda(), mat.mu())?;
         let me = lumped_element_mass(&tet, mat.rho);
-        let conn = mesh.elements()[e];
-        for (a, &ia) in conn.iter().enumerate() {
+        for &ia in conn {
             mass[ia] += me;
-            for (b, &ib) in conn.iter().enumerate() {
-                builder.add_block(ia, ib, ke[a][b]);
-            }
         }
+        stiffness.add_element(conn, &ke);
     }
     Ok(AssembledSystem {
-        stiffness: builder.build(),
+        stiffness: stiffness.finish(),
         mass,
     })
 }

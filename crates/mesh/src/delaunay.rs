@@ -3,8 +3,10 @@
 //! The Quake meshes were produced by the Archimedes tool chain, whose mesh
 //! generator is a Delaunay-refinement code. We reproduce the substrate from
 //! scratch: points pre-sorted along a Morton (Z-order) curve for walk
-//! locality, a stochastic face walk for point location, and cavity-based
-//! Bowyer–Watson insertion.
+//! locality, a deterministic face walk for point location, and cavity-based
+//! Bowyer–Watson insertion. The builder keeps its cavity, stack, boundary
+//! and edge-map buffers across insertions, so inserting a point allocates
+//! nothing once the buffers have grown to the largest cavity.
 //!
 //! The predicates are plain `f64` filters, not exact arithmetic; callers are
 //! expected to provide jittered (generic-position) input, which the graded
@@ -15,6 +17,7 @@ use quake_sparse::dense::Vec3;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Error produced when the triangulation cannot be built.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -147,6 +150,35 @@ fn interleave3(mut x: u64) -> u64 {
     x
 }
 
+/// Multiplicative hasher for the cavity's edge keys: the keys are small
+/// vertex indices, so SipHash's flooding resistance buys nothing here.
+#[derive(Default)]
+struct EdgeHasher(u64);
+
+impl Hasher for EdgeHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.write_u64(i as u64);
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.0 = (self.0.rotate_left(5) ^ i).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Cavity edge `(lo, hi)` → the new tet and face index waiting for the
+/// sibling that shares the edge.
+type EdgeMap = HashMap<(usize, usize), (usize, usize), BuildHasherDefault<EdgeHasher>>;
+
 struct Builder {
     /// All vertices: 4 super-tet vertices followed by the input points.
     verts: Vec<Vec3>,
@@ -157,6 +189,13 @@ struct Builder {
     /// Scratch marks for cavity BFS (generation counting).
     mark: Vec<u64>,
     generation: u64,
+    /// Per-insertion scratch, cleared and reused by every [`Builder::insert`]:
+    /// the cavity's tets, the BFS stack, the boundary faces with their
+    /// external neighbours, and the open edges of the cavity fill.
+    cavity: Vec<usize>,
+    stack: Vec<usize>,
+    boundary: Vec<([usize; 3], usize)>,
+    edges: EdgeMap,
 }
 
 impl Builder {
@@ -189,10 +228,18 @@ impl Builder {
             last: 0,
             mark: vec![0],
             generation: 0,
+            cavity: Vec::new(),
+            stack: Vec::new(),
+            boundary: Vec::new(),
+            edges: EdgeMap::default(),
         }
     }
 
-    /// Walks from the hint tet toward the tet containing vertex `p`.
+    /// Walks from the hint tet toward the tet containing vertex `p`: at
+    /// each tet, crosses the first face (in the fixed order 0..4) that has
+    /// `p` strictly on its far side, never stepping straight back into the
+    /// tet it came from. Falls back to a scan of all live tets if the walk
+    /// exceeds its step budget.
     fn locate(&self, p: usize) -> Option<usize> {
         let pt = self.verts[p];
         let mut cur = self.last;
@@ -204,7 +251,6 @@ impl Builder {
         for _ in 0..max_steps {
             let t = &self.tets[cur];
             let mut moved = false;
-            // Visit faces in a rotating order to avoid cycles.
             for i in 0..4 {
                 let f = face_opposite(&t.v, i);
                 // Face is oriented so the opposite vertex is on the positive
@@ -256,9 +302,15 @@ impl Builder {
         // Grow the cavity: all connected tets whose circumsphere contains p.
         self.generation += 1;
         let gen = self.generation;
-        let mut cavity = vec![start];
+        let mut cavity = std::mem::take(&mut self.cavity);
+        let mut stack = std::mem::take(&mut self.stack);
+        let mut boundary = std::mem::take(&mut self.boundary);
+        let mut edges = std::mem::take(&mut self.edges);
+        cavity.clear();
+        edges.clear();
+        cavity.push(start);
         self.mark[start] = gen;
-        let mut stack = vec![start];
+        stack.push(start);
         while let Some(t) = stack.pop() {
             for i in 0..4 {
                 let n = self.tets[t].nbr[i];
@@ -274,7 +326,7 @@ impl Builder {
             }
         }
         // Collect boundary faces: (face vertices, external neighbor).
-        let mut boundary: Vec<([usize; 3], usize)> = Vec::new();
+        boundary.clear();
         for &t in &cavity {
             for i in 0..4 {
                 let n = self.tets[t].nbr[i];
@@ -291,9 +343,8 @@ impl Builder {
             self.free.push(t);
         }
         // Create one new tet per boundary face, oriented positively.
-        let mut face_map: HashMap<(usize, usize), (usize, usize)> = HashMap::new();
-        let mut created = Vec::with_capacity(boundary.len());
-        for (f, ext) in boundary {
+        let mut newest = NONE;
+        for &(f, ext) in &boundary {
             let [a, b, c] = f;
             let mut v = [p, a, b, c];
             if orient3d(
@@ -310,33 +361,29 @@ impl Builder {
                 nbr: [NONE; 4],
                 alive: true,
             });
-            created.push(idx);
+            newest = idx;
             // Link across the boundary face (opposite vertex p = index 0).
             self.tets[idx].nbr[0] = ext;
             if ext != NONE {
-                // Find which face of ext was the shared one and point it here.
+                // The shared face of ext is the one opposite its only vertex
+                // not on the face; point that face here.
                 let ev = self.tets[ext].v;
-                for i in 0..4 {
-                    let ef = face_opposite(&ev, i);
-                    if same_tri(ef, [a, b, c]) {
-                        self.tets[ext].nbr[i] = idx;
-                        break;
-                    }
-                }
+                let i = (0..4)
+                    .find(|&i| !f.contains(&ev[i]))
+                    .expect("external neighbour shares the boundary face");
+                self.tets[ext].nbr[i] = idx;
             }
             // Link the three faces incident to p with sibling new tets via
-            // the shared boundary edge.
+            // the shared boundary edge. Each such face starts with p (see
+            // `face_opposite`); its other two vertices form an edge of the
+            // cavity boundary shared with exactly one sibling.
             let tv = self.tets[idx].v;
             for i in 1..4 {
-                let f = face_opposite(&tv, i);
-                // The face contains p; its other two vertices form an edge of
-                // the cavity boundary shared with exactly one sibling.
-                let mut e: Vec<usize> = f.iter().copied().filter(|&x| x != p).collect();
-                e.sort_unstable();
-                let key = (e[0], e[1]);
-                match face_map.remove(&key) {
+                let [_, x, y] = face_opposite(&tv, i);
+                let key = (x.min(y), x.max(y));
+                match edges.remove(&key) {
                     None => {
-                        face_map.insert(key, (idx, i));
+                        edges.insert(key, (idx, i));
                     }
                     Some((other, oi)) => {
                         self.tets[idx].nbr[i] = other;
@@ -345,11 +392,13 @@ impl Builder {
                 }
             }
         }
-        debug_assert!(
-            face_map.is_empty(),
-            "unmatched internal faces in cavity fill"
-        );
-        self.last = *created.last().expect("cavity has boundary faces");
+        debug_assert!(edges.is_empty(), "unmatched internal faces in cavity fill");
+        assert_ne!(newest, NONE, "cavity has boundary faces");
+        self.last = newest;
+        self.cavity = cavity;
+        self.stack = stack;
+        self.boundary = boundary;
+        self.edges = edges;
         Ok(())
     }
 
@@ -389,16 +438,6 @@ fn face_opposite(v: &[usize; 4], i: usize) -> [usize; 3] {
         3 => [v[0], v[1], v[2]],
         _ => unreachable!("face index out of range"),
     }
-}
-
-/// True if two triangles have the same vertex set.
-#[inline]
-fn same_tri(a: [usize; 3], b: [usize; 3]) -> bool {
-    let mut a = a;
-    let mut b = b;
-    a.sort_unstable();
-    b.sort_unstable();
-    a == b
 }
 
 #[cfg(test)]

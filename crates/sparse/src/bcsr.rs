@@ -408,8 +408,143 @@ impl Bcsr3Rows<'_> {
     }
 }
 
+/// Finite-element assembly into a [`Bcsr3`] whose pattern is fixed up
+/// front by the element connectivity.
+///
+/// [`ElementAssembler::new`] derives the pattern — block `(i, j)` is stored
+/// iff some element contains both nodes, columns sorted within each row —
+/// and allocates the matrix arrays once, at their exact size.
+/// [`ElementAssembler::add_element`] then sums each element's `K × K` block
+/// matrix into place. Blocks receive their contributions in the order the
+/// elements are added, and start at `-0.0`, the exact additive identity of
+/// IEEE 754: the first contribution lands bit for bit as given, signed
+/// zeros included, and later ones are summed onto it. Adding elements in
+/// order therefore reproduces [`Bcsr3Builder`]'s result bitwise, without
+/// its per-row vectors and insertions.
+///
+/// # Examples
+///
+/// ```
+/// use quake_sparse::bcsr::ElementAssembler;
+/// use quake_sparse::dense::Mat3;
+/// // Two 2-node "elements" sharing node 1.
+/// let elements = [[0, 1], [1, 2]];
+/// let mut asm = ElementAssembler::new(3, &elements);
+/// let ke = [[Mat3::identity(), Mat3::ZERO], [Mat3::ZERO, Mat3::identity()]];
+/// for conn in &elements {
+///     asm.add_element(conn, &ke);
+/// }
+/// let k = asm.finish();
+/// assert_eq!(k.col_idx(), &[0, 1, 0, 1, 2, 1, 2]);
+/// assert_eq!(k.block(1, 1).unwrap().m[0][0], 2.0);
+/// ```
+#[derive(Debug, Clone)]
+pub struct ElementAssembler {
+    matrix: Bcsr3,
+}
+
+impl ElementAssembler {
+    /// The pattern of `elements` over `n` nodes, with every block at `-0.0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an element references a node `≥ n`.
+    pub fn new<const K: usize>(n: usize, elements: &[[usize; K]]) -> Self {
+        // Node → incident elements, in CSR form.
+        let mut inc_ptr = vec![0usize; n + 1];
+        for conn in elements {
+            for &v in conn {
+                assert!(v < n, "element node {v} out of range for n = {n}");
+                inc_ptr[v + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            inc_ptr[i + 1] += inc_ptr[i];
+        }
+        let mut fill = inc_ptr[..n].to_vec();
+        let mut inc = vec![0usize; inc_ptr[n]];
+        for (e, conn) in elements.iter().enumerate() {
+            for &v in conn {
+                inc[fill[v]] = e;
+                fill[v] += 1;
+            }
+        }
+        // Row i's columns are the distinct nodes of its incident elements;
+        // `seen[j] == i + 1` marks j as already listed in row i. One pass
+        // counts, so the arrays are allocated at their exact size, and a
+        // second pass fills and sorts.
+        let mut seen = vec![0usize; n];
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        row_ptr.push(0usize);
+        for i in 0..n {
+            let mut deg = 0;
+            for &e in &inc[inc_ptr[i]..inc_ptr[i + 1]] {
+                for &j in &elements[e] {
+                    if seen[j] != i + 1 {
+                        seen[j] = i + 1;
+                        deg += 1;
+                    }
+                }
+            }
+            row_ptr.push(row_ptr[i] + deg);
+        }
+        seen.fill(0);
+        let mut col_idx = vec![0usize; row_ptr[n]];
+        for i in 0..n {
+            let mut k = row_ptr[i];
+            for &e in &inc[inc_ptr[i]..inc_ptr[i + 1]] {
+                for &j in &elements[e] {
+                    if seen[j] != i + 1 {
+                        seen[j] = i + 1;
+                        col_idx[k] = j;
+                        k += 1;
+                    }
+                }
+            }
+            col_idx[row_ptr[i]..k].sort_unstable();
+        }
+        let blocks = vec![Mat3::new([[-0.0; 3]; 3]); col_idx.len()];
+        ElementAssembler {
+            matrix: Bcsr3 {
+                n,
+                row_ptr,
+                col_idx,
+                blocks,
+            },
+        }
+    }
+
+    /// Sums element `ke` over nodes `conn` into the matrix:
+    /// `K[conn[a], conn[b]] += ke[a][b]`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if some `(conn[a], conn[b])` is not in the pattern, i.e.
+    /// `conn` is not one of the elements the assembler was created from.
+    pub fn add_element<const K: usize>(&mut self, conn: &[usize; K], ke: &[[Mat3; K]; K]) {
+        let m = &mut self.matrix;
+        for (&i, ke_row) in conn.iter().zip(ke) {
+            let lo = m.row_ptr[i];
+            let cols = &m.col_idx[lo..m.row_ptr[i + 1]];
+            for (&j, &b) in conn.iter().zip(ke_row) {
+                let k = cols
+                    .binary_search(&j)
+                    .unwrap_or_else(|_| panic!("block ({i}, {j}) not in the element pattern"));
+                m.blocks[lo + k] += b;
+            }
+        }
+    }
+
+    /// The assembled matrix.
+    pub fn finish(self) -> Bcsr3 {
+        self.matrix
+    }
+}
+
 /// Incremental builder for [`Bcsr3`], summing duplicate block contributions
-/// (finite-element assembly semantics).
+/// in any order. It serves ad-hoc matrices in tests and benchmarks;
+/// finite-element assembly, whose pattern is known from the elements, uses
+/// [`ElementAssembler`].
 #[derive(Debug, Clone)]
 pub struct Bcsr3Builder {
     n: usize,
@@ -493,6 +628,65 @@ mod tests {
         let m = b.build();
         assert_eq!(m.block_nnz(), 1);
         assert_eq!(m.block(0, 0).unwrap().m[2][2], 5.0);
+    }
+
+    /// Bit patterns of every stored block, row-major.
+    fn block_bits(m: &Bcsr3) -> Vec<u64> {
+        m.blocks()
+            .iter()
+            .flat_map(|b| b.m.iter().flatten().map(|x| x.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn element_assembler_matches_builder_bitwise() {
+        // Overlapping triangles with values whose sums depend on order, and
+        // a signed zero that must survive as the sole contribution.
+        let elements = [[0, 1, 2], [2, 1, 3], [3, 4, 2], [1, 4, 3]];
+        let ke = |e: usize| {
+            let mut out = [[Mat3::ZERO; 3]; 3];
+            for (a, row) in out.iter_mut().enumerate() {
+                for (b, blk) in row.iter_mut().enumerate() {
+                    let f = 0.1 + (e * 9 + a * 3 + b) as f64 * 0.37;
+                    *blk = Mat3::new([[f, -f / 3.0, 1e-17 * f], [f.sin(), -0.0, f], [1.0, f, -f]]);
+                }
+            }
+            out
+        };
+        let mut asm = ElementAssembler::new(5, &elements);
+        let mut builder = Bcsr3Builder::new(5);
+        for (e, conn) in elements.iter().enumerate() {
+            let k = ke(e);
+            asm.add_element(conn, &k);
+            for (a, &i) in conn.iter().enumerate() {
+                for (b, &j) in conn.iter().enumerate() {
+                    builder.add_block(i, j, k[a][b]);
+                }
+            }
+        }
+        let (got, want) = (asm.finish(), builder.build());
+        assert_eq!(got.row_ptr(), want.row_ptr());
+        assert_eq!(got.col_idx(), want.col_idx());
+        assert_eq!(block_bits(&got), block_bits(&want));
+        // The -0.0 entry with no other contribution stays -0.0.
+        assert!(got.block(0, 0).unwrap().m[1][1].is_sign_negative());
+    }
+
+    #[test]
+    fn element_assembler_pattern_is_exact() {
+        let asm = ElementAssembler::new(4, &[[0, 2], [2, 3], [3, 2]]);
+        let k = asm.finish();
+        // Node 1 touches no element: an empty row.
+        assert_eq!(k.row_ptr(), &[0, 2, 2, 5, 7]);
+        assert_eq!(k.col_idx(), &[0, 2, 0, 2, 3, 2, 3]);
+        assert_eq!(k.col_idx().len(), k.blocks().len());
+    }
+
+    #[test]
+    #[should_panic(expected = "not in the element pattern")]
+    fn element_assembler_rejects_foreign_elements() {
+        let mut asm = ElementAssembler::new(3, &[[0, 1]]);
+        asm.add_element(&[0, 2], &[[Mat3::ZERO; 2]; 2]);
     }
 
     #[test]

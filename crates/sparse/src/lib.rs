@@ -47,7 +47,7 @@ pub mod reorder;
 pub mod sym;
 pub mod tiles;
 
-pub use bcsr::{Bcsr3, Bcsr3Builder};
+pub use bcsr::{Bcsr3, Bcsr3Builder, ElementAssembler};
 pub use coo::Coo;
 pub use csr::Csr;
 pub use dense::{Mat3, Vec3};

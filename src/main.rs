@@ -59,6 +59,33 @@ fn main() -> ExitCode {
     }
 }
 
+/// Wall-clock time of each set-up phase a command runs, printed as one
+/// `set-up:` line so the phases before the measured work account for their
+/// own time.
+#[derive(Debug, Default)]
+struct SetupWalls(Vec<(&'static str, f64)>);
+
+impl SetupWalls {
+    /// Runs `f` as set-up phase `phase`, recording its wall.
+    fn time<T>(&mut self, phase: &'static str, f: impl FnOnce() -> T) -> T {
+        let start = std::time::Instant::now();
+        let out = f();
+        self.0.push((phase, start.elapsed().as_secs_f64()));
+        out
+    }
+}
+
+impl std::fmt::Display for SetupWalls {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("set-up:")?;
+        for (i, (phase, s)) in self.0.iter().enumerate() {
+            let sep = if i == 0 { " " } else { ", " };
+            write!(f, "{sep}{phase} {}", fmt_seconds(*s))?;
+        }
+        Ok(())
+    }
+}
+
 fn generate(inv: &Invocation) -> Result<QuakeApp, Box<dyn std::error::Error>> {
     let period: f64 = inv.get("period", 10.0)?;
     let scale: f64 = inv.get("scale", 8.0)?;
@@ -69,7 +96,9 @@ fn generate(inv: &Invocation) -> Result<QuakeApp, Box<dyn std::error::Error>> {
 }
 
 fn cmd_mesh(inv: &Invocation) -> Result<(), Box<dyn std::error::Error>> {
-    let app = generate(inv)?;
+    let mut setup = SetupWalls::default();
+    let app = setup.time("generate", || generate(inv))?;
+    println!("{setup}");
     let stats = app.size_stats();
     println!("{stats}");
     println!("avg node degree: {:.2}", app.mesh.avg_node_degree());
@@ -188,7 +217,8 @@ fn cmd_smvp_run(inv: &Invocation) -> Result<(), Box<dyn std::error::Error>> {
     use quake_mesh::ground::Material;
     use std::sync::Arc;
 
-    let app = generate(inv)?;
+    let mut setup = SetupWalls::default();
+    let app = setup.time("generate", || generate(inv))?;
     let parts: usize = inv.get("parts", 4usize)?;
     let threads: usize = inv.get("threads", 4usize)?;
     let steps: u64 = inv.get("steps", 25u64)?;
@@ -360,7 +390,7 @@ fn cmd_smvp_run(inv: &Invocation) -> Result<(), Box<dyn std::error::Error>> {
         }));
     }
     let strat = partitioner(&inv.get_str("partitioner", "rib"))?;
-    let partition = strat.partition(&app.mesh, parts)?;
+    let partition = setup.time("partition", || strat.partition(&app.mesh, parts))?;
 
     // Characterization-side prediction and executable system share one
     // partition, so the counter comparison is exact by construction.
@@ -370,7 +400,9 @@ fn cmd_smvp_run(inv: &Invocation) -> Result<(), Box<dyn std::error::Error>> {
         vp: 2.0 * app.ground.vs_rock,
         rho: 2600.0,
     };
-    let system = quake_app::DistributedSystem::build(&app.mesh, &partition, &UniformMaterial(mat))?;
+    let system = setup.time("system build", || {
+        quake_app::DistributedSystem::build(&app.mesh, &partition, &UniformMaterial(mat))
+    })?;
 
     let x: Vec<Vec3> = (0..app.mesh.node_count())
         .map(|i| {
@@ -421,6 +453,10 @@ fn cmd_smvp_run(inv: &Invocation) -> Result<(), Box<dyn std::error::Error>> {
         wire_latency,
     };
     if transport == TransportKind::Proc {
+        // Each shard process plans its own executor.
+        if !quiet {
+            println!("{setup}");
+        }
         let built = quake_app::transport::run::Built {
             app,
             partition,
@@ -445,7 +481,7 @@ fn cmd_smvp_run(inv: &Invocation) -> Result<(), Box<dyn std::error::Error>> {
     let node_map = (nodes >= 1 && aggregate)
         .then(|| quake_app::transport::NodeMap::for_shards(parts, shards, nodes));
     let mut netsim = None;
-    let mut exec = match transport {
+    let mut exec = setup.time("plan", || match transport {
         TransportKind::Shared => match &node_map {
             Some(map) => {
                 let edges = ghost_edges(&system);
@@ -472,7 +508,10 @@ fn cmd_smvp_run(inv: &Invocation) -> Result<(), Box<dyn std::error::Error>> {
             BspExecutor::with_transport(&system, threads, rcm, overlap, 0..parts, t)
         }
         TransportKind::Proc => unreachable!("dispatched above"),
-    };
+    });
+    if !quiet {
+        println!("{setup}");
+    }
     if let Some(map) = &node_map {
         let of: Vec<usize> = (0..parts).map(|q| map.node_of(q)).collect();
         exec.set_node_map(&of);
@@ -1115,12 +1154,16 @@ fn incidents_chrome_trace(name: &str, incidents: &[quake_app::transport::run::In
 }
 
 fn cmd_simulate(inv: &Invocation) -> Result<(), Box<dyn std::error::Error>> {
-    let app = generate(inv)?;
+    let mut setup = SetupWalls::default();
+    let app = setup.time("generate", || generate(inv))?;
     let steps: u64 = inv.get("steps", 300u64)?;
-    let system = assemble(&app.mesh, &GroundMaterial(&app.ground))?;
+    let system = setup.time("assemble", || {
+        assemble(&app.mesh, &GroundMaterial(&app.ground))
+    })?;
     let max_vp = 3f64.sqrt() * app.ground.vs_rock;
     let dt = Simulation::stable_dt(&app.mesh, max_vp, 0.4);
-    let mut sim = Simulation::new(system, dt)?;
+    let mut sim = setup.time("Simulation::new", || Simulation::new(system, dt))?;
+    println!("{setup}");
     let source = PointSource::nearest(
         &app.mesh,
         app.ground.basin_center_surface() + Vec3::new(0.0, 0.0, -2_000.0),
@@ -1138,12 +1181,12 @@ fn cmd_simulate(inv: &Invocation) -> Result<(), Box<dyn std::error::Error>> {
     sim.add_receiver(rx);
     sim.run(steps);
     println!(
-        "mesh {} nodes / {} elements; dt = {:.4} s; ran {} steps = {:.1} s simulated",
+        "mesh {} nodes / {} elements; dt = {}; ran {} steps = {} simulated",
         app.mesh.node_count(),
         app.mesh.element_count(),
-        dt,
+        fmt_seconds(dt),
         sim.step_count(),
-        sim.time()
+        fmt_seconds(sim.time())
     );
     let smvp_flops = app.mesh.pattern().smvp_flops();
     println!(
