@@ -254,10 +254,11 @@ impl DistributedSystem {
 mod tests {
     use super::*;
     use crate::family::{AppConfig, QuakeApp};
-    use quake_fem::assembly::{assemble, UniformMaterial};
+    use quake_fem::assembly::{assemble, GroundMaterial, UniformMaterial};
     use quake_mesh::ground::Material;
     use quake_partition::comm::CommAnalysis;
     use quake_partition::geometric::{Partitioner, RecursiveBisection};
+    use quake_sparse::tiles::SymTiles;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -294,6 +295,32 @@ mod tests {
                 (*a - *b).norm() <= 1e-10 * (1.0 + scale),
                 "node {i}: sequential {a} vs distributed {b}"
             );
+        }
+    }
+
+    #[test]
+    fn global_and_subdomain_stiffness_are_bitwise_symmetric() {
+        // The half-storage executor kernel reproduces the full product
+        // only on bitwise-symmetric matrices with ascending rows; pin that
+        // for the heterogeneous ground model and a uniform rock.
+        let app = QuakeApp::generate(AppConfig::new("sf10", 10.0, 8.0)).unwrap();
+        let ground = assemble(&app.mesh, &GroundMaterial(&app.ground)).unwrap();
+        SymTiles::from_bcsr(&ground.stiffness).expect("global stiffness is bitwise symmetric");
+        for parts in [4, 8] {
+            let partition = RecursiveBisection::inertial()
+                .partition(&app.mesh, parts)
+                .unwrap();
+            let systems = [
+                DistributedSystem::build(&app.mesh, &partition, &GroundMaterial(&app.ground)),
+                DistributedSystem::build(&app.mesh, &partition, &UniformMaterial(mat())),
+            ];
+            for sys in systems {
+                for (q, sd) in sys.unwrap().subdomains().iter().enumerate() {
+                    SymTiles::from_bcsr(&sd.stiffness).unwrap_or_else(|e| {
+                        panic!("PE {q} of {parts}: subdomain stiffness not bitwise symmetric: {e}")
+                    });
+                }
+            }
         }
     }
 

@@ -3,11 +3,11 @@
 //! [`DistributedSystem::smvp`](crate::distributed::DistributedSystem::smvp)
 //! models the paper's distributed product but runs serially and reports
 //! nothing. [`BspExecutor`] runs the same assemble→compute→exchange→fold
-//! phases over a persistent [`WorkerPool`] — PEs striped across workers
-//! per phase, with the pool's broadcast barrier standing in for the
-//! machine's phase barriers — and *measures* what the characterization
-//! layer only *predicts*: per-PE flops, words and blocks sent/received,
-//! per-phase wall times, and per-PE barrier wait.
+//! phases over a persistent [`WorkerPool`] — PEs striped across workers,
+//! with the pool's broadcast barrier and the transport's per-block waits
+//! standing in for the machine's synchronization — and *measures* what
+//! the characterization layer only *predicts*: per-PE flops, words and
+//! blocks sent/received, per-phase wall times, and per-PE barrier wait.
 //!
 //! Observed `F_i`/`C_i`/`B_i` are counted from the data structures the
 //! kernel actually traverses, so for a correct build they match
@@ -17,17 +17,36 @@
 //! characterization and a live parallel execution, and its phase times feed
 //! the Eq. (1)/(2) validation in `quake_core::model::validate`.
 //!
+//! # The local kernel and the barrier step
+//!
+//! The SMVP is bound by data movement, so the executor streams as few
+//! matrix bytes as it can. The layout follows the schedule. The barrier
+//! schedules (natural or RCM order) keep each PE's stiffness as
+//! [`SymTiles`]: the upper triangle only, each symmetric pair of blocks
+//! streamed once. The overlap schedule keeps full [`Bcsr3Tiles`], because
+//! its boundary-first rows keep an entry order a row-ordered scatter
+//! cannot reproduce. Both run AVX where the CPU has it, and both give the
+//! scalar microkernel's product bit for bit.
+//!
+//! The clean barrier step is ONE pool broadcast. Each worker gathers,
+//! computes, packs and posts every PE it owns, then acquires and applies
+//! their inbound blocks, then folds their nodes into `y`. Each global node
+//! is folded by the first owned PE whose gather holds it, precomputed at
+//! plan time, so workers write disjoint parts of `y` and no serial fold
+//! remains. [`PhaseWalls`] bill the slowest worker's own assemble, compute
+//! and fold; the rest of the dispatch wall is exchange.
+//!
 //! # Allocation-free steady state
 //!
 //! The paper's time loop repeats this product 6000 times, so the executor
-//! owns every per-step buffer (`x_local`, partials, exchanged copies,
-//! timing scratch) and each [`BspExecutor::step_into`] reuses them: after
-//! the first step no phase allocates, dispatch goes through
-//! [`WorkerPool::broadcast`] (one shared closure per phase, nothing boxed),
-//! and the measured phase walls reflect memory-system behaviour instead of
-//! allocator traffic. [`BspExecutor::buffer_fingerprint`] exposes buffer
-//! pointers/capacities so tests can assert the steady state really is
-//! allocation-free.
+//! owns every per-step buffer (`x_local`, kernel scratch, partials,
+//! exchanged copies, timing scratch) and each [`BspExecutor::step_into`]
+//! reuses them: after the first step nothing allocates, dispatch goes
+//! through [`WorkerPool::broadcast`] (one shared closure per dispatch,
+//! nothing boxed), and the measured phase walls reflect memory-system
+//! behaviour instead of allocator traffic.
+//! [`BspExecutor::buffer_fingerprint`] exposes buffer pointers/capacities
+//! so tests can assert the steady state really is allocation-free.
 //!
 //! # RCM locality pre-pass
 //!
@@ -93,15 +112,12 @@ use crate::transport::{ghost_edges, SharedTransport, Transport};
 use quake_core::fault::{mix64, FaultKind, FaultPlan, FaultReport, RecoveryPolicy, RetryBackoff};
 use quake_core::model::validate::MeasuredSmvp;
 use quake_core::telemetry::{PhaseId, Span, Telemetry, TelemetryConfig, TraceInstant};
-use quake_memsim::hierarchy::Hierarchy;
-use quake_spark::kernels::bmv_range_into;
 use quake_spark::pool::WorkerPool;
-use quake_spark::tile_kernels::bmv_tiles_banded_into;
-use quake_sparse::bcsr::Bcsr3;
+use quake_spark::tile_kernels::{bmv_sym_into, bmv_tiles_range_into};
 use quake_sparse::dense::Vec3;
 use quake_sparse::pattern::Pattern;
 use quake_sparse::reorder::rcm;
-use quake_sparse::tiles::{BandPlan, Bcsr3Tiles};
+use quake_sparse::tiles::{Bcsr3Tiles, LaneBlock, SymTiles};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -272,85 +288,73 @@ struct Outbound {
     send_idx: Vec<usize>,
 }
 
-/// Which local SMVP microkernel the compute phases run. Both kernels
-/// traverse the same matrix in the same row order with the same per-lane
-/// operation order, so the choice never changes a single output bit or
-/// counter — only raw speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelKind {
-    /// The register-blocked scalar 3×3 microkernel (`bmv_range_into`).
-    #[default]
-    Micro,
-    /// The SIMD tile kernel over the flat BCSR layout ([`Bcsr3Tiles`]),
-    /// cache-blocked by a memsim-sized [`BandPlan`], with runtime AVX
-    /// dispatch and a bitwise-identical scalar fallback.
-    MicroSimd,
+/// A PE's local stiffness in the layout its schedule runs. Both layouts
+/// reproduce the scalar microkernel's product bit for bit.
+enum PeMatrix {
+    /// Barrier schedules: half storage, streaming each symmetric pair of
+    /// blocks once. Needs rows whose columns strictly ascend, which the
+    /// natural and RCM orders both give.
+    Sym(SymTiles),
+    /// The overlap schedule: full tiles. Its boundary-first reorder keeps
+    /// each row's stage-1 entry order, which a row-ordered scatter cannot
+    /// reproduce.
+    Full(Bcsr3Tiles),
 }
 
-impl std::str::FromStr for KernelKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "micro" => Ok(KernelKind::Micro),
-            "micro-simd" => Ok(KernelKind::MicroSimd),
-            other => Err(format!(
-                "unknown kernel '{other}' (expected micro or micro-simd)"
-            )),
+impl PeMatrix {
+    fn block_rows(&self) -> usize {
+        match self {
+            PeMatrix::Sym(s) => s.block_rows(),
+            PeMatrix::Full(t) => t.block_rows(),
         }
     }
-}
 
-impl std::fmt::Display for KernelKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            KernelKind::Micro => "micro",
-            KernelKind::MicroSimd => "micro-simd",
-        })
+    /// Flops of one local product: 18 per block of the full matrix, the
+    /// paper's `F_i = 2·m_i`, in either layout.
+    fn smvp_flops(&self) -> u64 {
+        match self {
+            PeMatrix::Sym(s) => s.smvp_flops(),
+            PeMatrix::Full(t) => 18 * t.block_nnz() as u64,
+        }
     }
-}
 
-/// The x-window budget for [`BandPlan`] sizing: half the modeled modern
-/// core's L2, leaving the other half to the streamed tiles and indices.
-/// Derived from the memsim hierarchy so the model that *predicts* the
-/// blocking win is the one that sizes it.
-fn band_window_bytes() -> usize {
-    (Hierarchy::modern_core_like().l2().capacity_bytes() / 2) as usize
+    /// Full local SMVP, overwriting `out`. `acc` is the half-storage
+    /// kernel's scratch (one lane block per row; unused by full tiles).
+    fn mult_full(&self, xl: &[Vec3], acc: &mut [LaneBlock], out: &mut [Vec3]) {
+        match self {
+            PeMatrix::Sym(s) => bmv_sym_into(s, xl, acc, out),
+            PeMatrix::Full(t) => bmv_tiles_range_into(t, xl, 0..t.block_rows(), out),
+        }
+    }
+
+    /// Local SMVP over the block-row range `rows`; `out[i - rows.start]`
+    /// receives row `i`. Only the overlap schedule splits rows, and it
+    /// runs full tiles.
+    fn mult_range(&self, xl: &[Vec3], rows: Range<usize>, out: &mut [Vec3]) {
+        match self {
+            PeMatrix::Full(t) => bmv_tiles_range_into(t, xl, rows, out),
+            PeMatrix::Sym(_) => unreachable!("row ranges run on full tiles"),
+        }
+    }
 }
 
 /// One PE's executable state: the gather list and stiffness it actually
-/// traverses (identical to the subdomain's, or RCM-renumbered).
+/// traverses (identical to the subdomain's, or renumbered), plus the
+/// nodes it folds into the global result.
 struct PeState {
     /// `gather[l]`: global node id held in local slot `l`.
     gather: Vec<usize>,
-    stiffness: Bcsr3,
-    /// The stiffness's flat tile twin plus its band plan, present exactly
-    /// when [`KernelKind::MicroSimd`] is selected.
-    tiled: Option<(Bcsr3Tiles, BandPlan)>,
+    /// The local stiffness, present exactly for the owned PEs.
+    matrix: Option<PeMatrix>,
+    /// `(local slot, global node)` for each node this PE folds into `y`:
+    /// every global node belongs to the first owned PE whose gather holds
+    /// it, so each node is written exactly once per step.
+    fold: Vec<(usize, usize)>,
 }
 
 impl PeState {
-    /// Local SMVP over the block-row range `rows` through the selected
-    /// microkernel; `out[i - rows.start]` receives row `i`. Bitwise-equal
-    /// across kernels.
-    fn mult_range(&self, xl: &[Vec3], rows: Range<usize>, out: &mut [Vec3]) {
-        match &self.tiled {
-            Some((tiles, plan)) => bmv_tiles_banded_into(tiles, plan, xl, rows, out),
-            None => bmv_range_into(&self.stiffness, xl, rows, out),
-        }
-    }
-
-    /// Full local SMVP (every block row), overwriting `out`.
-    fn mult_full(&self, xl: &[Vec3], out: &mut [Vec3]) {
-        match &self.tiled {
-            Some((tiles, plan)) => {
-                bmv_tiles_banded_into(tiles, plan, xl, 0..tiles.block_rows(), out)
-            }
-            None => self
-                .stiffness
-                .spmv(xl, out)
-                .expect("local dimensions consistent by construction"),
-        }
+    fn matrix(&self) -> &PeMatrix {
+        self.matrix.as_ref().expect("only owned PEs are computed")
     }
 }
 
@@ -392,6 +396,19 @@ fn pe_chunk(p: usize, workers: usize, w: usize) -> std::ops::Range<usize> {
 fn owned_chunk(owned: &Range<usize>, workers: usize, w: usize) -> Range<usize> {
     let r = pe_chunk(owned.len(), workers, w);
     (owned.start + r.start)..(owned.start + r.end)
+}
+
+/// Bills one step's exchange to `c`: every inbound message is matched by
+/// an equal outbound one (the exchange is symmetric), so both directions
+/// count.
+fn count_exchange(c: &mut PeCounters, inbound: &[Inbound]) {
+    for msg in inbound {
+        let words = 3 * msg.pairs.len() as u64;
+        c.words_received += words;
+        c.words_sent += words;
+        c.blocks_received += 1;
+        c.blocks_sent += 1;
+    }
 }
 
 /// In-memory snapshot of the executor's accumulated measurement state,
@@ -571,8 +588,6 @@ pub struct BspExecutor {
     link: Arc<dyn Transport>,
     global_nodes: usize,
     rcm: bool,
-    /// The microkernel the compute phases dispatch to.
-    kernel: KernelKind,
     /// Armed chaos layer, or `None` for the untouched clean path.
     fault: Option<Box<FaultState>>,
     /// Armed telemetry layer, or `None` for the untouched clean path.
@@ -585,6 +600,9 @@ pub struct BspExecutor {
     // Persistent per-step buffers: sized once in `build`, reused by every
     // `step_into` so the steady-state step never touches the allocator.
     x_local: Vec<Vec<Vec3>>,
+    /// Per-PE half-storage kernel scratch: one lane block per local row
+    /// for owned barrier-schedule PEs, empty otherwise.
+    acc: Vec<Vec<LaneBlock>>,
     partials: Vec<Vec<Vec3>>,
     exchanged: Vec<Vec<Vec3>>,
     /// Per-PE send packing buffer, sized to the largest outbound edge.
@@ -597,7 +615,12 @@ pub struct BspExecutor {
     /// waits — subtracted from the drift-monitor feed so transport spin
     /// waits never read as per-PE load skew.
     wait_scratch: Vec<f64>,
-    written: Vec<bool>,
+    /// Per-PE `[assemble, compute, exchange]` seconds of the one-dispatch
+    /// barrier step.
+    pe_secs: Vec<[f64; 3]>,
+    /// Per-worker `[assemble, compute, fold]` seconds of the one-dispatch
+    /// barrier step, summed over the worker's PEs.
+    worker_secs: Vec<[f64; 3]>,
     counters: Vec<PeCounters>,
     phases: PhaseWalls,
     steps: u64,
@@ -744,21 +767,26 @@ impl BspExecutor {
                 (None, Some(b)) => Some(b.clone()),
                 (Some(a), Some(b)) => Some(a.iter().map(|&s1| b[s1]).collect()),
             };
-            let stiffness = {
-                let s1 = match &p1 {
-                    None => sd.stiffness.clone(),
-                    Some(a) => sd
-                        .stiffness
+            // The layout follows the schedule (see `PeMatrix`), built
+            // straight from the subdomain matrix or its renumbered copy.
+            let matrix = owned.contains(&q).then(|| {
+                let renumbered = p1.as_ref().map(|a| {
+                    sd.stiffness
                         .permute_symmetric(a)
-                        .expect("RCM yields a valid permutation"),
-                };
+                        .expect("RCM yields a valid permutation")
+                });
+                let s1 = renumbered.as_ref().unwrap_or(&sd.stiffness);
                 match &p2 {
-                    None => s1,
-                    Some(b) => s1
-                        .permute_symmetric_stable(b)
-                        .expect("boundary-first reorder is a valid permutation"),
+                    None => PeMatrix::Sym(
+                        SymTiles::from_bcsr(s1)
+                            .expect("FE stiffness is bitwise symmetric with sorted rows"),
+                    ),
+                    Some(b) => PeMatrix::Full(Bcsr3Tiles::from_bcsr(
+                        &s1.permute_symmetric_stable(b)
+                            .expect("boundary-first reorder is a valid permutation"),
+                    )),
                 }
-            };
+            });
             let gather = match &composed {
                 None => sd.global_nodes.clone(),
                 Some(f) => {
@@ -772,8 +800,8 @@ impl BspExecutor {
             perms.push(composed);
             pe.push(PeState {
                 gather,
-                stiffness,
-                tiled: None,
+                matrix,
+                fold: Vec::new(),
             });
             boundary_rows.push(nb);
         }
@@ -838,6 +866,25 @@ impl BspExecutor {
                 vec![Vec3::ZERO; max]
             })
             .collect();
+        // Each global node folds from the first owned PE whose gather
+        // holds it: the replica the serial fold has always picked.
+        let mut taken = vec![false; system.global_nodes()];
+        for s in &mut pe[owned.clone()] {
+            s.fold = s
+                .gather
+                .iter()
+                .enumerate()
+                .filter(|&(_, &g)| !std::mem::replace(&mut taken[g], true))
+                .map(|(l, &g)| (l, g))
+                .collect();
+        }
+        let acc = pe
+            .iter()
+            .map(|s| match &s.matrix {
+                Some(PeMatrix::Sym(m)) => vec![LaneBlock::default(); m.block_rows()],
+                _ => Vec::new(),
+            })
+            .collect();
         let local_buf = || {
             pe.iter()
                 .map(|s| vec![Vec3::ZERO; s.gather.len()])
@@ -860,13 +907,15 @@ impl BspExecutor {
         BspExecutor {
             pool: WorkerPool::new(threads),
             x_local: local_buf(),
+            acc,
             partials: local_buf(),
             exchanged: local_buf(),
             pack,
             stage,
             elapsed: vec![0.0; p],
             wait_scratch: vec![0.0; p],
-            written: vec![false; system.global_nodes()],
+            pe_secs: vec![[0.0; 3]; p],
+            worker_secs: vec![[0.0; 3]; threads],
             global_nodes: system.global_nodes(),
             pe,
             inbound,
@@ -874,7 +923,6 @@ impl BspExecutor {
             owned,
             link,
             rcm: use_rcm,
-            kernel: KernelKind::Micro,
             fault: None,
             telemetry: None,
             overlap,
@@ -994,35 +1042,6 @@ impl BspExecutor {
     /// True if this executor runs the latency-hiding overlap schedule.
     pub fn overlap_enabled(&self) -> bool {
         self.overlap.is_some()
-    }
-
-    /// Selects the compute-phase microkernel. `MicroSimd` builds each
-    /// owned PE's flat tile twin and memsim-sized band plan (a one-time
-    /// cost, like the RCM pre-pass); `Micro` drops them. Output, counters
-    /// and every schedule/transport interaction are bitwise-unchanged —
-    /// the kernels share one traversal and operation order.
-    pub fn set_kernel(&mut self, kernel: KernelKind) {
-        if kernel == self.kernel {
-            return;
-        }
-        self.kernel = kernel;
-        let window = band_window_bytes();
-        for q in self.owned.clone() {
-            let s = &mut self.pe[q];
-            s.tiled = match kernel {
-                KernelKind::Micro => None,
-                KernelKind::MicroSimd => {
-                    let tiles = Bcsr3Tiles::from_bcsr(&s.stiffness);
-                    let plan = BandPlan::for_tiles(&tiles, window);
-                    Some((tiles, plan))
-                }
-            };
-        }
-    }
-
-    /// The microkernel the compute phases currently dispatch to.
-    pub fn kernel(&self) -> KernelKind {
-        self.kernel
     }
 
     /// Hands the executor the PE → node placement of a node-aware run
@@ -1146,8 +1165,15 @@ impl BspExecutor {
                 fp.push((v.as_ptr() as usize, v.capacity()));
             }
         }
+        for v in &self.acc {
+            fp.push((v.as_ptr() as usize, v.capacity()));
+        }
         fp.push((self.elapsed.as_ptr() as usize, self.elapsed.capacity()));
-        fp.push((self.written.as_ptr() as usize, self.written.capacity()));
+        fp.push((self.pe_secs.as_ptr() as usize, self.pe_secs.capacity()));
+        fp.push((
+            self.worker_secs.as_ptr() as usize,
+            self.worker_secs.capacity(),
+        ));
         fp
     }
 
@@ -1170,7 +1196,9 @@ impl BspExecutor {
 
     /// Executes one bulk-synchronous SMVP `y = Kx` for a global input
     /// vector, updating the counters. Allocation-free: every buffer
-    /// (including `y`) is caller- or executor-owned and reused.
+    /// (including `y`) is caller- or executor-owned and reused. Without
+    /// faults, telemetry or overlap this is one pool dispatch (see the
+    /// module docs).
     ///
     /// # Panics
     ///
@@ -1198,14 +1226,29 @@ impl BspExecutor {
         let owned = self.owned.clone();
         let step = self.steps;
 
-        // --- Assemble phase: gather replicated local x per PE. ---
+        // --- One dispatch: each worker gathers, computes, packs and posts
+        // every PE it owns, then acquires and applies their inbound blocks
+        // and folds their owned nodes into `y`. Posting ALL its PEs before
+        // acquiring ANY keeps the schedule deadlock-free however PEs are
+        // striped across workers and shards. ---
         let wall = {
             let pe = &self.pe;
+            let inbound = &self.inbound;
+            let outbound = &self.outbound;
+            let link = &self.link;
             let owned = &owned;
-            let elapsed = SendPtr(self.elapsed.as_mut_ptr());
             let x_local = SendPtr(self.x_local.as_mut_ptr());
+            let acc = SendPtr(self.acc.as_mut_ptr());
+            let partials = SendPtr(self.partials.as_mut_ptr());
+            let exchanged = SendPtr(self.exchanged.as_mut_ptr());
+            let pack = SendPtr(self.pack.as_mut_ptr());
+            let stage = SendPtr(self.stage.as_mut_ptr());
+            let pe_secs = SendPtr(self.pe_secs.as_mut_ptr());
+            let worker_secs = SendPtr(self.worker_secs.as_mut_ptr());
+            let y_out = SendPtr(y.as_mut_ptr());
             let t0 = Instant::now();
             self.pool.broadcast(&|w| {
+                let (mut assemble, mut compute, mut fold) = (0.0, 0.0, 0.0);
                 for q in owned_chunk(owned, threads, w) {
                     let t = Instant::now();
                     // SAFETY: each PE q belongs to exactly one worker's
@@ -1214,100 +1257,37 @@ impl BspExecutor {
                     for (slot, &g) in xl.iter_mut().zip(&pe[q].gather) {
                         *slot = x[g];
                     }
-                    unsafe {
-                        *elapsed.get().add(q) = t.elapsed().as_secs_f64();
-                    }
-                }
-            });
-            t0.elapsed().as_secs_f64()
-        };
-        self.phases.assemble += wall;
-        for q in owned.clone() {
-            let dt = self.elapsed[q];
-            let c = &mut self.counters[q];
-            c.t_assemble += dt;
-            c.t_barrier += (wall - dt).max(0.0);
-        }
-
-        // --- Compute phase: local SMVP per PE, in place. ---
-        let wall = {
-            let pe = &self.pe;
-            let owned = &owned;
-            let elapsed = SendPtr(self.elapsed.as_mut_ptr());
-            let x_local = SendPtr(self.x_local.as_mut_ptr());
-            let partials = SendPtr(self.partials.as_mut_ptr());
-            let t0 = Instant::now();
-            self.pool.broadcast(&|w| {
-                for q in owned_chunk(owned, threads, w) {
-                    let t = Instant::now();
-                    // SAFETY: per-q accesses are disjoint (one worker per
-                    // PE); x_local was fully written before the assemble
-                    // barrier.
-                    let xl = unsafe { &*x_local.get().add(q) };
+                    let t_gathered = Instant::now();
                     let part = unsafe { &mut *partials.get().add(q) };
-                    pe[q].mult_full(xl, part);
-                    unsafe {
-                        *elapsed.get().add(q) = t.elapsed().as_secs_f64();
-                    }
-                }
-            });
-            t0.elapsed().as_secs_f64()
-        };
-        self.phases.compute += wall;
-        for q in owned.clone() {
-            let dt = self.elapsed[q];
-            let c = &mut self.counters[q];
-            c.t_compute += dt;
-            c.t_barrier += (wall - dt).max(0.0);
-            // 18 flops per traversed 3×3 block: the paper's F_i = 2·m_i
-            // counted from the matrix this step just multiplied.
-            c.flops += self.pe[q].stiffness.smvp_flops();
-        }
-
-        // --- Exchange phase: post every owned PE's outbound ghost blocks
-        // through the transport, then acquire and apply inbound blocks.
-        // Each worker posts ALL its PEs' edges before acquiring ANY, which
-        // keeps the schedule deadlock-free however PEs are striped across
-        // workers and shards. ---
-        let wall = {
-            let inbound = &self.inbound;
-            let outbound = &self.outbound;
-            let link = &self.link;
-            let owned = &owned;
-            let elapsed = SendPtr(self.elapsed.as_mut_ptr());
-            let partials = SendPtr(self.partials.as_mut_ptr());
-            let exchanged = SendPtr(self.exchanged.as_mut_ptr());
-            let pack = SendPtr(self.pack.as_mut_ptr());
-            let stage = SendPtr(self.stage.as_mut_ptr());
-            let t0 = Instant::now();
-            self.pool.broadcast(&|w| {
-                // Post pass — publish the ghost blocks, packed in the
-                // receiver's pair order.
-                for q in owned_chunk(owned, threads, w) {
-                    let t = Instant::now();
-                    // SAFETY: pack[q], partials[q] and elapsed[q] belong to
-                    // this worker alone (one worker per PE).
-                    let mine = unsafe { &*(partials.get().add(q) as *const Vec<Vec3>) };
+                    pe[q]
+                        .matrix()
+                        .mult_full(xl, unsafe { &mut *acc.get().add(q) }, part);
+                    let t_computed = Instant::now();
+                    // Post in the receiver's pair order.
                     let buf = unsafe { &mut *pack.get().add(q) };
                     for ob in &outbound[q] {
                         let blk = &mut buf[..ob.send_idx.len()];
                         for (slot, &l) in blk.iter_mut().zip(&ob.send_idx) {
-                            *slot = mine[l];
+                            *slot = part[l];
                         }
                         link.post(step, q, ob.to, blk).expect("transport post");
                     }
-                    unsafe {
-                        *elapsed.get().add(q) = t.elapsed().as_secs_f64();
-                    }
+                    let secs = [
+                        (t_gathered - t).as_secs_f64(),
+                        (t_computed - t_gathered).as_secs_f64(),
+                        t_computed.elapsed().as_secs_f64(),
+                    ];
+                    assemble += secs[0];
+                    compute += secs[1];
+                    unsafe { *pe_secs.get().add(q) = secs };
                 }
-                // Acquire pass — fetch and apply in schedule order, the
-                // same floating-point summation order as the serial
-                // product (so every transport is bitwise-equivalent).
+                // Acquire and apply in schedule order — the serial
+                // product's summation order, so every transport is
+                // bitwise-equivalent — then fold.
                 for q in owned_chunk(owned, threads, w) {
                     let t = Instant::now();
                     // SAFETY: only exchanged[q]/stage[q] are written (one
-                    // worker per PE); own partials were fully written
-                    // before the compute barrier.
+                    // worker per PE), and this worker wrote partials[q].
                     let out = unsafe { &mut *exchanged.get().add(q) };
                     let mine = unsafe { &*(partials.get().add(q) as *const Vec<Vec3>) };
                     out.copy_from_slice(mine);
@@ -1320,63 +1300,63 @@ impl BspExecutor {
                             out[m] += *v;
                         }
                     }
-                    unsafe {
-                        *elapsed.get().add(q) += t.elapsed().as_secs_f64();
+                    let t_applied = Instant::now();
+                    // SAFETY: each global node is in exactly one owned
+                    // PE's fold list, so workers write disjoint y slots.
+                    for &(l, g) in &pe[q].fold {
+                        unsafe { *y_out.get().add(g) = out[l] };
                     }
+                    fold += t_applied.elapsed().as_secs_f64();
+                    unsafe { (*pe_secs.get().add(q))[2] += (t_applied - t).as_secs_f64() };
                 }
+                unsafe { *worker_secs.get().add(w) = [assemble, compute, fold] };
             });
             t0.elapsed().as_secs_f64()
         };
-        self.phases.exchange += wall;
-        for q in owned.clone() {
-            let dt = self.elapsed[q];
-            let c = &mut self.counters[q];
-            c.t_exchange += dt;
-            c.t_barrier += (wall - dt).max(0.0);
-            for msg in &self.inbound[q] {
-                let words = 3 * msg.pairs.len() as u64;
-                // Each inbound message is matched by an equal outbound one
-                // (the exchange is symmetric), so count both directions.
-                c.words_received += words;
-                c.words_sent += words;
-                c.blocks_received += 1;
-                c.blocks_sent += 1;
-            }
+        // Bill the slowest worker's own assemble, compute and fold; the
+        // rest of the dispatch wall is exchange (posting, waiting for
+        // neighbors, applying).
+        let [assemble, compute, fold] = self
+            .worker_secs
+            .iter()
+            .copied()
+            .max_by(|a, b| (a[0] + a[1] + a[2]).total_cmp(&(b[0] + b[1] + b[2])))
+            .unwrap_or_default();
+        self.phases.assemble += assemble;
+        self.phases.compute += compute;
+        self.phases.exchange += (wall - assemble - compute - fold).max(0.0);
+        self.phases.fold += fold;
+        for q in owned {
+            let [a, c, e] = self.pe_secs[q];
+            let counters = &mut self.counters[q];
+            counters.t_assemble += a;
+            counters.t_compute += c;
+            counters.t_exchange += e;
+            counters.t_barrier += (wall - fold - (a + c + e)).max(0.0);
+            counters.flops += self.pe[q].matrix().smvp_flops();
+            count_exchange(counters, &self.inbound[q]);
         }
         self.link.barrier(step).expect("transport barrier");
-
-        // --- Fold phase: replicated results → global vector. ---
-        let t0 = Instant::now();
-        self.written.fill(false);
-        for q in owned.clone() {
-            let (s, part) = (&self.pe[q], &self.exchanged[q]);
-            for (l, &g) in s.gather.iter().enumerate() {
-                if self.written[g] {
-                    debug_assert!(
-                        (y[g] - part[l]).norm() <= 1e-9 * (1.0 + y[g].norm()),
-                        "replicas disagree at node {g}"
-                    );
-                } else {
-                    y[g] = part[l];
-                    self.written[g] = true;
-                }
-            }
-        }
-        debug_assert!(
-            self.owned.len() < self.pe.len() || self.written.iter().all(|&w| w),
-            "every node resides somewhere"
-        );
-        self.phases.fold += t0.elapsed().as_secs_f64();
-
         self.steps += 1;
     }
 
-    /// The telemetry-armed variant of [`BspExecutor::step_into`]: the exact
-    /// arithmetic of the clean path (same loops, same order — output is
-    /// bitwise-identical, asserted by the equivalence tests) with span,
-    /// histogram, and drift recording folded in. Kept as a separate
-    /// duplicate, like the chaos path, so the untraced hot path stays
-    /// byte-for-byte untouched.
+    /// Folds every owned PE's exchanged partials into `y`, one replica per
+    /// global node (see [`PeState::fold`]). The traced, overlap and chaos
+    /// steps fold on the caller after their last dispatch.
+    fn fold_serial(&self, y: &mut [Vec3]) {
+        for q in self.owned.clone() {
+            let part = &self.exchanged[q];
+            for &(l, g) in &self.pe[q].fold {
+                y[g] = part[l];
+            }
+        }
+    }
+
+    /// The telemetry-armed variant of [`BspExecutor::step_into`]: the same
+    /// per-PE arithmetic in the same order (output is bitwise-identical,
+    /// asserted by the equivalence tests), but as three dispatches —
+    /// assemble, compute, exchange — with a caller-side fold, so each
+    /// phase gets its own spans, histograms and drift feed.
     fn traced_step_into(&mut self, x: &[Vec3], y: &mut [Vec3]) {
         // Taken out of `self` for the duration of the step so phase loops
         // can borrow executor fields freely; restored before returning.
@@ -1433,6 +1413,7 @@ impl BspExecutor {
             let elapsed = SendPtr(self.elapsed.as_mut_ptr());
             let x_local = SendPtr(self.x_local.as_mut_ptr());
             let partials = SendPtr(self.partials.as_mut_ptr());
+            let acc = SendPtr(self.acc.as_mut_ptr());
             let start_ns = SendPtr(telem.start_ns.as_mut_ptr());
             let t0 = Instant::now();
             self.pool.broadcast(&|w| {
@@ -1446,7 +1427,8 @@ impl BspExecutor {
                     }
                     let xl = unsafe { &*x_local.get().add(q) };
                     let part = unsafe { &mut *partials.get().add(q) };
-                    pe[q].mult_full(xl, part);
+                    let acc = unsafe { &mut *acc.get().add(q) };
+                    pe[q].matrix().mult_full(xl, acc, part);
                     unsafe {
                         *elapsed.get().add(q) = t.elapsed().as_secs_f64();
                     }
@@ -1460,7 +1442,7 @@ impl BspExecutor {
             let c = &mut self.counters[q];
             c.t_compute += dt;
             c.t_barrier += (wall - dt).max(0.0);
-            c.flops += self.pe[q].stiffness.smvp_flops();
+            c.flops += self.pe[q].matrix().smvp_flops();
         }
         telem.record_phase(PhaseId::Compute, step, &self.elapsed, wall, owned.clone());
         for q in owned.clone() {
@@ -1544,15 +1526,7 @@ impl BspExecutor {
             let c = &mut self.counters[q];
             c.t_exchange += dt;
             c.t_barrier += (wall - dt).max(0.0);
-            for msg in &self.inbound[q] {
-                let words = 3 * msg.pairs.len() as u64;
-                // Each inbound message is matched by an equal outbound one
-                // (the exchange is symmetric), so count both directions.
-                c.words_received += words;
-                c.words_sent += words;
-                c.blocks_received += 1;
-                c.blocks_sent += 1;
-            }
+            count_exchange(c, &self.inbound[q]);
         }
         telem.record_phase(PhaseId::Exchange, step, &self.elapsed, wall, owned.clone());
         // Transport wait, nested inside each PE's exchange span at its tail:
@@ -1602,25 +1576,7 @@ impl BspExecutor {
 
         // --- Fold phase: replicated results → global vector (driver). ---
         let t0 = Instant::now();
-        self.written.fill(false);
-        for q in owned.clone() {
-            let (s, part) = (&self.pe[q], &self.exchanged[q]);
-            for (l, &g) in s.gather.iter().enumerate() {
-                if self.written[g] {
-                    debug_assert!(
-                        (y[g] - part[l]).norm() <= 1e-9 * (1.0 + y[g].norm()),
-                        "replicas disagree at node {g}"
-                    );
-                } else {
-                    y[g] = part[l];
-                    self.written[g] = true;
-                }
-            }
-        }
-        debug_assert!(
-            self.owned.len() < self.pe.len() || self.written.iter().all(|&w| w),
-            "every node resides somewhere"
-        );
+        self.fold_serial(y);
         let fold_dt = t0.elapsed().as_secs_f64();
         self.phases.fold += fold_dt;
         telem.data.span(Span {
@@ -1733,7 +1689,7 @@ impl BspExecutor {
                     let xl = unsafe { &*x_local.get().add(q) };
                     let nb = boundary[q];
                     let out = unsafe { std::slice::from_raw_parts_mut(part_base[q].get(), nb) };
-                    pe[q].mult_range(xl, 0..nb, out);
+                    pe[q].matrix().mult_range(xl, 0..nb, out);
                     let buf = unsafe { &mut *pack.get().add(q) };
                     for ob in &outbound[q] {
                         let blk = &mut buf[..ob.send_idx.len()];
@@ -1750,14 +1706,14 @@ impl BspExecutor {
                 for q in owned_chunk(owned, threads, w) {
                     let t = Instant::now();
                     let xl = unsafe { &*x_local.get().add(q) };
-                    let n = pe[q].stiffness.block_rows();
+                    let n = pe[q].matrix().block_rows();
                     let nb = boundary[q];
                     // SAFETY: this sub-slice starts at nb — disjoint from
                     // pass A's rows.
                     let out = unsafe {
                         std::slice::from_raw_parts_mut(part_base[q].get().add(nb), n - nb)
                     };
-                    pe[q].mult_range(xl, nb..n, out);
+                    pe[q].matrix().mult_range(xl, nb..n, out);
                     unsafe {
                         *elapsed.get().add(q) = t.elapsed().as_secs_f64();
                     }
@@ -1803,16 +1759,8 @@ impl BspExecutor {
             c.t_compute += post + interior;
             c.t_exchange += exch;
             c.t_barrier += (wall - (post + interior + exch)).max(0.0);
-            c.flops += self.pe[q].stiffness.smvp_flops();
-            for msg in &self.inbound[q] {
-                let words = 3 * msg.pairs.len() as u64;
-                // Each inbound message is matched by an equal outbound one
-                // (the exchange is symmetric), so count both directions.
-                c.words_received += words;
-                c.words_sent += words;
-                c.blocks_received += 1;
-                c.blocks_sent += 1;
-            }
+            c.flops += self.pe[q].matrix().smvp_flops();
+            count_exchange(c, &self.inbound[q]);
             cmax = cmax.max(post + interior);
         }
         // The slowest PE's SMVP bills to compute; whatever wall remains
@@ -1824,25 +1772,7 @@ impl BspExecutor {
 
         // --- Fold phase: replicated results → global vector. ---
         let t0 = Instant::now();
-        self.written.fill(false);
-        for q in owned.clone() {
-            let (s, part) = (&self.pe[q], &self.exchanged[q]);
-            for (l, &g) in s.gather.iter().enumerate() {
-                if self.written[g] {
-                    debug_assert!(
-                        (y[g] - part[l]).norm() <= 1e-9 * (1.0 + y[g].norm()),
-                        "replicas disagree at node {g}"
-                    );
-                } else {
-                    y[g] = part[l];
-                    self.written[g] = true;
-                }
-            }
-        }
-        debug_assert!(
-            self.owned.len() < self.pe.len() || self.written.iter().all(|&w| w),
-            "every node resides somewhere"
-        );
+        self.fold_serial(y);
         self.phases.fold += t0.elapsed().as_secs_f64();
 
         self.steps += 1;
@@ -1947,7 +1877,7 @@ impl BspExecutor {
                     let xl = unsafe { &*x_local.get().add(q) };
                     let nb = boundary[q];
                     let out = unsafe { std::slice::from_raw_parts_mut(part_base[q].get(), nb) };
-                    pe[q].mult_range(xl, 0..nb, out);
+                    pe[q].matrix().mult_range(xl, 0..nb, out);
                     let buf = unsafe { &mut *pack.get().add(q) };
                     for ob in &outbound[q] {
                         let blk = &mut buf[..ob.send_idx.len()];
@@ -1967,12 +1897,12 @@ impl BspExecutor {
                         *start_ns.get().add(q) = ns_since(epoch, t);
                     }
                     let xl = unsafe { &*x_local.get().add(q) };
-                    let n = pe[q].stiffness.block_rows();
+                    let n = pe[q].matrix().block_rows();
                     let nb = boundary[q];
                     let out = unsafe {
                         std::slice::from_raw_parts_mut(part_base[q].get().add(nb), n - nb)
                     };
-                    pe[q].mult_range(xl, nb..n, out);
+                    pe[q].matrix().mult_range(xl, nb..n, out);
                     unsafe {
                         *elapsed.get().add(q) = t.elapsed().as_secs_f64();
                     }
@@ -2024,16 +1954,8 @@ impl BspExecutor {
             c.t_compute += post + interior;
             c.t_exchange += exch;
             c.t_barrier += (wall - (post + interior + exch)).max(0.0);
-            c.flops += self.pe[q].stiffness.smvp_flops();
-            for msg in &self.inbound[q] {
-                let words = 3 * msg.pairs.len() as u64;
-                // Each inbound message is matched by an equal outbound one
-                // (the exchange is symmetric), so count both directions.
-                c.words_received += words;
-                c.words_sent += words;
-                c.blocks_received += 1;
-                c.blocks_sent += 1;
-            }
+            c.flops += self.pe[q].matrix().smvp_flops();
+            count_exchange(c, &self.inbound[q]);
             cmax = cmax.max(post + interior);
             post_max = post_max.max(post);
             interior_max = interior_max.max(interior);
@@ -2122,25 +2044,7 @@ impl BspExecutor {
 
         // --- Fold phase: replicated results → global vector (driver). ---
         let t0 = Instant::now();
-        self.written.fill(false);
-        for q in owned.clone() {
-            let (s, part) = (&self.pe[q], &self.exchanged[q]);
-            for (l, &g) in s.gather.iter().enumerate() {
-                if self.written[g] {
-                    debug_assert!(
-                        (y[g] - part[l]).norm() <= 1e-9 * (1.0 + y[g].norm()),
-                        "replicas disagree at node {g}"
-                    );
-                } else {
-                    y[g] = part[l];
-                    self.written[g] = true;
-                }
-            }
-        }
-        debug_assert!(
-            self.owned.len() < self.pe.len() || self.written.iter().all(|&w| w),
-            "every node resides somewhere"
-        );
+        self.fold_serial(y);
         let fold_dt = t0.elapsed().as_secs_f64();
         self.phases.fold += fold_dt;
         telem.data.span(Span {
@@ -2307,6 +2211,7 @@ impl BspExecutor {
             let elapsed = SendPtr(self.elapsed.as_mut_ptr());
             let x_local = SendPtr(self.x_local.as_mut_ptr());
             let partials = SendPtr(self.partials.as_mut_ptr());
+            let acc = SendPtr(self.acc.as_mut_ptr());
             let plan = &fault.plan;
             let fired = &fault.fired;
             let scratch = SendPtr(fault.scratch.as_mut_ptr());
@@ -2337,7 +2242,8 @@ impl BspExecutor {
                     }
                     let xl = unsafe { &*x_local.get().add(q) };
                     let part = unsafe { &mut *partials.get().add(q) };
-                    pe[q].mult_full(xl, part);
+                    let acc = unsafe { &mut *acc.get().add(q) };
+                    pe[q].matrix().mult_full(xl, acc, part);
                     unsafe {
                         *elapsed.get().add(q) = t.elapsed().as_secs_f64();
                     }
@@ -2444,7 +2350,7 @@ impl BspExecutor {
             let c = &mut self.counters[q];
             c.t_compute += dt;
             c.t_barrier += (wall - dt).max(0.0);
-            c.flops += self.pe[q].stiffness.smvp_flops();
+            c.flops += self.pe[q].matrix().smvp_flops();
         }
         if let Some(t) = telem.as_deref_mut() {
             t.start_ns.fill(ns_since(t.epoch, t0));
@@ -2620,13 +2526,7 @@ impl BspExecutor {
             let c = &mut self.counters[q];
             c.t_exchange += dt;
             c.t_barrier += (wall - dt).max(0.0);
-            for msg in &self.inbound[q] {
-                let words = 3 * msg.pairs.len() as u64;
-                c.words_received += words;
-                c.words_sent += words;
-                c.blocks_received += 1;
-                c.blocks_sent += 1;
-            }
+            count_exchange(c, &self.inbound[q]);
         }
         if let Some(t) = telem.as_deref_mut() {
             t.start_ns.fill(ns_since(t.epoch, t0));
@@ -2723,25 +2623,7 @@ impl BspExecutor {
 
         // --- Fold phase: identical to the clean path. ---
         let t0 = Instant::now();
-        self.written.fill(false);
-        for q in owned.clone() {
-            let (s, part) = (&self.pe[q], &self.exchanged[q]);
-            for (l, &g) in s.gather.iter().enumerate() {
-                if self.written[g] {
-                    debug_assert!(
-                        (y[g] - part[l]).norm() <= 1e-9 * (1.0 + y[g].norm()),
-                        "replicas disagree at node {g}"
-                    );
-                } else {
-                    y[g] = part[l];
-                    self.written[g] = true;
-                }
-            }
-        }
-        debug_assert!(
-            self.owned.len() < self.pe.len() || self.written.iter().all(|&w| w),
-            "every node resides somewhere"
-        );
+        self.fold_serial(y);
         let fold_dt = t0.elapsed().as_secs_f64();
         self.phases.fold += fold_dt;
         if let Some(t) = telem.as_deref_mut() {
@@ -2802,8 +2684,10 @@ mod tests {
     use quake_partition::comm::CommAnalysis;
     use quake_partition::geometric::{Partitioner, RecursiveBisection};
     use quake_partition::partition::Partition;
+    use quake_spark::tile_kernels::{force_scalar, simd_active};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::sync::Mutex;
 
     fn setup(parts: usize) -> (TetMesh, Partition, DistributedSystem) {
         let app = QuakeApp::generate(AppConfig::new("sf10", 10.0, 8.0)).unwrap();
@@ -2875,6 +2759,18 @@ mod tests {
         // Warmup step, then the buffers must be pinned.
         exec.step_into(&x, &mut y);
         let fp = exec.buffer_fingerprint();
+        for v in &exec.acc {
+            assert!(!v.is_empty() && fp.contains(&(v.as_ptr() as usize, v.capacity())));
+        }
+        for (ptr, cap) in [
+            (exec.pe_secs.as_ptr() as usize, exec.pe_secs.capacity()),
+            (
+                exec.worker_secs.as_ptr() as usize,
+                exec.worker_secs.capacity(),
+            ),
+        ] {
+            assert!(fp.contains(&(ptr, cap)), "timing scratch is fingerprinted");
+        }
         let y_fp = (y.as_ptr() as usize, y.capacity());
         for _ in 0..100 {
             exec.step_into(&x, &mut y);
@@ -2905,8 +2801,28 @@ mod tests {
         }
     }
 
+    /// Serializes the tests that flip the global `force_scalar` switch.
+    static DISPATCH_LOCK: Mutex<()> = Mutex::new(());
+
+    fn assert_counters_eq(a: &ExecutionReport, b: &ExecutionReport, what: &str) {
+        for (ca, cb) in a.pe.iter().zip(&b.pe) {
+            assert_eq!(ca.flops, cb.flops, "flops ({what})");
+            assert_eq!(ca.words_sent, cb.words_sent, "words_sent ({what})");
+            assert_eq!(
+                ca.words_received, cb.words_received,
+                "words_received ({what})"
+            );
+            assert_eq!(ca.blocks_sent, cb.blocks_sent, "blocks_sent ({what})");
+            assert_eq!(
+                ca.blocks_received, cb.blocks_received,
+                "blocks_received ({what})"
+            );
+        }
+    }
+
     #[test]
     fn simd_kernel_is_bitwise_equal_across_schedules_with_exact_counters() {
+        let _guard = DISPATCH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let (mesh, _, sys) = setup(5);
         let x = random_x(mesh.node_count(), 29);
         for (threads, use_rcm, use_overlap) in [
@@ -2918,56 +2834,166 @@ mod tests {
         ] {
             let what = format!("threads {threads}, rcm {use_rcm}, overlap {use_overlap}");
             let mut scalar = BspExecutor::with_options(&sys, threads, use_rcm, use_overlap);
-            assert_eq!(scalar.kernel(), KernelKind::Micro);
             let mut simd = BspExecutor::with_options(&sys, threads, use_rcm, use_overlap);
-            simd.set_kernel(KernelKind::MicroSimd);
-            assert_eq!(simd.kernel(), KernelKind::MicroSimd);
+            force_scalar(true);
             let a = scalar.run(&x, 3);
+            force_scalar(false);
             let b = simd.run(&x, 3);
-            for (i, (u, v)) in a.iter().zip(&b).enumerate() {
-                assert_eq!(u.x.to_bits(), v.x.to_bits(), "node {i} .x ({what})");
-                assert_eq!(u.y.to_bits(), v.y.to_bits(), "node {i} .y ({what})");
-                assert_eq!(u.z.to_bits(), v.z.to_bits(), "node {i} .z ({what})");
-            }
-            // The kernels traverse the same matrices, so every counter is
+            assert_bitwise_equal(&a, &b, &what);
+            // Both paths traverse the same layout, so every counter is
             // identical — not merely close.
-            let (ra, rb) = (scalar.report(), simd.report());
-            for (ca, cb) in ra.pe.iter().zip(&rb.pe) {
-                assert_eq!(ca.flops, cb.flops, "flops ({what})");
-                assert_eq!(ca.words_sent, cb.words_sent, "words_sent ({what})");
-                assert_eq!(
-                    ca.words_received, cb.words_received,
-                    "words_received ({what})"
-                );
-                assert_eq!(ca.blocks_sent, cb.blocks_sent, "blocks_sent ({what})");
-                assert_eq!(
-                    ca.blocks_received, cb.blocks_received,
-                    "blocks_received ({what})"
-                );
-            }
+            assert_counters_eq(&scalar.report(), &simd.report(), &what);
         }
     }
 
     #[test]
-    fn kernel_round_trips_its_cli_spelling() {
-        for k in [KernelKind::Micro, KernelKind::MicroSimd] {
-            assert_eq!(k.to_string().parse::<KernelKind>().unwrap(), k);
-        }
-        assert!("turbo".parse::<KernelKind>().is_err());
+    fn force_scalar_round_trips_the_dispatch() {
+        let _guard = DISPATCH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let hardware = simd_active();
+        force_scalar(true);
+        assert!(
+            !simd_active(),
+            "force_scalar(true) must select the fallback"
+        );
+        force_scalar(false);
+        assert_eq!(
+            simd_active(),
+            hardware,
+            "force_scalar(false) restores detection"
+        );
+        // The kernel is no longer a run option, on the CLI or the wire.
+        assert!(crate::transport::wire::RunSpec::deserialize("kernel micro-simd\n").is_err());
     }
 
     #[test]
-    fn switching_kernels_back_drops_the_tile_twin() {
+    fn layout_follows_the_schedule_and_dispatch_keeps_the_bits() {
+        let _guard = DISPATCH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let (mesh, _, sys) = setup(2);
         let x = random_x(mesh.node_count(), 31);
-        let mut exec = BspExecutor::new(&sys, 2);
-        exec.set_kernel(KernelKind::MicroSimd);
-        let a = exec.step(&x);
-        exec.set_kernel(KernelKind::Micro);
-        assert!(exec.pe.iter().all(|s| s.tiled.is_none()));
-        let b = exec.step(&x);
-        for (u, v) in a.iter().zip(&b) {
-            assert_eq!(u.x.to_bits(), v.x.to_bits());
+        for use_rcm in [false, true] {
+            let mut exec = BspExecutor::with_options(&sys, 2, use_rcm, false);
+            assert!(exec
+                .pe
+                .iter()
+                .all(|s| matches!(s.matrix, Some(PeMatrix::Sym(_)))));
+            let a = exec.step(&x);
+            force_scalar(true);
+            let b = exec.step(&x);
+            force_scalar(false);
+            assert_bitwise_equal(&a, &b, &format!("rcm {use_rcm}, vector then scalar"));
+        }
+        let overlap = BspExecutor::with_options(&sys, 2, false, true);
+        assert!(overlap
+            .pe
+            .iter()
+            .all(|s| matches!(s.matrix, Some(PeMatrix::Full(_)))));
+        assert!(overlap.acc.iter().all(|a| a.is_empty()));
+    }
+
+    /// Runs `steps` products on two executors that each own half of the
+    /// PEs over one shared transport, as two `proc` shards do, and merges
+    /// their folds as the `proc` parent does: a node takes the lowest PE's
+    /// replica, so the first half wins wherever both fold it.
+    fn run_split(
+        sys: &DistributedSystem,
+        threads: usize,
+        use_rcm: bool,
+        traced: bool,
+        x: &[Vec3],
+        steps: u64,
+    ) -> Vec<Vec3> {
+        let p = sys.subdomains().len();
+        let link: Arc<dyn Transport> = Arc::new(SharedTransport::new(&ghost_edges(sys)));
+        let halves = std::thread::scope(|scope| {
+            let handles: Vec<_> = [0..p / 2, p / 2..p]
+                .into_iter()
+                .map(|owned| {
+                    let link = Arc::clone(&link);
+                    scope.spawn(move || {
+                        let mut exec =
+                            BspExecutor::with_transport(sys, threads, use_rcm, false, owned, link);
+                        if traced {
+                            exec.enable_telemetry(TelemetryConfig::default());
+                        }
+                        let y = exec.run(x, steps);
+                        let folded: Vec<usize> = exec
+                            .pe
+                            .iter()
+                            .flat_map(|s| s.fold.iter().map(|&(_, g)| g))
+                            .collect();
+                        (y, folded)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("half run"))
+                .collect::<Vec<_>>()
+        });
+        let mut y = vec![Vec3::ZERO; x.len()];
+        let mut taken = vec![false; x.len()];
+        for (part, folded) in &halves {
+            for &g in folded {
+                if !std::mem::replace(&mut taken[g], true) {
+                    y[g] = part[g];
+                }
+            }
+        }
+        y
+    }
+
+    #[test]
+    fn one_dispatch_step_equals_the_traced_step_bitwise() {
+        let (mesh, _, sys) = setup(5);
+        let x = random_x(mesh.node_count(), 37);
+        for use_rcm in [false, true] {
+            for threads in 1..=4 {
+                let what = format!("threads {threads}, rcm {use_rcm}");
+                let mut clean = BspExecutor::with_options(&sys, threads, use_rcm, false);
+                let mut traced = BspExecutor::with_options(&sys, threads, use_rcm, false);
+                traced.enable_telemetry(TelemetryConfig::default());
+                let a = clean.run(&x, 2);
+                let b = traced.run(&x, 2);
+                assert_bitwise_equal(&a, &b, &what);
+                assert_counters_eq(&clean.report(), &traced.report(), &what);
+                // Partial ownership, as under `proc`: each half folds only
+                // its own nodes, and together they give the same bits.
+                let split = run_split(&sys, threads, use_rcm, false, &x, 2);
+                assert_bitwise_equal(&split, &a, &format!("split one-dispatch, {what}"));
+                let split = run_split(&sys, threads, use_rcm, true, &x, 2);
+                assert_bitwise_equal(&split, &a, &format!("split traced, {what}"));
+            }
+        }
+    }
+
+    #[test]
+    fn every_global_node_is_folded_once_and_replicas_agree() {
+        let (mesh, _, sys) = setup(6);
+        let n = mesh.node_count();
+        let x = random_x(n, 41);
+        for (use_rcm, use_overlap) in [(false, false), (true, false), (false, true)] {
+            let mut exec = BspExecutor::with_options(&sys, 3, use_rcm, use_overlap);
+            let y = exec.step(&x);
+            let mut folds = vec![0u32; n];
+            for s in &exec.pe {
+                for &(l, g) in &s.fold {
+                    assert_eq!(s.gather[l], g, "fold slot holds its node");
+                    folds[g] += 1;
+                }
+            }
+            assert!(
+                folds.iter().all(|&c| c == 1),
+                "each node folded exactly once"
+            );
+            // Every replica of a node agrees with the folded value.
+            for (s, part) in exec.pe.iter().zip(&exec.exchanged) {
+                for (l, &g) in s.gather.iter().enumerate() {
+                    assert!(
+                        (y[g] - part[l]).norm() <= 1e-9 * (1.0 + y[g].norm()),
+                        "replicas disagree at node {g}"
+                    );
+                }
+            }
         }
     }
 
@@ -3073,13 +3099,13 @@ mod tests {
 
     use quake_core::fault::{FaultEvent, FaultRates};
 
-    fn assert_bitwise_equal(clean: &[Vec3], chaos: &[Vec3], what: &str) {
-        assert_eq!(clean.len(), chaos.len());
-        for (i, (a, b)) in clean.iter().zip(chaos).enumerate() {
+    fn assert_bitwise_equal(want: &[Vec3], got: &[Vec3], what: &str) {
+        assert_eq!(want.len(), got.len());
+        for (i, (a, b)) in want.iter().zip(got).enumerate() {
             assert_eq!(
                 (a.x.to_bits(), a.y.to_bits(), a.z.to_bits()),
                 (b.x.to_bits(), b.y.to_bits(), b.z.to_bits()),
-                "node {i} ({what}): recovered run diverged from fault-free run"
+                "node {i} ({what}): outputs differ"
             );
         }
     }

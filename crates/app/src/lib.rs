@@ -43,6 +43,6 @@ pub mod transport;
 
 pub use characterize::{figure7_table, AnalyzedInstance};
 pub use distributed::{DistributedSystem, LocalSubdomain};
-pub use executor::{BspExecutor, ExecutionReport, KernelKind, PeCounters, PhaseWalls};
+pub use executor::{BspExecutor, ExecutionReport, PeCounters, PhaseWalls};
 pub use family::{standard_family, AppConfig, QuakeApp};
 pub use scaling::{scaling_study, ScalingRow, QUAKE_TIME_STEPS};

@@ -171,7 +171,6 @@ pub(crate) fn arm_at(
     spec: &RunSpec,
     epoch: Option<std::time::Instant>,
 ) -> Result<(), String> {
-    exec.set_kernel(spec.kernel.parse()?);
     if spec.fault_rate > 0.0 {
         let policy: RecoveryPolicy = spec
             .recovery

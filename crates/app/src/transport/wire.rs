@@ -512,8 +512,6 @@ pub struct RunSpec {
     pub x_kind: String,
     /// Seed for the `rng` input generator.
     pub x_seed: u64,
-    /// Compute-phase microkernel (CLI spelling: `micro` or `micro-simd`).
-    pub kernel: String,
     /// Connection deadline in seconds: bounds the bootstrap rendezvous,
     /// the steady-state peer-silence window, and the degraded wait while
     /// a shard respawns.
@@ -566,7 +564,6 @@ impl Default for RunSpec {
             shards: 2,
             x_kind: "trig".into(),
             x_seed: 0,
-            kernel: "micro".into(),
             conn_timeout: 30.0,
             wire_fault_rate: 0.0,
             wire_fault_seed: 0,
@@ -586,7 +583,7 @@ impl RunSpec {
             "period {:?}\nscale {:?}\nseed {}\nparts {}\nthreads {}\nsteps {}\n\
              partitioner {}\nrcm {}\noverlap {}\nfault_rate {:?}\nfault_seed {}\n\
              recovery {}\ncheckpoint_every {}\ntrace {}\ndrift_threshold {:?}\n\
-             span_capacity {}\nshards {}\nx_kind {}\nx_seed {}\nkernel {}\n\
+             span_capacity {}\nshards {}\nx_kind {}\nx_seed {}\n\
              conn_timeout {:?}\nwire_fault_rate {:?}\nwire_fault_seed {}\n\
              restart_budget {}\nnodes {}\naggregate {}\nwire_latency {:?}\n",
             self.period,
@@ -608,7 +605,6 @@ impl RunSpec {
             self.shards,
             self.x_kind,
             self.x_seed,
-            self.kernel,
             self.conn_timeout,
             self.wire_fault_rate,
             self.wire_fault_seed,
@@ -660,7 +656,6 @@ impl RunSpec {
                 "shards" => set(&mut spec.shards, key, val)?,
                 "x_kind" => spec.x_kind = val.to_string(),
                 "x_seed" => set(&mut spec.x_seed, key, val)?,
-                "kernel" => spec.kernel = val.to_string(),
                 "conn_timeout" => set(&mut spec.conn_timeout, key, val)?,
                 "wire_fault_rate" => set(&mut spec.wire_fault_rate, key, val)?,
                 "wire_fault_seed" => set(&mut spec.wire_fault_seed, key, val)?,
@@ -694,7 +689,6 @@ mod tests {
             shards: 3,
             x_kind: "rng".into(),
             x_seed: 42,
-            kernel: "micro-simd".into(),
             conn_timeout: 1.25,
             wire_fault_rate: 0.375,
             wire_fault_seed: 0xbead,

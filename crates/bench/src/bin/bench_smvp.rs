@@ -37,9 +37,9 @@ use quake_partition::comm::MaxRateAnalysis;
 use quake_partition::geometric::{Partitioner, RecursiveBisection};
 use quake_spark::pool::Task;
 use quake_spark::{
-    bmv, bmv_pooled_into, bmv_range_into, bmv_tiles_banded_into, bmv_tiles_range_into, lmv,
-    lmv_into, pmv_pooled_into, rmv, rmv_into, rmv_pooled_into, simd_active, smv, smv_into,
-    KernelWorkspace, WorkerPool,
+    bmv, bmv_pooled_into, bmv_range_into, bmv_tiles_banded_into, bmv_tiles_range_into,
+    force_scalar, lmv, lmv_into, pmv_pooled_into, rmv, rmv_into, rmv_pooled_into, simd_active, smv,
+    smv_into, KernelWorkspace, WorkerPool,
 };
 use quake_sparse::bcsr::Bcsr3;
 use quake_sparse::csr::Csr;
@@ -874,29 +874,25 @@ fn node_pair(rec: &mut Recorder, case: &Case, period: f64, scale: f64) -> (f64, 
 /// ROADMAP item 4: the AVX tile kernel under RCM renumbering, end to end
 /// through the spec-driven runner.
 ///
-/// PR 7's kernel pairs measure `micro-simd` at natural ordering, where
-/// the mesh's scattered column windows keep the band planner's blocks
-/// short. This pair runs whole instrumented shared-transport runs with
-/// `rcm = true` on both arms — RCM shrinks the column windows, so the
-/// tile sweep sees the locality the memsim planner was sized for — and
-/// flips only the kernel. Outputs are checked bitwise-equal every
+/// PR 7's kernel pairs measure the AVX tile kernel at natural ordering.
+/// This pair runs whole instrumented shared-transport runs with
+/// `rcm = true` on both arms and flips only the dispatch: the scalar arm
+/// runs under `force_scalar(true)`, so both arms traverse the same
+/// half-storage layout. Outputs are checked bitwise-equal every
 /// repetition (the SIMD kernel's contract across every schedule).
 fn simd_rcm_pair(rec: &mut Recorder, case: &Case, period: f64, scale: f64) {
     let steps: u64 = if rec.quick { 3 } else { 12 };
     let reps = if rec.quick { 2 } else { 5 };
-    let mk_spec = |kernel: &str| RunSpec {
+    let spec = RunSpec {
         period,
         scale,
         parts: EXEC_PARTS,
         threads: 2,
         steps,
         rcm: true,
-        kernel: kernel.to_string(),
         ..RunSpec::default()
     };
-    let spec_scalar = mk_spec("micro");
-    let spec_simd = mk_spec("micro-simd");
-    let built = transport_run::build(&spec_scalar).expect("simd-rcm-pair build");
+    let built = transport_run::build(&spec).expect("simd-rcm-pair build");
     let bitwise = |a: &[Vec3], b: &[Vec3]| {
         a.len() == b.len()
             && a.iter().zip(b).all(|(u, v)| {
@@ -904,21 +900,25 @@ fn simd_rcm_pair(rec: &mut Recorder, case: &Case, period: f64, scale: f64) {
                     == (v.x.to_bits(), v.y.to_bits(), v.z.to_bits())
             })
     };
-    transport_run::run_with(TransportKind::Shared, &spec_scalar, &built).expect("scalar warmup");
-    transport_run::run_with(TransportKind::Shared, &spec_simd, &built).expect("simd warmup");
+    let run = |scalar: bool| {
+        force_scalar(scalar);
+        let t0 = Instant::now();
+        let out = transport_run::run_with(TransportKind::Shared, &spec, &built);
+        let secs = t0.elapsed().as_secs_f64() / steps as f64;
+        force_scalar(false);
+        (out.expect("rcm run").y, secs)
+    };
+    run(true);
+    run(false);
     let (mut s_scalar, mut s_simd) = (Vec::new(), Vec::new());
     for _ in 0..reps {
-        let t0 = Instant::now();
-        let a = transport_run::run_with(TransportKind::Shared, &spec_scalar, &built)
-            .expect("scalar rcm run");
-        s_scalar.push(t0.elapsed().as_secs_f64() / steps as f64);
-        let t0 = Instant::now();
-        let b = transport_run::run_with(TransportKind::Shared, &spec_simd, &built)
-            .expect("simd rcm run");
-        s_simd.push(t0.elapsed().as_secs_f64() / steps as f64);
+        let (a, secs) = run(true);
+        s_scalar.push(secs);
+        let (b, secs) = run(false);
+        s_simd.push(secs);
         assert!(
-            bitwise(&a.y, &b.y),
-            "micro-simd under RCM diverged from the scalar microkernel in the bench harness"
+            bitwise(&a, &b),
+            "the AVX kernel under RCM diverged from the scalar fallback in the bench harness"
         );
     }
     let median = |s: &mut Vec<f64>| {

@@ -6,9 +6,9 @@
 //! markdown table per mesh: the four layout transforms (`mat3-baseline` →
 //! `tiled` → `tiled-prefetch` → `tiled-banded-prefetch`) with their L1 miss
 //! rate, memory fraction, simulated demand time and streamed matrix bytes.
-//! The row-band plan uses the same window the executor and `bench_smvp`
-//! use — half the modeled L2 — so the prediction describes exactly the
-//! sweep the `micro-simd` kernel runs.
+//! The row-band plan uses the same window `bench_smvp`'s banded arm
+//! uses — half the modeled L2 — so the prediction describes exactly the
+//! sweep that arm runs.
 //!
 //! Usage:
 //!

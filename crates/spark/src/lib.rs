@@ -36,5 +36,7 @@ pub use kernels::{
     smv_into,
 };
 pub use pool::{BatchFailure, PoolStats, SupervisionPolicy, WorkerPool};
-pub use tile_kernels::{bmv_tiles_banded_into, bmv_tiles_range_into, force_scalar, simd_active};
+pub use tile_kernels::{
+    bmv_sym_into, bmv_tiles_banded_into, bmv_tiles_range_into, force_scalar, simd_active,
+};
 pub use workspace::KernelWorkspace;

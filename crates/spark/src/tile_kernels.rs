@@ -25,6 +25,13 @@
 //! so the fallback is testable on AVX hardware, and [`simd_active`]
 //! reports which path dispatch would take.
 //!
+//! **Half storage.** [`bmv_sym_into`] runs the same product from a
+//! [`SymTiles`] upper triangle: each upper tile adds its product to its
+//! own row and its transposed product to the mirror row, so each symmetric
+//! pair of blocks is streamed once. Rows are visited in ascending order,
+//! which delivers every row's terms in its full-storage column order, so
+//! this path too is bitwise-equal to [`bmv_range_into`] on the full matrix.
+//!
 //! **Prefetch and banding.** The irregular `x[col]` gather is the stream
 //! the hardware prefetcher cannot predict; the AVX path issues a software
 //! prefetch for the gather target a few tiles ahead (plus the tile stream
@@ -36,7 +43,7 @@
 use crate::kernels::bmv_range_into;
 use quake_sparse::bcsr::Bcsr3;
 use quake_sparse::dense::Vec3;
-use quake_sparse::tiles::{BandPlan, Bcsr3Tiles, TILE_LANES};
+use quake_sparse::tiles::{BandPlan, Bcsr3Tiles, LaneBlock, SymTiles, TILE_LANES};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -167,6 +174,63 @@ pub fn bmv_tiles_banded_into(
     }
 }
 
+/// Full SMVP `out = K x` from the half-storage layout: bitwise-equal to
+/// [`bmv_range_into`] over every row of the full matrix `sym` was built
+/// from, on whichever path dispatch selects.
+///
+/// Row `i` starts from `acc[i]`, which by then holds its lower-triangle
+/// terms, scattered there in ascending source-row order. It adds its
+/// diagonal and upper tiles in column order, and each upper tile `(i, j)`
+/// also adds its transposed product `(K[0][l]·xᵢ + K[1][l]·yᵢ) + K[2][l]·zᵢ`
+/// to `acc[j]`. That is the order and association the full product uses
+/// for row `j`'s term `K[j][i]·xᵢ`, so no bit changes. `acc` is scratch
+/// with one 4-lane block per row; it is zeroed on entry.
+///
+/// # Panics
+///
+/// Panics if `x`, `acc` or `out` does not hold one entry per block row.
+pub fn bmv_sym_into(sym: &SymTiles, x: &[Vec3], acc: &mut [LaneBlock], out: &mut [Vec3]) {
+    let n = sym.block_rows();
+    assert_eq!(x.len(), n, "x length must match block rows");
+    assert_eq!(acc.len(), n, "acc must hold one lane block per row");
+    assert_eq!(out.len(), n, "out length must match block rows");
+    acc.fill(LaneBlock::default());
+    if simd_active() {
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        // SAFETY: simd_active() verified AVX support at runtime; lengths
+        // were checked above.
+        unsafe {
+            avx::sym_rows(sym.upper(), x, acc, out);
+            return;
+        }
+    }
+    sym_rows_scalar(sym.upper(), x, acc, out);
+}
+
+/// The scalar path of [`bmv_sym_into`]: the AVX path's operations, lane
+/// by lane.
+fn sym_rows_scalar(upper: &Bcsr3Tiles, x: &[Vec3], acc: &mut [LaneBlock], out: &mut [Vec3]) {
+    let (row_ptr, col_idx) = (upper.row_ptr(), upper.col_idx());
+    let values = upper.values();
+    for (i, (xi, yi)) in x.iter().zip(out.iter_mut()).enumerate() {
+        let [mut a0, mut a1, mut a2, _] = acc[i].0;
+        for (k, &j) in (row_ptr[i]..row_ptr[i + 1]).zip(&col_idx[row_ptr[i]..row_ptr[i + 1]]) {
+            let t = &values[k * TILE_LANES..(k + 1) * TILE_LANES];
+            let v = x[j as usize];
+            a0 += t[0] * v.x + t[3] * v.y + t[6] * v.z;
+            a1 += t[1] * v.x + t[4] * v.y + t[7] * v.z;
+            a2 += t[2] * v.x + t[5] * v.y + t[8] * v.z;
+            if j as usize != i {
+                let dst = &mut acc[j as usize].0;
+                for (l, slot) in dst[..3].iter_mut().enumerate() {
+                    *slot += t[3 * l] * xi.x + t[3 * l + 1] * xi.y + t[3 * l + 2] * xi.z;
+                }
+            }
+        }
+        *yi = Vec3::new(a0, a1, a2);
+    }
+}
+
 fn check_args(tiles: &Bcsr3Tiles, x: &[Vec3], rows: &Range<usize>, out: &[Vec3]) {
     let n = tiles.block_rows();
     assert!(
@@ -294,6 +358,89 @@ mod avx {
             let mut lanes = [0.0f64; 4];
             _mm256_storeu_pd(lanes.as_mut_ptr(), acc);
             *out.get_unchecked_mut(r - rows.start) = Vec3::new(lanes[0], lanes[1], lanes[2]);
+        }
+    }
+
+    /// The AVX half-storage kernel behind [`bmv_sym_into`]. Per upper tile:
+    /// the three column loads feed the direct product, as in
+    /// [`rows_range`]; three `unpack` and three `permute2f128` turn the
+    /// same registers into the tile's rows `[t0 t3 t6]`, `[t1 t4 t7]`,
+    /// `[t2 t5 t8]` (lane 3 is discarded) for the transposed product,
+    /// which is added to the target row's `acc` block in memory. Separate
+    /// `mul` and `add`, never FMA.
+    ///
+    /// # Safety
+    ///
+    /// Caller must have AVX verified; `x`, `acc` and `out` must hold one
+    /// entry per row of `upper`, which must pass its audit.
+    #[target_feature(enable = "avx")]
+    pub unsafe fn sym_rows(
+        upper: &Bcsr3Tiles,
+        x: &[Vec3],
+        acc: &mut [LaneBlock],
+        out: &mut [Vec3],
+    ) {
+        let row_ptr = upper.row_ptr();
+        let col_idx = upper.col_idx();
+        let values = upper.values();
+        let nk = col_idx.len();
+        let xp = x.as_ptr();
+        // LaneBlock is 32-byte aligned, so every row's block is one
+        // aligned 4-lane load or store.
+        let ap = acc.as_mut_ptr() as *mut f64;
+        for i in 0..upper.block_rows() {
+            let mut a = _mm256_load_pd(ap.add(4 * i));
+            let xi = x.get_unchecked(i);
+            let (sx, sy, sz) = (
+                _mm256_set1_pd(xi.x),
+                _mm256_set1_pd(xi.y),
+                _mm256_set1_pd(xi.z),
+            );
+            for k in *row_ptr.get_unchecked(i)..*row_ptr.get_unchecked(i + 1) {
+                let t = values.as_ptr().add(k * TILE_LANES);
+                // Prefetch the gather and scatter targets LOOKAHEAD tiles
+                // ahead, and the tile stream, as in `rows_range`.
+                if nk != 0 {
+                    let cp = *col_idx.get_unchecked((k + LOOKAHEAD).min(nk - 1)) as usize;
+                    _mm_prefetch(xp.add(cp) as *const i8, _MM_HINT_T0);
+                    _mm_prefetch(ap.add(4 * cp) as *const i8, _MM_HINT_T0);
+                    _mm_prefetch(
+                        (t as *const i8).wrapping_add(LOOKAHEAD * TILE_LANES * 8),
+                        _MM_HINT_T0,
+                    );
+                }
+                let j = *col_idx.get_unchecked(k) as usize;
+                let v = x.get_unchecked(j);
+                let c0 = _mm256_loadu_pd(t);
+                let c1 = _mm256_loadu_pd(t.add(3));
+                let c2 = _mm256_loadu_pd(t.add(6));
+                let s = _mm256_add_pd(
+                    _mm256_add_pd(
+                        _mm256_mul_pd(c0, _mm256_set1_pd(v.x)),
+                        _mm256_mul_pd(c1, _mm256_set1_pd(v.y)),
+                    ),
+                    _mm256_mul_pd(c2, _mm256_set1_pd(v.z)),
+                );
+                a = _mm256_add_pd(a, s);
+                if j != i {
+                    // c0 = [t0 t1 t2 t3], c1 = [t3 t4 t5 t6], c2 = [t6 t7 t8 _].
+                    let lo = _mm256_unpacklo_pd(c0, c1); // [t0 t3 | t2 t5]
+                    let hi = _mm256_unpackhi_pd(c0, c1); // [t1 t4 | t3 t6]
+                    let h2 = _mm256_unpackhi_pd(c2, c2); // [t7 t7 | _ _]
+                    let r0 = _mm256_permute2f128_pd(lo, c2, 0x20); // [t0 t3 | t6 t7]
+                    let r1 = _mm256_permute2f128_pd(hi, h2, 0x20); // [t1 t4 | t7 t7]
+                    let r2 = _mm256_permute2f128_pd(lo, c2, 0x31); // [t2 t5 | t8 _]
+                    let st = _mm256_add_pd(
+                        _mm256_add_pd(_mm256_mul_pd(r0, sx), _mm256_mul_pd(r1, sy)),
+                        _mm256_mul_pd(r2, sz),
+                    );
+                    let dst = ap.add(4 * j);
+                    _mm256_store_pd(dst, _mm256_add_pd(_mm256_load_pd(dst), st));
+                }
+            }
+            let mut lanes = [0.0f64; 4];
+            _mm256_storeu_pd(lanes.as_mut_ptr(), a);
+            *out.get_unchecked_mut(i) = Vec3::new(lanes[0], lanes[1], lanes[2]);
         }
     }
 }
@@ -500,6 +647,130 @@ mod tests {
 
         assert_vec3_bits_eq(&forced, &want, "forced fallback");
         assert_vec3_bits_eq(&forced_banded, &want, "forced banded fallback");
+    }
+
+    /// A random bitwise-symmetric matrix: some rows empty, some holding
+    /// only their diagonal, about one entry in six `+0.0` or `-0.0`, and
+    /// always a coupling to the last row.
+    fn random_symmetric_bcsr(n: usize, seed: u64) -> Bcsr3 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let entry = |rng: &mut StdRng| match rng.gen_range(0..12) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(-2.0..2.0),
+        };
+        let block = |rng: &mut StdRng| {
+            let mut m = [[0.0; 3]; 3];
+            for row in &mut m {
+                for v in row.iter_mut() {
+                    *v = entry(rng);
+                }
+            }
+            Mat3::new(m)
+        };
+        // 0: empty, 1: diagonal only, 2+: coupled.
+        let kind: Vec<u32> = (0..n)
+            .map(|r| if r + 1 == n { 2 } else { rng.gen_range(0..6) })
+            .collect();
+        let coupled: Vec<usize> = (0..n).filter(|&r| kind[r] >= 2).collect();
+        let mut b = Bcsr3Builder::new(n);
+        for (r, &k) in kind.iter().enumerate() {
+            if k == 0 {
+                continue;
+            }
+            b.add_block(r, r, block(&mut rng));
+            if k == 1 {
+                continue;
+            }
+            let mut cols: Vec<usize> = (0..rng.gen_range(0..6))
+                .map(|_| coupled[rng.gen_range(0..coupled.len())])
+                .filter(|&c| c > r)
+                .collect();
+            if r + 1 < n && rng.gen_range(0..4) == 0 {
+                cols.push(n - 1);
+            }
+            cols.sort_unstable();
+            cols.dedup();
+            for c in cols {
+                let m = block(&mut rng);
+                b.add_block(r, c, m);
+                b.add_block(c, r, m.transpose());
+            }
+        }
+        if n > 1 && b.clone().build().block(0, n - 1).is_none() {
+            let m = block(&mut rng);
+            b.add_block(0, n - 1, m);
+            b.add_block(n - 1, 0, m.transpose());
+        }
+        b.build()
+    }
+
+    #[test]
+    fn sym_kernel_matches_full_micro_bitwise_on_both_paths() {
+        let _guard = DISPATCH_LOCK.lock().unwrap();
+        for seed in 0..16u64 {
+            let n = 1 + (seed as usize) * 13;
+            let full = random_symmetric_bcsr(n, seed);
+            let sym = SymTiles::from_bcsr(&full).expect("generated matrix is bitwise symmetric");
+            let mut x = random_x(n, seed);
+            for (i, v) in x.iter_mut().enumerate().step_by(7) {
+                *v = if i % 2 == 0 { Vec3::ZERO } else { -Vec3::ZERO };
+            }
+            let mut want = vec![Vec3::ZERO; n];
+            reference_bmv(&full, &x, &mut want);
+            let mut acc = vec![LaneBlock([7.0; 4]); n];
+            for forced in [false, true] {
+                force_scalar(forced);
+                let mut got = vec![Vec3::new(9.0, 9.0, 9.0); n];
+                bmv_sym_into(&sym, &x, &mut acc, &mut got);
+                let path = if simd_active() { "avx" } else { "scalar" };
+                assert_vec3_bits_eq(&got, &want, &format!("{path}, seed {seed}"));
+            }
+            force_scalar(false);
+        }
+    }
+
+    #[test]
+    fn sym_tiles_reject_what_the_kernel_cannot_reproduce() {
+        use quake_sparse::error::SparseError;
+        let m = Mat3::new([[1.0, 0.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]);
+        let build = |blocks: &[(usize, usize, Mat3)]| {
+            let mut b = Bcsr3Builder::new(3);
+            for &(i, j, blk) in blocks {
+                b.add_block(i, j, blk);
+            }
+            b.build()
+        };
+        let id = Mat3::identity();
+        let ok = build(&[(0, 0, id), (0, 2, m), (2, 0, m.transpose()), (2, 2, id)]);
+        assert!(SymTiles::from_bcsr(&ok).is_ok());
+        // A missing mirror, on either side of the diagonal.
+        for one_sided in [(0, 2, m), (2, 0, m)] {
+            let a = build(&[(0, 0, id), one_sided, (2, 2, id)]);
+            assert_eq!(
+                SymTiles::from_bcsr(&a).unwrap_err(),
+                SparseError::NotSymmetric
+            );
+        }
+        // A mirror that differs only in the sign of a zero: equal to
+        // `is_symmetric(0.0)`, but not bit for bit.
+        let mut signed = m.transpose();
+        signed.m[1][0] = -0.0;
+        let z = build(&[(0, 0, id), (0, 2, m), (2, 0, signed), (2, 2, id)]);
+        assert!(z.is_symmetric(0.0));
+        assert_eq!(
+            SymTiles::from_bcsr(&z).unwrap_err(),
+            SparseError::NotSymmetric
+        );
+        // Rows whose columns descend: a stable relabeling keeps the entry
+        // order, the sorting one does not.
+        let reversed = [2, 1, 0];
+        let unsorted = ok.permute_symmetric_stable(&reversed).unwrap();
+        assert!(matches!(
+            SymTiles::from_bcsr(&unsorted),
+            Err(SparseError::MalformedStructure(_))
+        ));
+        assert!(SymTiles::from_bcsr(&ok.permute_symmetric(&reversed).unwrap()).is_ok());
     }
 
     #[test]

@@ -191,6 +191,10 @@ impl Bcsr3 {
 
     /// True if the block structure and values are symmetric to within `tol`
     /// (i.e. block `(i, j)` equals the transpose of block `(j, i)`).
+    ///
+    /// Entries are compared by `(a - b).abs() > tol`, so even `tol = 0.0`
+    /// is not a bitwise check: it treats `+0.0` and `-0.0` as equal. The
+    /// bitwise check is [`SymTiles::from_bcsr`](crate::tiles::SymTiles::from_bcsr).
     pub fn is_symmetric(&self, tol: f64) -> bool {
         for i in 0..self.n {
             for k in self.row_ptr[i]..self.row_ptr[i + 1] {

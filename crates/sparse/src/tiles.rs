@@ -26,6 +26,11 @@
 //!   construction), shaving 4 bytes per block off the streamed index
 //!   traffic next to the 72-byte tile.
 //!
+//! [`SymTiles`] is the same stream over the upper triangle only, for a
+//! bitwise-symmetric matrix: it streams each symmetric pair of blocks
+//! once, and its construction checks the two invariants a kernel needs
+//! to reproduce the full product bit for bit.
+//!
 //! [`BandPlan`] adds row-band cache blocking on top: contiguous row bands
 //! sized so each band's source-vector window stays resident in a target
 //! cache level. Bands preserve row order — processing them in sequence is
@@ -37,6 +42,7 @@
 //! land on it.
 
 use crate::bcsr::Bcsr3;
+use crate::error::SparseError;
 use std::ops::Range;
 
 /// Four `f64` lanes at the vector unit's natural 32-byte alignment — the
@@ -99,30 +105,53 @@ impl Bcsr3Tiles {
     /// index would overflow). Debug builds additionally run the full
     /// [`audit`](Bcsr3Tiles::audit).
     pub fn from_bcsr(matrix: &Bcsr3) -> Self {
+        Self::from_blocks_where(matrix, |_, _| true)
+    }
+
+    /// Transposes the blocks `(row, col)` of `matrix` for which `keep`
+    /// holds, each row in storage order.
+    fn from_blocks_where(matrix: &Bcsr3, keep: impl Fn(usize, usize) -> bool) -> Self {
         let n = matrix.block_rows();
         assert!(
             u32::try_from(n).is_ok(),
             "matrix with {n} block rows overflows u32 column indices"
         );
-        let blocks = matrix.blocks().len();
+        let (src_ptr, src_col) = (matrix.row_ptr(), matrix.col_idx());
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        row_ptr.push(0);
+        let mut col_idx = Vec::with_capacity(matrix.block_nnz());
+        for r in 0..n {
+            for &c in &src_col[src_ptr[r]..src_ptr[r + 1]] {
+                if keep(r, c) {
+                    col_idx.push(c as u32);
+                }
+            }
+            row_ptr.push(col_idx.len());
+        }
+        let blocks = col_idx.len();
         // Live words + one zero tail tile, rounded up to whole LaneBlocks;
         // the tail tile doubles as the round-up slack's zero source.
         let words = blocks * TILE_LANES + TILE_LANES;
         let store = vec![LaneBlock::default(); words.div_ceil(4)];
         let mut tiles = Bcsr3Tiles {
             n,
-            row_ptr: matrix.row_ptr().to_vec(),
-            col_idx: matrix.col_idx().iter().map(|&c| c as u32).collect(),
+            row_ptr,
+            col_idx,
             store,
             blocks,
         };
         {
             let values = tiles.values_mut();
-            for (k, block) in matrix.blocks().iter().enumerate() {
-                let tile = &mut values[k * TILE_LANES..(k + 1) * TILE_LANES];
-                for (c, col) in tile.chunks_exact_mut(3).enumerate() {
-                    for (r, slot) in col.iter_mut().enumerate() {
-                        *slot = block.m[r][c];
+            let mut tile = 0;
+            for r in 0..n {
+                for k in src_ptr[r]..src_ptr[r + 1] {
+                    if keep(r, src_col[k]) {
+                        let m = &matrix.blocks()[k].m;
+                        values[tile * TILE_LANES..(tile + 1) * TILE_LANES].copy_from_slice(&[
+                            m[0][0], m[1][0], m[2][0], m[0][1], m[1][1], m[2][1], m[0][2], m[1][2],
+                            m[2][2],
+                        ]);
+                        tile += 1;
                     }
                 }
             }
@@ -242,6 +271,146 @@ impl Bcsr3Tiles {
         }
         Ok(())
     }
+}
+
+/// Half storage for a bitwise-symmetric [`Bcsr3`]: the upper triangle,
+/// diagonal included, as a [`Bcsr3Tiles`] stream.
+///
+/// Every Quake stiffness is symmetric, so the lower triangle repeats the
+/// upper one transposed. Dropping it almost halves the bytes an SMVP
+/// streams. A kernel recovers the lower terms by scattering each upper
+/// tile's transposed product into the target row. For the product to be
+/// *bitwise* the full matrix's, two conditions must hold, and
+/// [`SymTiles::from_bcsr`] checks both:
+///
+/// * every row's columns strictly ascend, so a row's terms are summed
+///   lower triangle first, in ascending column order; ascending-row
+///   scattering delivers them in exactly that order;
+/// * every off-diagonal block is the `to_bits`-exact transpose of its
+///   mirror, signed zeros included, so the transposed operands are the
+///   stored ones.
+///
+/// The full block count is kept: flop counters still bill `18 ×` the
+/// blocks the full product multiplies.
+///
+/// # Examples
+///
+/// ```
+/// use quake_sparse::bcsr::Bcsr3Builder;
+/// use quake_sparse::dense::Mat3;
+/// use quake_sparse::tiles::SymTiles;
+///
+/// let m = Mat3::new([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]);
+/// let mut b = Bcsr3Builder::new(2);
+/// b.add_block(0, 0, Mat3::identity());
+/// b.add_block(0, 1, m);
+/// b.add_block(1, 0, m.transpose());
+/// b.add_block(1, 1, Mat3::identity());
+/// let sym = SymTiles::from_bcsr(&b.build()).unwrap();
+/// assert_eq!(sym.block_nnz(), 4);
+/// assert_eq!(sym.upper().block_nnz(), 3);
+/// ```
+#[derive(Debug, Clone)]
+pub struct SymTiles {
+    upper: Bcsr3Tiles,
+    full_blocks: usize,
+}
+
+impl SymTiles {
+    /// Keeps the upper triangle of `matrix`, diagonal included.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SparseError::MalformedStructure`] if some row's columns
+    /// do not strictly ascend, and [`SparseError::NotSymmetric`] if an
+    /// off-diagonal block has no mirror or differs from its mirror's
+    /// transpose in any bit.
+    ///
+    /// # Panics
+    ///
+    /// As [`Bcsr3Tiles::from_bcsr`].
+    pub fn from_bcsr(matrix: &Bcsr3) -> Result<Self, SparseError> {
+        check_bitwise_symmetric(matrix)?;
+        Ok(SymTiles {
+            upper: Bcsr3Tiles::from_blocks_where(matrix, |r, c| c >= r),
+            full_blocks: matrix.block_nnz(),
+        })
+    }
+
+    /// The stored upper triangle: in each row the diagonal tile (if any)
+    /// comes first, then the upper tiles in ascending column order.
+    #[inline]
+    pub fn upper(&self) -> &Bcsr3Tiles {
+        &self.upper
+    }
+
+    /// Block-row (and block-column) count.
+    #[inline]
+    pub fn block_rows(&self) -> usize {
+        self.upper.block_rows()
+    }
+
+    /// Blocks of the full matrix, both triangles.
+    #[inline]
+    pub fn block_nnz(&self) -> usize {
+        self.full_blocks
+    }
+
+    /// Flops of one full product: `18 ×` [`block_nnz`](SymTiles::block_nnz),
+    /// as [`Bcsr3::smvp_flops`] counts them.
+    #[inline]
+    pub fn smvp_flops(&self) -> u64 {
+        18 * self.full_blocks as u64
+    }
+}
+
+/// Checks that `matrix`'s rows strictly ascend and that each lower block
+/// is the bitwise transpose of its upper mirror, and vice versa.
+///
+/// Rows are visited in ascending order. The mirror of lower block `(i, j)`
+/// is the next unmatched upper block of row `j`, because row `j`'s upper
+/// columns ascend and so do the rows that match them. A per-row cursor
+/// therefore matches every pair in one pass, with no search.
+fn check_bitwise_symmetric(matrix: &Bcsr3) -> Result<(), SparseError> {
+    let (row_ptr, col_idx, blocks) = (matrix.row_ptr(), matrix.col_idx(), matrix.blocks());
+    let n = matrix.block_rows();
+    // cursor[j]: the first upper block of row j not yet matched.
+    let mut cursor = Vec::with_capacity(n);
+    for r in 0..n {
+        let cols = &col_idx[row_ptr[r]..row_ptr[r + 1]];
+        if cols.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(SparseError::MalformedStructure(
+                "row columns do not strictly ascend",
+            ));
+        }
+        cursor.push(row_ptr[r] + cols.partition_point(|&c| c <= r));
+    }
+    for i in 0..n {
+        for k in row_ptr[i]..row_ptr[i + 1] {
+            let j = col_idx[k];
+            if j >= i {
+                break;
+            }
+            let m = cursor[j];
+            if m == row_ptr[j + 1] || col_idx[m] != i {
+                return Err(SparseError::NotSymmetric);
+            }
+            let (lower, upper) = (&blocks[k].m, &blocks[m].m);
+            for r in 0..3 {
+                for c in 0..3 {
+                    if lower[r][c].to_bits() != upper[c][r].to_bits() {
+                        return Err(SparseError::NotSymmetric);
+                    }
+                }
+            }
+            cursor[j] = m + 1;
+        }
+    }
+    // An upper block nothing matched has no lower mirror.
+    if (0..n).any(|j| cursor[j] != row_ptr[j + 1]) {
+        return Err(SparseError::NotSymmetric);
+    }
+    Ok(())
 }
 
 /// One cache-blocking band: a contiguous row range and the block-column
@@ -449,6 +618,48 @@ mod tests {
             assert_eq!(acc[0].to_bits(), want[r].x.to_bits(), "row {r}");
             assert_eq!(acc[1].to_bits(), want[r].y.to_bits(), "row {r}");
             assert_eq!(acc[2].to_bits(), want[r].z.to_bits(), "row {r}");
+        }
+    }
+
+    #[test]
+    fn sym_tiles_keep_the_upper_triangle_in_row_order() {
+        let m = dense_band_matrix(40, 3);
+        // dense_band_matrix is not symmetric; mirror its upper triangle.
+        let mut b = Bcsr3Builder::new(40);
+        for r in 0..40 {
+            for k in m.row_ptr()[r]..m.row_ptr()[r + 1] {
+                let c = m.col_idx()[k];
+                if c >= r {
+                    b.add_block(r, c, m.blocks()[k]);
+                    if c > r {
+                        b.add_block(c, r, m.blocks()[k].transpose());
+                    }
+                }
+            }
+        }
+        let full = b.build();
+        let sym = SymTiles::from_bcsr(&full).expect("mirrored matrix is symmetric");
+        assert_eq!(sym.block_nnz(), full.block_nnz());
+        assert_eq!(sym.smvp_flops(), full.smvp_flops());
+        let upper = sym.upper();
+        upper.audit().expect("upper tiles pass their own audit");
+        assert_eq!(upper.block_nnz(), (full.block_nnz() + 40) / 2);
+        for r in 0..40 {
+            let cols = &upper.col_idx()[upper.row_ptr()[r]..upper.row_ptr()[r + 1]];
+            assert_eq!(
+                cols.first(),
+                Some(&(r as u32)),
+                "row {r} starts at its diagonal"
+            );
+            assert!(cols.windows(2).all(|w| w[0] < w[1]), "row {r} ascends");
+            for (k, &c) in (upper.row_ptr()[r]..).zip(cols) {
+                let want = full.block(r, c as usize).unwrap();
+                for (col, lanes) in upper.tile(k).chunks_exact(3).enumerate() {
+                    for (row, &v) in lanes.iter().enumerate() {
+                        assert_eq!(v.to_bits(), want.m[row][col].to_bits());
+                    }
+                }
+            }
         }
     }
 

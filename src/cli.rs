@@ -149,7 +149,12 @@ COMMANDS:
   simulate      run the explicit wave simulation and print a summary
                   --period <s: 10>  --scale <x: 8>  --steps <n: 300>
   smvp-run      run the instrumented bulk-synchronous SMVP executor and
-                print a measured-vs-predicted model validation report
+                print a measured-vs-predicted model validation report.
+                The local kernel follows the schedule: the barrier
+                schedule streams each symmetric stiffness block once
+                (half-storage tiles), --overlap runs full tiles. Both use
+                AVX where the CPU has it, and every run proves its output
+                bitwise-equal to a rerun on the scalar fallback
                   --period <s: 10>  --scale <x: 8>  --parts <p: 4>
                   --threads <t: 4>  --steps <n: 25>
                   --partitioner <rib|rcb|spectral|morton|linear|random: rib>
@@ -202,14 +207,6 @@ COMMANDS:
                   --rcm <true|false: false>  renumber each subdomain with
                   reverse Cuthill-McKee before the run (locality pre-pass;
                   counters and the validation report are unaffected)
-                  --kernel <micro|micro-simd: micro>  compute-phase
-                  microkernel: 'micro' is the register-blocked scalar 3x3
-                  kernel, 'micro-simd' runs the AVX tile kernel over the
-                  flat BCSR layout with memsim-sized row-band cache
-                  blocking (runtime CPU detection, scalar fallback);
-                  output is bitwise-equal to 'micro' (proved every run)
-                  and counters are unaffected; composes with every
-                  schedule and transport
                   --overlap <on|off: off>  latency-hiding schedule: each PE
                   posts its boundary-row partials first, computes interior
                   rows while the exchange is in flight, and applies inbound
@@ -349,8 +346,9 @@ mod tests {
     }
 
     #[test]
-    fn help_documents_the_kernel_flag() {
-        assert!(help().contains("--kernel <micro|micro-simd: micro>"));
+    fn help_documents_the_schedule_chosen_kernel() {
+        assert!(!help().contains("--kernel"), "the kernel is not a flag");
+        assert!(help().contains("half-storage tiles"));
         assert!(help().contains("scalar fallback"));
     }
 

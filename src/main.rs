@@ -305,15 +305,6 @@ fn cmd_smvp_run(inv: &Invocation) -> Result<(), Box<dyn std::error::Error>> {
     let wire_fault_rate: f64 = inv.get("wire-fault-rate", 0.0f64)?;
     let wire_fault_seed: u64 = inv.get("wire-fault-seed", 0u64)?;
     let restart_budget: u64 = inv.get("restart-budget", 2u64)?;
-    // --kernel picks the compute-phase microkernel; both spellings are
-    // bitwise-equal, so this is purely a raw-speed knob.
-    let kernel: quake_app::executor::KernelKind =
-        inv.get_str("kernel", "micro")
-            .parse()
-            .map_err(|_| CliError::BadValue {
-                flag: "kernel".to_string(),
-                value: inv.get_str("kernel", "micro"),
-            })?;
     // --nodes N arms the node-aware two-level exchange: the spec's shards
     // chunk contiguously onto N nodes, PEs sharing a node gather boundary
     // partials locally, and exactly one merged block per (node, node) pair
@@ -443,7 +434,6 @@ fn cmd_smvp_run(inv: &Invocation) -> Result<(), Box<dyn std::error::Error>> {
         shards,
         x_kind: "trig".to_string(),
         x_seed: 0,
-        kernel: kernel.to_string(),
         conn_timeout,
         wire_fault_rate,
         wire_fault_seed,
@@ -528,14 +518,18 @@ fn cmd_smvp_run(inv: &Invocation) -> Result<(), Box<dyn std::error::Error>> {
             );
         }
     }
-    exec.set_kernel(kernel);
-    if kernel == quake_app::executor::KernelKind::MicroSimd && !quiet {
+    if !quiet {
         println!(
-            "kernel micro-simd armed: AVX dispatch {}, row bands sized from the memsim L2",
+            "local kernel: {} tiles, AVX dispatch {}",
+            if overlap {
+                "full (boundary-first rows)"
+            } else {
+                "half-storage symmetric"
+            },
             if quake_spark::tile_kernels::simd_active() {
                 "active"
             } else {
-                "unavailable (scalar tile fallback)"
+                "unavailable (scalar fallback)"
             }
         );
     }
@@ -620,14 +614,9 @@ fn cmd_smvp_run(inv: &Invocation) -> Result<(), Box<dyn std::error::Error>> {
     if overlap {
         // Prove the latency-hiding claim on the spot: a barrier-schedule
         // twin of the same product must be bitwise-identical. The twin
-        // keeps the selected kernel so only the schedule varies.
+        // runs the half-storage kernel, the overlap run full tiles.
         let mut twin = BspExecutor::with_options(&system, threads, rcm, false);
-        twin.set_kernel(kernel);
-        let y_twin = twin.run(&x, steps);
-        let bitwise_equal = y.iter().zip(&y_twin).all(|(a, b)| {
-            (a.x.to_bits(), a.y.to_bits(), a.z.to_bits())
-                == (b.x.to_bits(), b.y.to_bits(), b.z.to_bits())
-        });
+        let bitwise_equal = bits_equal(&y, &twin.run(&x, steps));
         if !quiet {
             println!(
                 "overlapped output bitwise-equal to barrier schedule: {}",
@@ -638,25 +627,9 @@ fn cmd_smvp_run(inv: &Invocation) -> Result<(), Box<dyn std::error::Error>> {
             return Err("overlapped output diverges from the barrier schedule".into());
         }
     }
-    if kernel == quake_app::executor::KernelKind::MicroSimd {
-        // Prove the raw-speed claim's safety on the spot: a scalar-kernel
-        // twin of the same schedule must be bitwise-identical.
-        let mut twin = BspExecutor::with_options(&system, threads, rcm, overlap);
-        let y_twin = twin.run(&x, steps);
-        let bitwise_equal = y.iter().zip(&y_twin).all(|(a, b)| {
-            (a.x.to_bits(), a.y.to_bits(), a.z.to_bits())
-                == (b.x.to_bits(), b.y.to_bits(), b.z.to_bits())
-        });
-        if !quiet {
-            println!(
-                "micro-simd output bitwise-equal to scalar micro kernel: {}",
-                if bitwise_equal { "yes" } else { "NO" }
-            );
-        }
-        if !bitwise_equal {
-            return Err("micro-simd output diverges from the scalar kernel".into());
-        }
-    }
+    prove_scalar_fallback(&y, quiet, || {
+        Ok(BspExecutor::with_options(&system, threads, rcm, overlap).run(&x, steps))
+    })?;
     if let Some(telemetry) = exec.telemetry() {
         if !quiet {
             println!("{}", telemetry_summary(telemetry));
@@ -730,11 +703,7 @@ fn cmd_smvp_run(inv: &Invocation) -> Result<(), Box<dyn std::error::Error>> {
         } else {
             BspExecutor::new(&system, threads)
         };
-        let y_ref = reference.run(&x, steps);
-        let bitwise_equal = y.iter().zip(&y_ref).all(|(a, b)| {
-            (a.x.to_bits(), a.y.to_bits(), a.z.to_bits())
-                == (b.x.to_bits(), b.y.to_bits(), b.z.to_bits())
-        });
+        let bitwise_equal = bits_equal(&y, &reference.run(&x, steps));
         if !quiet {
             println!("\n{fr}");
             println!(
@@ -754,6 +723,39 @@ fn cmd_smvp_run(inv: &Invocation) -> Result<(), Box<dyn std::error::Error>> {
         if !fr.balanced() {
             return Err("fault ledger is unbalanced (injected != detected != recovered)".into());
         }
+    }
+    Ok(())
+}
+
+/// True if `a` and `b` hold the same bits, entry for entry.
+fn bits_equal(a: &[Vec3], b: &[Vec3]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(u, v)| {
+            (u.x.to_bits(), u.y.to_bits(), u.z.to_bits())
+                == (v.x.to_bits(), v.y.to_bits(), v.z.to_bits())
+        })
+}
+
+/// Proves the kernel's safety on the spot: `rerun` repeats the product
+/// with the local kernels forced onto their scalar fallback, and its
+/// output must equal `y` bit for bit.
+fn prove_scalar_fallback(
+    y: &[Vec3],
+    quiet: bool,
+    rerun: impl FnOnce() -> Result<Vec<Vec3>, Box<dyn std::error::Error>>,
+) -> Result<(), Box<dyn std::error::Error>> {
+    quake_spark::tile_kernels::force_scalar(true);
+    let scalar = rerun();
+    quake_spark::tile_kernels::force_scalar(false);
+    let bitwise_equal = bits_equal(y, &scalar?);
+    if !quiet {
+        println!(
+            "vector output bitwise-equal to scalar fallback: {}",
+            if bitwise_equal { "yes" } else { "NO" }
+        );
+    }
+    if !bitwise_equal {
+        return Err("vector output diverges from the scalar fallback".into());
     }
     Ok(())
 }
@@ -871,11 +873,7 @@ fn run_smvp_proc(
     // Prove the transport claim on the spot: an in-process shared-memory
     // run of the identical spec must be bitwise-identical.
     let twin = run::run_with(TransportKind::Shared, spec, built)?;
-    let bitwise_equal = out.y.len() == twin.y.len()
-        && out.y.iter().zip(&twin.y).all(|(a, b)| {
-            (a.x.to_bits(), a.y.to_bits(), a.z.to_bits())
-                == (b.x.to_bits(), b.y.to_bits(), b.z.to_bits())
-        });
+    let bitwise_equal = bits_equal(&out.y, &twin.y);
     if !quiet {
         println!(
             "proc output bitwise-equal to shared transport: {}",
@@ -885,6 +883,9 @@ fn run_smvp_proc(
     if !bitwise_equal {
         return Err("proc output diverges from the shared transport".into());
     }
+    prove_scalar_fallback(&out.y, quiet, || {
+        Ok(run::run_with(TransportKind::Shared, spec, built)?.y)
+    })?;
     let traced = spec.trace && !out.shard_telemetry.is_empty();
     if spec.trace && !quiet {
         let spans: usize = out.shard_telemetry.iter().map(|t| t.snap.spans.len()).sum();
