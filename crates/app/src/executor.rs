@@ -17,7 +17,7 @@
 //! characterization and a live parallel execution, and its phase times feed
 //! the Eq. (1)/(2) validation in `quake_core::model::validate`.
 //!
-//! # The local kernel and the barrier step
+//! # The local kernel and the one step body
 //!
 //! The SMVP is bound by data movement, so the executor streams as few
 //! matrix bytes as it can. The layout follows the schedule. The barrier
@@ -28,13 +28,32 @@
 //! cannot reproduce. Both run AVX where the CPU has it, and both give the
 //! scalar microkernel's product bit for bit.
 //!
-//! The clean barrier step is ONE pool broadcast. Each worker gathers,
-//! computes, packs and posts every PE it owns, then acquires and applies
-//! their inbound blocks, then folds their nodes into `y`. Each global node
-//! is folded by the first owned PE whose gather holds it, precomputed at
-//! plan time, so workers write disjoint parts of `y` and no serial fold
-//! remains. [`PhaseWalls`] bill the slowest worker's own assemble, compute
-//! and fold; the rest of the dispatch wall is exchange.
+//! Every step, whatever its schedule, tracing or fault mode, runs one body,
+//! `run_step`, generic over a small hooks trait and monomorphized per mode.
+//! Each worker runs three stages for the PEs it owns:
+//!
+//! 1. per PE: gather `x`, compute the *posted rows*, then pack and post
+//!    them;
+//! 2. under overlap only, per PE: compute the interior rows;
+//! 3. per PE: acquire and apply the inbound blocks in schedule order, then
+//!    fold the PE's nodes into `y`.
+//!
+//! The posted rows are all rows under the barrier schedule and the
+//! boundary rows under overlap. Posting all its PEs before acquiring any
+//! keeps the schedule deadlock-free however PEs are striped across workers
+//! and shards. Each global node is folded by the first owned PE whose
+//! gather holds it, precomputed at plan time, so workers write disjoint
+//! parts of `y` and no serial fold remains. A clean or traced step is ONE
+//! pool broadcast.
+//!
+//! Each stage boundary is stamped once into per-PE scratch, and one
+//! billing pass turns the stamps into [`PeCounters`] and [`PhaseWalls`]:
+//! the slowest worker's own assemble, compute and fold, with the rest of
+//! the dispatch wall as exchange. The hooks add the rest: the clean hooks
+//! are empty and compile away; the traced hooks time each fetch and record
+//! spans, histograms and the drift feed from the same stamps and the same
+//! bill, so a traced step is billed exactly like an untraced one; the
+//! chaos hooks inject and heal faults (below).
 //!
 //! # Allocation-free steady state
 //!
@@ -67,44 +86,50 @@
 //! rows are split: a row is **boundary** if it appears in an exchange pair
 //! (a neighbor consumes its partial), **interior** otherwise; a stable
 //! boundary-first permutation makes the boundary rows contiguous at the
-//! front without disturbing any row's entry order. At step time compute
-//! and exchange share ONE pool broadcast: every worker first computes and
-//! *posts* its PEs' boundary rows (a Release-flagged publish — the only
-//! data any neighbor waits on), then computes the interior rows while
-//! other workers are still posting, then runs the exchange, blocking per
-//! inbound message only until that sender's flag is up. The interior SMVP
-//! is the work the schedule hides the exchange latency behind — the
-//! paper's overlap opportunity, executed rather than simulated — and
+//! front without disturbing any row's entry order. At step time the
+//! boundary rows are the posted rows: every worker computes and posts its
+//! PEs' boundary rows, computes the interior rows while other workers are
+//! still posting, then runs the exchange, blocking per inbound message
+//! only until that sender's post lands. The interior SMVP is the work the
+//! schedule hides the exchange latency behind — the paper's overlap
+//! opportunity, executed rather than simulated — and
 //! [`OverlapAnalysis`](quake_partition::comm::OverlapAnalysis) prices
 //! exactly this schedule (`T_step = max(T_interior, T_exchange) +
 //! T_boundary`). Because rows are independent, the permutation is
 //! entry-order-stable, and inbound pairs apply in the barrier order, the
 //! overlapped product is **bitwise-equal** to the barrier product and
-//! every flop/word/block counter is unchanged (both asserted by the
-//! `overlap_equivalence` tests). With faults armed the executor falls
-//! back to the barrier-phase chaos path — the staged, checksummed
-//! exchange already serializes against compute — over the same
-//! boundary-first matrices, so recovery invariants survive unchanged.
+//! every flop/word/block counter is unchanged, with or without faults
+//! (asserted by the `overlap_equivalence` tests).
 //!
 //! # Fault injection & recovery
 //!
 //! [`BspExecutor::enable_faults`] arms a seeded
-//! [`FaultPlan`](quake_core::fault::FaultPlan): per-step, per-PE straggler
-//! delays and PE crashes fire in the compute phase; dropped and corrupted
-//! exchange blocks fire in the exchange phase, where every inbound block is
-//! routed through a staging buffer with a sender-side checksum. Recovery is
-//! built in — dropped blocks are re-fetched after a bounded
-//! exponential-backoff retry, checksum mismatches force a clean re-fetch,
-//! and a crashed PE is healed per [`RecoveryPolicy`]: `FailFast` re-raises
-//! (the pre-chaos behaviour), `Degrade` re-executes the dead shard on a
-//! surviving thread, `Restart` replaces the worker thread, restores the
-//! last in-memory checkpoint, and replays the lost steps. Because every
-//! injected event is one-shot and every recovery path re-executes exactly
-//! the deterministic work the fault interrupted, a recovered run is
-//! **bitwise-equal** to a fault-free run (asserted by the chaos tests), and
-//! under `Restart` the checkpoint rollback keeps even the accumulated
-//! `F`/`C`/`B` counters exactly equal to the fault-free characterization.
-//! With faults disabled the clean `step_into` path is untouched — zero
+//! [`FaultPlan`](quake_core::fault::FaultPlan) and runs every step under the
+//! chaos hooks. Per-step, per-PE straggler delays and PE crashes fire just
+//! before a PE's compute. Dropped and corrupted blocks fire in the hooks'
+//! fetch, which wraps `Transport::acquire` on every backend: the transport
+//! carries a sender-side checksum, and the receiver re-verifies every
+//! staged block. Recovery is built in — dropped blocks are re-fetched after
+//! a bounded exponential-backoff retry, checksum mismatches force a clean
+//! re-fetch, and a crashed PE is healed per [`RecoveryPolicy`]: `FailFast`
+//! re-raises (the pre-chaos behaviour), `Degrade` re-executes the dead
+//! shard on the caller thread, `Restart` replaces the worker thread,
+//! restores the last in-memory checkpoint, and replays the lost steps.
+//!
+//! Chaos keeps exactly one barrier: it runs stages 1 and 2 without posting
+//! in one supervised dispatch, then posts, acquires, applies and folds in a
+//! second. In a single dispatch a crashed worker's PEs would never post, so
+//! the surviving workers would block in `acquire` until the transport
+//! deadline before any policy could heal the crash. Splitting before the
+//! first post also means a Degrade re-run never posts a block twice; it
+//! recomputes only the PEs whose compute had not finished.
+//!
+//! Because every injected event is one-shot and every recovery path
+//! re-executes exactly the deterministic work the fault interrupted, a
+//! recovered run is **bitwise-equal** to a fault-free run (asserted by the
+//! chaos tests), and under `Restart` the checkpoint rollback keeps even the
+//! accumulated `F`/`C`/`B` counters exactly equal to the fault-free
+//! characterization. With faults disabled the clean hooks run: zero
 //! overhead, identical counters.
 
 use crate::distributed::DistributedSystem;
@@ -144,8 +169,9 @@ pub struct PeCounters {
     pub t_compute: f64,
     /// Seconds spent summing neighbor contributions (exchange phase).
     pub t_exchange: f64,
-    /// Seconds spent waiting at phase barriers (phase wall time minus this
-    /// PE's own work, summed over phases and steps).
+    /// Seconds spent waiting for the rest of the step: each step's
+    /// dispatch wall minus this PE's own assemble, compute, exchange and
+    /// fold, summed over steps.
     pub t_barrier: f64,
 }
 
@@ -302,13 +328,6 @@ enum PeMatrix {
 }
 
 impl PeMatrix {
-    fn block_rows(&self) -> usize {
-        match self {
-            PeMatrix::Sym(s) => s.block_rows(),
-            PeMatrix::Full(t) => t.block_rows(),
-        }
-    }
-
     /// Flops of one local product: 18 per block of the full matrix, the
     /// paper's `F_i = 2·m_i`, in either layout.
     fn smvp_flops(&self) -> u64 {
@@ -358,7 +377,7 @@ impl PeState {
     }
 }
 
-/// A raw pointer that may cross thread boundaries; each phase closure
+/// A raw pointer that may cross thread boundaries; each dispatch
 /// dereferences it only for the PEs its worker owns (disjoint indices), and
 /// the broadcast barrier orders every access.
 struct SendPtr<T>(*mut T);
@@ -384,8 +403,8 @@ impl<T> SendPtr<T> {
 }
 
 /// The `w`-th of `workers` near-equal contiguous chunks of `0..p` — the
-/// static PE-to-worker assignment, computed arithmetically so phase
-/// closures never allocate.
+/// static PE-to-worker assignment, computed arithmetically so dispatches
+/// never allocate.
 fn pe_chunk(p: usize, workers: usize, w: usize) -> std::ops::Range<usize> {
     (p * w / workers)..(p * (w + 1) / workers)
 }
@@ -423,9 +442,9 @@ struct Checkpoint {
     phases: PhaseWalls,
 }
 
-/// Per-PE chaos scratch, written by phase closures through disjoint
+/// Per-PE chaos scratch, written by the chaos hooks through disjoint
 /// [`SendPtr`] slots and folded into the [`FaultReport`] on the caller
-/// thread after each phase barrier (consumed by `std::mem::take`).
+/// thread after each step's dispatches (consumed by `std::mem::take`).
 #[derive(Debug, Clone, Copy, Default)]
 struct PeFaultScratch {
     straggles: u64,
@@ -468,44 +487,14 @@ struct FaultState {
 const MAX_FETCH_ATTEMPTS: u32 = 5;
 
 /// Everything the telemetry layer owns while armed: the core recorder plus
-/// the executor-side timing scratch its phase closures write through.
+/// the fetch-latency scratch the traced hooks write through.
 struct TelemetryState {
     /// The shared clock zero every span offset is measured from.
     epoch: Instant,
     data: Telemetry,
-    /// Per-PE phase-start offsets (ns since epoch), written in the phase
-    /// closures through disjoint [`SendPtr`] slots.
-    start_ns: Vec<u64>,
     /// Per-PE, per-inbound-message fetch latency scratch (ns), sized to the
     /// exchange schedule at arm time so recording never allocates.
     msg_ns: Vec<Vec<u64>>,
-}
-
-/// Everything the latency-hiding schedule owns while enabled: the
-/// boundary-first row split plus the publish flags and timing scratch its
-/// merged compute+exchange broadcast uses (see the module docs).
-struct OverlapState {
-    /// `boundary_rows[q]`: PE q's rows `0..nb` are boundary rows (consumed
-    /// by a neighbor's exchange), `nb..n` are interior.
-    boundary_rows: Vec<usize>,
-    /// Raw base pointer of `partials[q]`, refreshed by the driver each
-    /// step. Workers carve disjoint sub-slices out of it (boundary rows in
-    /// pass A, interior rows in pass B) and read neighbor boundary
-    /// elements through it in pass C — never through a reference that
-    /// covers rows another thread is writing.
-    part_base: Vec<SendPtr<Vec3>>,
-    /// Per-PE boundary-SMVP seconds (pass A).
-    post_elapsed: Vec<f64>,
-    /// Per-PE exchange seconds (pass C, spin waits included).
-    exch_elapsed: Vec<f64>,
-    /// Per-PE seconds of pass C spent spinning on neighbor flags.
-    wait_elapsed: Vec<f64>,
-    /// Per-PE pass-A start offsets (ns since telemetry epoch).
-    post_start: Vec<u64>,
-    /// Per-PE pass-C start offsets (ns since telemetry epoch).
-    exch_start: Vec<u64>,
-    /// Drift-monitor input scratch (exchange minus spin wait).
-    drift_scratch: Vec<f64>,
 }
 
 /// Node-placement view of a two-level (node-aware) run, used by the traced
@@ -531,48 +520,6 @@ fn ns_since(epoch: Instant, t: Instant) -> u64 {
     t.duration_since(epoch).as_nanos() as u64
 }
 
-impl TelemetryState {
-    /// Records one work span plus the trailing barrier-wait span for every
-    /// *owned* PE of a finished phase, and feeds the phase wall counters.
-    /// `elapsed` is per-PE work seconds (indexed by global PE id), `wall`
-    /// the phase wall; per-PE starts were staged into `start_ns` (by the
-    /// traced closures, or uniformly by the chaos caller).
-    fn record_phase(
-        &mut self,
-        phase: PhaseId,
-        step: u64,
-        elapsed: &[f64],
-        wall: f64,
-        owned: Range<usize>,
-    ) {
-        self.data.add_phase_wall(phase, secs_to_ns(wall));
-        for q in owned {
-            let dt = elapsed[q];
-            let dur_ns = secs_to_ns(dt);
-            let start = self.start_ns[q];
-            self.data.span(Span {
-                phase,
-                pe: q as u32,
-                step,
-                start_ns: start,
-                dur_ns,
-            });
-            let wait = (wall - dt).max(0.0);
-            if wait > 0.0 {
-                let wait_ns = secs_to_ns(wait);
-                self.data.add_phase_wall(PhaseId::Barrier, wait_ns);
-                self.data.span(Span {
-                    phase: PhaseId::Barrier,
-                    pe: q as u32,
-                    step,
-                    start_ns: start + dur_ns,
-                    dur_ns: wait_ns,
-                });
-            }
-        }
-    }
-}
-
 /// Bulk-synchronous instrumented executor over a [`DistributedSystem`].
 pub struct BspExecutor {
     pool: WorkerPool,
@@ -592,8 +539,10 @@ pub struct BspExecutor {
     fault: Option<Box<FaultState>>,
     /// Armed telemetry layer, or `None` for the untouched clean path.
     telemetry: Option<Box<TelemetryState>>,
-    /// Latency-hiding schedule state, or `None` for the barrier schedule.
-    overlap: Option<Box<OverlapState>>,
+    /// `boundary_rows[q]`: PE q's rows `0..nb` are boundary rows (consumed
+    /// by a neighbor's exchange), `nb..n` interior. `None` for the barrier
+    /// schedule.
+    boundary_rows: Option<Vec<usize>>,
     /// Node placement of a two-level run, or `None` when flat. Telemetry
     /// attribution only (see [`NodeView`]).
     node_view: Option<NodeView>,
@@ -610,17 +559,12 @@ pub struct BspExecutor {
     /// Per-PE receive staging buffer (the modeled NI buffer), sized to the
     /// largest inbound edge.
     stage: Vec<Vec<Vec3>>,
-    elapsed: Vec<f64>,
-    /// Per-PE seconds of the exchange spent blocked in `Transport::acquire`
-    /// waits — subtracted from the drift-monitor feed so transport spin
-    /// waits never read as per-PE load skew.
+    /// Per-PE stage stamps of the current step.
+    clock: Vec<StageClock>,
+    /// Per-PE exchange seconds net of transport waits, the drift monitor's
+    /// feed on traced steps: blocking in `acquire` tracks the sender's
+    /// progress, so it must never read as per-PE load skew.
     wait_scratch: Vec<f64>,
-    /// Per-PE `[assemble, compute, exchange]` seconds of the one-dispatch
-    /// barrier step.
-    pe_secs: Vec<[f64; 3]>,
-    /// Per-worker `[assemble, compute, fold]` seconds of the one-dispatch
-    /// barrier step, summed over the worker's PEs.
-    worker_secs: Vec<[f64; 3]>,
     counters: Vec<PeCounters>,
     phases: PhaseWalls,
     steps: u64,
@@ -890,20 +834,6 @@ impl BspExecutor {
                 .map(|s| vec![Vec3::ZERO; s.gather.len()])
                 .collect::<Vec<_>>()
         };
-        let overlap = if use_overlap {
-            Some(Box::new(OverlapState {
-                boundary_rows,
-                part_base: vec![SendPtr(std::ptr::null_mut()); p],
-                post_elapsed: vec![0.0; p],
-                exch_elapsed: vec![0.0; p],
-                wait_elapsed: vec![0.0; p],
-                post_start: vec![0; p],
-                exch_start: vec![0; p],
-                drift_scratch: vec![0.0; p],
-            }))
-        } else {
-            None
-        };
         BspExecutor {
             pool: WorkerPool::new(threads),
             x_local: local_buf(),
@@ -912,10 +842,8 @@ impl BspExecutor {
             exchanged: local_buf(),
             pack,
             stage,
-            elapsed: vec![0.0; p],
+            clock: vec![StageClock::new(Instant::now()); p],
             wait_scratch: vec![0.0; p],
-            pe_secs: vec![[0.0; 3]; p],
-            worker_secs: vec![[0.0; 3]; threads],
             global_nodes: system.global_nodes(),
             pe,
             inbound,
@@ -925,7 +853,7 @@ impl BspExecutor {
             rcm: use_rcm,
             fault: None,
             telemetry: None,
-            overlap,
+            boundary_rows: use_overlap.then_some(boundary_rows),
             node_view: None,
             counters: vec![PeCounters::default(); p],
             phases: PhaseWalls::default(),
@@ -992,7 +920,6 @@ impl BspExecutor {
     /// is already expressed on the clock the parent's handshake-time offset
     /// measurement refers to — the merged timeline needs no post-hoc shift.
     pub fn enable_telemetry_at(&mut self, config: TelemetryConfig, epoch: Instant) {
-        let p = self.pe.len();
         // Per-*owned*-PE (C_i, B_i) per step, counting both directions like
         // `PeCounters::words()`/`blocks()` — the drift monitor must use the
         // same convention as the validation layer, and under a partial
@@ -1012,7 +939,6 @@ impl BspExecutor {
         self.telemetry = Some(Box::new(TelemetryState {
             epoch,
             data: Telemetry::new(self.owned.len(), loads, config),
-            start_ns: vec![0; p],
             msg_ns,
         }));
     }
@@ -1041,7 +967,7 @@ impl BspExecutor {
 
     /// True if this executor runs the latency-hiding overlap schedule.
     pub fn overlap_enabled(&self) -> bool {
-        self.overlap.is_some()
+        self.boundary_rows.is_some()
     }
 
     /// Hands the executor the PE → node placement of a node-aware run
@@ -1098,55 +1024,13 @@ impl BspExecutor {
         self.node_view.as_ref().map(|nv| nv.node_of.as_slice())
     }
 
-    /// Node-aware telemetry hooks for one traced exchange: per owned PE, a
-    /// `gather` span (the share of its fetch time spent on same-node
-    /// neighbors — the intra-node leg of the two-level exchange) nested at
-    /// the head of the exchange span, plus one histogram sample per merged
-    /// (node, node) block this shard leads. No-op on flat runs. `starts`
-    /// overrides the per-PE exchange span starts (the overlap schedule
-    /// stages them outside `telem.start_ns`); `durs` is per-PE exchange
-    /// seconds, used to clamp the nested span.
-    fn record_node_exchange(
-        &self,
-        telem: &mut TelemetryState,
-        step: u64,
-        starts: Option<&[u64]>,
-        durs: &[f64],
-    ) {
-        let Some(nv) = &self.node_view else {
-            return;
-        };
-        for q in self.owned.clone() {
-            let intra_ns: u64 = self.inbound[q]
-                .iter()
-                .enumerate()
-                .filter(|(_, m)| nv.node_of[m.neighbor] == nv.node_of[q])
-                .map(|(mi, _)| telem.msg_ns[q][mi])
-                .sum();
-            let gather_ns = intra_ns.min(secs_to_ns(durs[q]));
-            if gather_ns > 0 {
-                telem.data.add_phase_wall(PhaseId::Gather, gather_ns);
-                telem.data.span(Span {
-                    phase: PhaseId::Gather,
-                    pe: q as u32,
-                    step,
-                    start_ns: starts.map_or(telem.start_ns[q], |s| s[q]),
-                    dur_ns: gather_ns,
-                });
-            }
-        }
-        for &w in &nv.pair_words {
-            telem.data.node_block_words.record(w);
-        }
-    }
-
     /// Per-PE boundary row counts of the overlap split, or `None` when the
     /// executor runs the barrier schedule. Matches
     /// [`OverlapAnalysis`](quake_partition::comm::OverlapAnalysis) exactly
     /// (checked in tests): the split the executor runs is the split the
     /// model prices.
     pub fn overlap_boundary_rows(&self) -> Option<&[usize]> {
-        self.overlap.as_deref().map(|o| o.boundary_rows.as_slice())
+        self.boundary_rows.as_deref()
     }
 
     /// `(pointer, capacity)` of every persistent per-step buffer. Steady
@@ -1168,12 +1052,16 @@ impl BspExecutor {
         for v in &self.acc {
             fp.push((v.as_ptr() as usize, v.capacity()));
         }
-        fp.push((self.elapsed.as_ptr() as usize, self.elapsed.capacity()));
-        fp.push((self.pe_secs.as_ptr() as usize, self.pe_secs.capacity()));
+        fp.push((self.clock.as_ptr() as usize, self.clock.capacity()));
         fp.push((
-            self.worker_secs.as_ptr() as usize,
-            self.worker_secs.capacity(),
+            self.wait_scratch.as_ptr() as usize,
+            self.wait_scratch.capacity(),
         ));
+        if let Some(t) = &self.telemetry {
+            for v in &t.msg_ns {
+                fp.push((v.as_ptr() as usize, v.capacity()));
+            }
+        }
         fp
     }
 
@@ -1196,9 +1084,8 @@ impl BspExecutor {
 
     /// Executes one bulk-synchronous SMVP `y = Kx` for a global input
     /// vector, updating the counters. Allocation-free: every buffer
-    /// (including `y`) is caller- or executor-owned and reused. Without
-    /// faults, telemetry or overlap this is one pool dispatch (see the
-    /// module docs).
+    /// (including `y`) is caller- or executor-owned and reused. One pool
+    /// dispatch, two with faults armed (see the module docs).
     ///
     /// # Panics
     ///
@@ -1206,904 +1093,276 @@ impl BspExecutor {
     pub fn step_into(&mut self, x: &[Vec3], y: &mut [Vec3]) {
         assert_eq!(x.len(), self.global_nodes, "x length must match mesh nodes");
         assert_eq!(y.len(), self.global_nodes, "y length must match mesh nodes");
-        if self.fault.is_some() {
-            // Chaos keeps the barrier phases (the staged, checksummed
-            // exchange already serializes against compute); the
-            // boundary-first row order is baked into the matrices, so the
-            // output and counters still match the overlap-off run exactly.
-            return self.chaos_step_into(x, y);
-        }
-        if self.overlap.is_some() {
-            if self.telemetry.is_some() {
-                return self.overlap_traced_step_into(x, y);
-            }
-            return self.overlap_step_into(x, y);
-        }
-        if self.telemetry.is_some() {
-            return self.traced_step_into(x, y);
-        }
-        let threads = self.pool.threads();
-        let owned = self.owned.clone();
         let step = self.steps;
-
-        // --- One dispatch: each worker gathers, computes, packs and posts
-        // every PE it owns, then acquires and applies their inbound blocks
-        // and folds their owned nodes into `y`. Posting ALL its PEs before
-        // acquiring ANY keeps the schedule deadlock-free however PEs are
-        // striped across workers and shards. ---
-        let wall = {
-            let pe = &self.pe;
-            let inbound = &self.inbound;
-            let outbound = &self.outbound;
-            let link = &self.link;
-            let owned = &owned;
-            let x_local = SendPtr(self.x_local.as_mut_ptr());
-            let acc = SendPtr(self.acc.as_mut_ptr());
-            let partials = SendPtr(self.partials.as_mut_ptr());
-            let exchanged = SendPtr(self.exchanged.as_mut_ptr());
-            let pack = SendPtr(self.pack.as_mut_ptr());
-            let stage = SendPtr(self.stage.as_mut_ptr());
-            let pe_secs = SendPtr(self.pe_secs.as_mut_ptr());
-            let worker_secs = SendPtr(self.worker_secs.as_mut_ptr());
-            let y_out = SendPtr(y.as_mut_ptr());
-            let t0 = Instant::now();
-            self.pool.broadcast(&|w| {
-                let (mut assemble, mut compute, mut fold) = (0.0, 0.0, 0.0);
-                for q in owned_chunk(owned, threads, w) {
-                    let t = Instant::now();
-                    // SAFETY: each PE q belongs to exactly one worker's
-                    // chunk, so these per-q accesses are disjoint.
-                    let xl = unsafe { &mut *x_local.get().add(q) };
-                    for (slot, &g) in xl.iter_mut().zip(&pe[q].gather) {
-                        *slot = x[g];
-                    }
-                    let t_gathered = Instant::now();
-                    let part = unsafe { &mut *partials.get().add(q) };
-                    pe[q]
-                        .matrix()
-                        .mult_full(xl, unsafe { &mut *acc.get().add(q) }, part);
-                    let t_computed = Instant::now();
-                    // Post in the receiver's pair order.
-                    let buf = unsafe { &mut *pack.get().add(q) };
-                    for ob in &outbound[q] {
-                        let blk = &mut buf[..ob.send_idx.len()];
-                        for (slot, &l) in blk.iter_mut().zip(&ob.send_idx) {
-                            *slot = part[l];
-                        }
-                        link.post(step, q, ob.to, blk).expect("transport post");
-                    }
-                    let secs = [
-                        (t_gathered - t).as_secs_f64(),
-                        (t_computed - t_gathered).as_secs_f64(),
-                        t_computed.elapsed().as_secs_f64(),
-                    ];
-                    assemble += secs[0];
-                    compute += secs[1];
-                    unsafe { *pe_secs.get().add(q) = secs };
-                }
-                // Acquire and apply in schedule order — the serial
-                // product's summation order, so every transport is
-                // bitwise-equivalent — then fold.
-                for q in owned_chunk(owned, threads, w) {
-                    let t = Instant::now();
-                    // SAFETY: only exchanged[q]/stage[q] are written (one
-                    // worker per PE), and this worker wrote partials[q].
-                    let out = unsafe { &mut *exchanged.get().add(q) };
-                    let mine = unsafe { &*(partials.get().add(q) as *const Vec<Vec3>) };
-                    out.copy_from_slice(mine);
-                    let buf = unsafe { &mut *stage.get().add(q) };
-                    for msg in &inbound[q] {
-                        let block = &mut buf[..msg.pairs.len()];
-                        link.acquire(step, msg.neighbor, q, block)
-                            .expect("transport acquire");
-                        for (&(m, _), v) in msg.pairs.iter().zip(block.iter()) {
-                            out[m] += *v;
-                        }
-                    }
-                    let t_applied = Instant::now();
-                    // SAFETY: each global node is in exactly one owned
-                    // PE's fold list, so workers write disjoint y slots.
-                    for &(l, g) in &pe[q].fold {
-                        unsafe { *y_out.get().add(g) = out[l] };
-                    }
-                    fold += t_applied.elapsed().as_secs_f64();
-                    unsafe { (*pe_secs.get().add(q))[2] += (t_applied - t).as_secs_f64() };
-                }
-                unsafe { *worker_secs.get().add(w) = [assemble, compute, fold] };
-            });
-            t0.elapsed().as_secs_f64()
-        };
-        // Bill the slowest worker's own assemble, compute and fold; the
-        // rest of the dispatch wall is exchange (posting, waiting for
-        // neighbors, applying).
-        let [assemble, compute, fold] = self
-            .worker_secs
-            .iter()
-            .copied()
-            .max_by(|a, b| (a[0] + a[1] + a[2]).total_cmp(&(b[0] + b[1] + b[2])))
-            .unwrap_or_default();
-        self.phases.assemble += assemble;
-        self.phases.compute += compute;
-        self.phases.exchange += (wall - assemble - compute - fold).max(0.0);
-        self.phases.fold += fold;
-        for q in owned {
-            let [a, c, e] = self.pe_secs[q];
-            let counters = &mut self.counters[q];
-            counters.t_assemble += a;
-            counters.t_compute += c;
-            counters.t_exchange += e;
-            counters.t_barrier += (wall - fold - (a + c + e)).max(0.0);
-            counters.flops += self.pe[q].matrix().smvp_flops();
-            count_exchange(counters, &self.inbound[q]);
+        if let Some(fault) = self.fault.take() {
+            self.chaos_step(x, y, fault);
+        } else if let Some(telem) = self.telemetry.take() {
+            let mut traced = Traced::new(telem);
+            self.run_step(x, y, step, &mut traced)
+                .expect("only chaos steps fail");
+            traced.telem.data.steps += 1;
+            self.telemetry = Some(traced.telem);
+        } else {
+            self.run_step(x, y, step, &mut Clean)
+                .expect("only chaos steps fail");
         }
-        self.link.barrier(step).expect("transport barrier");
         self.steps += 1;
     }
 
-    /// Folds every owned PE's exchanged partials into `y`, one replica per
-    /// global node (see [`PeState::fold`]). The traced, overlap and chaos
-    /// steps fold on the caller after their last dispatch.
-    fn fold_serial(&self, y: &mut [Vec3]) {
-        for q in self.owned.clone() {
-            let part = &self.exchanged[q];
-            for &(l, g) in &self.pe[q].fold {
-                y[g] = part[l];
-            }
-        }
-    }
-
-    /// The telemetry-armed variant of [`BspExecutor::step_into`]: the same
-    /// per-PE arithmetic in the same order (output is bitwise-identical,
-    /// asserted by the equivalence tests), but as three dispatches —
-    /// assemble, compute, exchange — with a caller-side fold, so each
-    /// phase gets its own spans, histograms and drift feed.
-    fn traced_step_into(&mut self, x: &[Vec3], y: &mut [Vec3]) {
-        // Taken out of `self` for the duration of the step so phase loops
-        // can borrow executor fields freely; restored before returning.
-        let mut telem = self
-            .telemetry
-            .take()
-            .expect("traced step requires armed telemetry");
-        let step = self.steps;
-        let p = self.pe.len();
-        let threads = self.pool.threads();
-        let owned = self.owned.clone();
-        let epoch = telem.epoch;
-
-        // --- Assemble phase: gather replicated local x per PE. ---
-        let wall = {
-            let pe = &self.pe;
-            let owned = &owned;
-            let elapsed = SendPtr(self.elapsed.as_mut_ptr());
-            let x_local = SendPtr(self.x_local.as_mut_ptr());
-            let start_ns = SendPtr(telem.start_ns.as_mut_ptr());
-            let t0 = Instant::now();
-            self.pool.broadcast(&|w| {
-                for q in owned_chunk(owned, threads, w) {
-                    let t = Instant::now();
-                    // SAFETY: each PE q belongs to exactly one worker's
-                    // chunk, so these per-q accesses are disjoint.
-                    unsafe {
-                        *start_ns.get().add(q) = ns_since(epoch, t);
-                    }
-                    let xl = unsafe { &mut *x_local.get().add(q) };
-                    for (slot, &g) in xl.iter_mut().zip(&pe[q].gather) {
-                        *slot = x[g];
-                    }
-                    unsafe {
-                        *elapsed.get().add(q) = t.elapsed().as_secs_f64();
-                    }
-                }
-            });
-            t0.elapsed().as_secs_f64()
-        };
-        self.phases.assemble += wall;
-        for q in owned.clone() {
-            let dt = self.elapsed[q];
-            let c = &mut self.counters[q];
-            c.t_assemble += dt;
-            c.t_barrier += (wall - dt).max(0.0);
-        }
-        telem.record_phase(PhaseId::Assemble, step, &self.elapsed, wall, owned.clone());
-
-        // --- Compute phase: local SMVP per PE, in place. ---
-        let wall = {
-            let pe = &self.pe;
-            let owned = &owned;
-            let elapsed = SendPtr(self.elapsed.as_mut_ptr());
-            let x_local = SendPtr(self.x_local.as_mut_ptr());
-            let partials = SendPtr(self.partials.as_mut_ptr());
-            let acc = SendPtr(self.acc.as_mut_ptr());
-            let start_ns = SendPtr(telem.start_ns.as_mut_ptr());
-            let t0 = Instant::now();
-            self.pool.broadcast(&|w| {
-                for q in owned_chunk(owned, threads, w) {
-                    let t = Instant::now();
-                    // SAFETY: per-q accesses are disjoint (one worker per
-                    // PE); x_local was fully written before the assemble
-                    // barrier.
-                    unsafe {
-                        *start_ns.get().add(q) = ns_since(epoch, t);
-                    }
-                    let xl = unsafe { &*x_local.get().add(q) };
-                    let part = unsafe { &mut *partials.get().add(q) };
-                    let acc = unsafe { &mut *acc.get().add(q) };
-                    pe[q].matrix().mult_full(xl, acc, part);
-                    unsafe {
-                        *elapsed.get().add(q) = t.elapsed().as_secs_f64();
-                    }
-                }
-            });
-            t0.elapsed().as_secs_f64()
-        };
-        self.phases.compute += wall;
-        for q in owned.clone() {
-            let dt = self.elapsed[q];
-            let c = &mut self.counters[q];
-            c.t_compute += dt;
-            c.t_barrier += (wall - dt).max(0.0);
-            c.flops += self.pe[q].matrix().smvp_flops();
-        }
-        telem.record_phase(PhaseId::Compute, step, &self.elapsed, wall, owned.clone());
-        for q in owned.clone() {
-            telem.data.compute_ns.record(secs_to_ns(self.elapsed[q]));
-        }
-
-        // --- Exchange phase: post outbound ghost blocks through the
-        // transport, then acquire and apply inbound blocks (see the
-        // untraced path). Each inbound block's fetch-and-apply is timed
-        // individually. ---
-        let wall = {
-            let inbound = &self.inbound;
-            let outbound = &self.outbound;
-            let link = &self.link;
-            let owned = &owned;
-            let elapsed = SendPtr(self.elapsed.as_mut_ptr());
-            let partials = SendPtr(self.partials.as_mut_ptr());
-            let exchanged = SendPtr(self.exchanged.as_mut_ptr());
-            let pack = SendPtr(self.pack.as_mut_ptr());
-            let stage = SendPtr(self.stage.as_mut_ptr());
-            let start_ns = SendPtr(telem.start_ns.as_mut_ptr());
-            let msg_ns = SendPtr(telem.msg_ns.as_mut_ptr());
-            let wait = SendPtr(self.wait_scratch.as_mut_ptr());
-            let t0 = Instant::now();
-            self.pool.broadcast(&|w| {
-                // Post pass — publish the ghost blocks.
-                for q in owned_chunk(owned, threads, w) {
-                    let t = Instant::now();
-                    // SAFETY: pack[q], partials[q] and the timing scratch
-                    // belong to this worker alone (one worker per PE).
-                    unsafe {
-                        *start_ns.get().add(q) = ns_since(epoch, t);
-                    }
-                    let mine = unsafe { &*(partials.get().add(q) as *const Vec<Vec3>) };
-                    let buf = unsafe { &mut *pack.get().add(q) };
-                    for ob in &outbound[q] {
-                        let blk = &mut buf[..ob.send_idx.len()];
-                        for (slot, &l) in blk.iter_mut().zip(&ob.send_idx) {
-                            *slot = mine[l];
-                        }
-                        link.post(step, q, ob.to, blk).expect("transport post");
-                    }
-                    unsafe {
-                        *elapsed.get().add(q) = t.elapsed().as_secs_f64();
-                    }
-                }
-                // Acquire pass — fetch and apply in schedule order.
-                for q in owned_chunk(owned, threads, w) {
-                    let t = Instant::now();
-                    // SAFETY: only exchanged[q]/stage[q] (and this PE's
-                    // timing scratch) are written (one worker per PE).
-                    let out = unsafe { &mut *exchanged.get().add(q) };
-                    let mine = unsafe { &*(partials.get().add(q) as *const Vec<Vec3>) };
-                    out.copy_from_slice(mine);
-                    let buf = unsafe { &mut *stage.get().add(q) };
-                    let lat = unsafe { &mut *msg_ns.get().add(q) };
-                    let mut waited = 0.0f64;
-                    for (mi, msg) in inbound[q].iter().enumerate() {
-                        let tm = Instant::now();
-                        let block = &mut buf[..msg.pairs.len()];
-                        let info = link
-                            .acquire(step, msg.neighbor, q, block)
-                            .expect("transport acquire");
-                        waited += info.waited_s;
-                        for (&(m, _), v) in msg.pairs.iter().zip(block.iter()) {
-                            out[m] += *v;
-                        }
-                        lat[mi] = tm.elapsed().as_nanos() as u64;
-                    }
-                    unsafe {
-                        *elapsed.get().add(q) += t.elapsed().as_secs_f64();
-                        *wait.get().add(q) = waited;
-                    }
-                }
-            });
-            t0.elapsed().as_secs_f64()
-        };
-        self.phases.exchange += wall;
-        for q in owned.clone() {
-            let dt = self.elapsed[q];
-            let c = &mut self.counters[q];
-            c.t_exchange += dt;
-            c.t_barrier += (wall - dt).max(0.0);
-            count_exchange(c, &self.inbound[q]);
-        }
-        telem.record_phase(PhaseId::Exchange, step, &self.elapsed, wall, owned.clone());
-        // Transport wait, nested inside each PE's exchange span at its tail:
-        // the profiler splits the exchange into apply (this PE's work) and
-        // wait (blocked in `acquire` on the sender's progress).
-        for q in owned.clone() {
-            let waited = self.wait_scratch[q].clamp(0.0, self.elapsed[q]);
-            if waited > 0.0 {
-                let wait_ns = secs_to_ns(waited);
-                telem.data.add_phase_wall(PhaseId::Wait, wait_ns);
-                telem.data.span(Span {
-                    phase: PhaseId::Wait,
-                    pe: q as u32,
-                    step,
-                    start_ns: telem.start_ns[q] + secs_to_ns(self.elapsed[q]) - wait_ns,
-                    dur_ns: wait_ns,
-                });
-            }
-        }
-        for q in owned.clone() {
-            for (mi, msg) in self.inbound[q].iter().enumerate() {
-                telem.data.block_latency_ns.record(telem.msg_ns[q][mi]);
-                telem.data.block_words.record(3 * msg.pairs.len() as u64);
-            }
-        }
-        self.record_node_exchange(&mut telem, step, None, &self.elapsed);
-        // The drift feed is exchange time minus transport wait: blocking in
-        // `acquire` tracks the *sender's* progress, not this PE's load, so
-        // leaving it in would flag healthy runs.
-        for q in owned.clone() {
-            self.wait_scratch[q] = (self.elapsed[q] - self.wait_scratch[q]).max(0.0);
-        }
-        let flagged = telem
-            .data
-            .drift
-            .as_mut()
-            .and_then(|m| m.observe(step, &self.wait_scratch[owned.clone()]));
-        if flagged.is_some() {
-            telem.data.instant(TraceInstant {
-                name: "drift:flagged",
-                pe: p as u32,
+    /// The one step body (see the module docs): every worker runs stages 1
+    /// and 2, then stage 3, for the PEs it owns, in one dispatch, or in two
+    /// when `H::SPLIT`. Returns `Err(panicked workers)` only for a crash
+    /// under [`RecoveryPolicy::Restart`]; the step is then neither billed
+    /// nor completed, and the caller restores and replays.
+    fn run_step<H: StepHooks>(
+        &mut self,
+        x: &[Vec3],
+        y: &mut [Vec3],
+        step: u64,
+        hooks: &mut H,
+    ) -> Result<(), Vec<usize>> {
+        let t0 = Instant::now();
+        let mut crashed = None;
+        let mut degraded = 0u64;
+        {
+            let ctx = StepCtx {
+                hooks: &*hooks,
+                link: &*self.link,
+                pe: &self.pe,
+                inbound: &self.inbound,
+                outbound: &self.outbound,
+                boundary: self.boundary_rows.as_deref(),
+                owned: self.owned.clone(),
+                threads: self.pool.threads(),
                 step,
-                at_ns: ns_since(epoch, Instant::now()),
-            });
-        }
-        self.link.barrier(step).expect("transport barrier");
-
-        // --- Fold phase: replicated results → global vector (driver). ---
-        let t0 = Instant::now();
-        self.fold_serial(y);
-        let fold_dt = t0.elapsed().as_secs_f64();
-        self.phases.fold += fold_dt;
-        telem.data.span(Span {
-            phase: PhaseId::Fold,
-            pe: p as u32,
-            step,
-            start_ns: ns_since(epoch, t0),
-            dur_ns: secs_to_ns(fold_dt),
-        });
-        telem
-            .data
-            .add_phase_wall(PhaseId::Fold, secs_to_ns(fold_dt));
-        telem.data.steps += 1;
-
-        self.steps += 1;
-        self.telemetry = Some(telem);
-    }
-
-    /// The latency-hiding variant of [`BspExecutor::step_into`] (see the
-    /// module docs). Assemble and fold are unchanged, but compute and
-    /// exchange run inside ONE pool broadcast with no barrier between
-    /// them. Each worker, for every PE it owns: (A) computes the boundary
-    /// rows and publishes them with a Release flag — neighbors consume
-    /// nothing else, so this is the only data the exchange waits on; (B)
-    /// computes the interior rows while other workers are still posting —
-    /// the work the schedule hides the exchange latency behind; (C) copies
-    /// its own partials and folds in each inbound message as soon as its
-    /// sender's flag says the boundary rows landed (Acquire). Pass A never
-    /// blocks, so every flag is eventually set and pass C cannot deadlock,
-    /// no matter how PEs are striped across workers.
-    ///
-    /// Output is bitwise-identical to the barrier schedule: rows are
-    /// independent, so computing them in two passes changes nothing; the
-    /// boundary-first permutation is entry-order-stable, so every row sums
-    /// in the same floating-point order; and pass C applies inbound pairs
-    /// in the same order as the barrier exchange. Flop/word/block counters
-    /// are identical for the same reason.
-    fn overlap_step_into(&mut self, x: &[Vec3], y: &mut [Vec3]) {
-        let threads = self.pool.threads();
-        let owned = self.owned.clone();
-        let step = self.steps;
-        let mut ov = self
-            .overlap
-            .take()
-            .expect("overlap step requires overlap state");
-
-        // --- Assemble phase: gather replicated local x per PE. ---
-        let wall = {
-            let pe = &self.pe;
-            let owned = &owned;
-            let elapsed = SendPtr(self.elapsed.as_mut_ptr());
-            let x_local = SendPtr(self.x_local.as_mut_ptr());
-            let t0 = Instant::now();
-            self.pool.broadcast(&|w| {
-                for q in owned_chunk(owned, threads, w) {
-                    let t = Instant::now();
-                    // SAFETY: each PE q belongs to exactly one worker's
-                    // chunk, so these per-q accesses are disjoint.
-                    let xl = unsafe { &mut *x_local.get().add(q) };
-                    for (slot, &g) in xl.iter_mut().zip(&pe[q].gather) {
-                        *slot = x[g];
-                    }
-                    unsafe {
-                        *elapsed.get().add(q) = t.elapsed().as_secs_f64();
-                    }
-                }
-            });
-            t0.elapsed().as_secs_f64()
-        };
-        self.phases.assemble += wall;
-        for q in owned.clone() {
-            let dt = self.elapsed[q];
-            let c = &mut self.counters[q];
-            c.t_assemble += dt;
-            c.t_barrier += (wall - dt).max(0.0);
-        }
-
-        // --- Overlapped compute+exchange: one broadcast, three passes.
-        // Posting goes through the transport right after the boundary
-        // pass; the link's acquire is the wait the interior work hides. ---
-        for (slot, buf) in ov.part_base.iter_mut().zip(self.partials.iter_mut()) {
-            *slot = SendPtr(buf.as_mut_ptr());
-        }
-        let wall = {
-            let pe = &self.pe;
-            let inbound = &self.inbound;
-            let outbound = &self.outbound;
-            let link = &self.link;
-            let owned = &owned;
-            let post_elapsed = SendPtr(ov.post_elapsed.as_mut_ptr());
-            let exch_elapsed = SendPtr(ov.exch_elapsed.as_mut_ptr());
-            let wait_elapsed = SendPtr(ov.wait_elapsed.as_mut_ptr());
-            let boundary = &ov.boundary_rows;
-            let part_base = &ov.part_base;
-            let elapsed = SendPtr(self.elapsed.as_mut_ptr());
-            let x_local = SendPtr(self.x_local.as_mut_ptr());
-            let exchanged = SendPtr(self.exchanged.as_mut_ptr());
-            let pack = SendPtr(self.pack.as_mut_ptr());
-            let stage = SendPtr(self.stage.as_mut_ptr());
-            let t0 = Instant::now();
-            self.pool.broadcast(&|w| {
-                // Pass A — compute and post the boundary rows.
-                for q in owned_chunk(owned, threads, w) {
-                    let t = Instant::now();
-                    // SAFETY: per-q accesses are disjoint (one worker per
-                    // PE); x_local was fully written before the assemble
-                    // barrier; rows 0..nb of partials[q] are written only
-                    // by this pass. Every posted slot is below nb (checked
-                    // at build), so the packed blocks are complete.
-                    let xl = unsafe { &*x_local.get().add(q) };
-                    let nb = boundary[q];
-                    let out = unsafe { std::slice::from_raw_parts_mut(part_base[q].get(), nb) };
-                    pe[q].matrix().mult_range(xl, 0..nb, out);
-                    let buf = unsafe { &mut *pack.get().add(q) };
-                    for ob in &outbound[q] {
-                        let blk = &mut buf[..ob.send_idx.len()];
-                        for (slot, &l) in blk.iter_mut().zip(&ob.send_idx) {
-                            *slot = out[l];
-                        }
-                        link.post(step, q, ob.to, blk).expect("transport post");
-                    }
-                    unsafe {
-                        *post_elapsed.get().add(q) = t.elapsed().as_secs_f64();
-                    }
-                }
-                // Pass B — interior rows, overlapping the neighbors' posts.
-                for q in owned_chunk(owned, threads, w) {
-                    let t = Instant::now();
-                    let xl = unsafe { &*x_local.get().add(q) };
-                    let n = pe[q].matrix().block_rows();
-                    let nb = boundary[q];
-                    // SAFETY: this sub-slice starts at nb — disjoint from
-                    // pass A's rows.
-                    let out = unsafe {
-                        std::slice::from_raw_parts_mut(part_base[q].get().add(nb), n - nb)
-                    };
-                    pe[q].matrix().mult_range(xl, nb..n, out);
-                    unsafe {
-                        *elapsed.get().add(q) = t.elapsed().as_secs_f64();
-                    }
-                }
-                // Pass C — exchange as the posts land; the acquire blocks
-                // per inbound block only until its sender's post arrives.
-                for q in owned_chunk(owned, threads, w) {
-                    let t = Instant::now();
-                    let mut waited = 0.0f64;
-                    // SAFETY: only exchanged[q]/stage[q] are written (one
-                    // worker per PE). Own partials are complete — this
-                    // worker ran passes A and B for q above.
-                    let out = unsafe { &mut *exchanged.get().add(q) };
-                    let mine = unsafe {
-                        std::slice::from_raw_parts(part_base[q].get() as *const Vec3, out.len())
-                    };
-                    out.copy_from_slice(mine);
-                    let buf = unsafe { &mut *stage.get().add(q) };
-                    for msg in &inbound[q] {
-                        let block = &mut buf[..msg.pairs.len()];
-                        let info = link
-                            .acquire(step, msg.neighbor, q, block)
-                            .expect("transport acquire");
-                        waited += info.waited_s;
-                        for (&(m, _), v) in msg.pairs.iter().zip(block.iter()) {
-                            out[m] += *v;
+                t0,
+                x,
+                y: SendPtr(y.as_mut_ptr()),
+                x_local: SendPtr(self.x_local.as_mut_ptr()),
+                acc: SendPtr(self.acc.as_mut_ptr()),
+                partials: SendPtr(self.partials.as_mut_ptr()),
+                exchanged: SendPtr(self.exchanged.as_mut_ptr()),
+                pack: SendPtr(self.pack.as_mut_ptr()),
+                stage: SendPtr(self.stage.as_mut_ptr()),
+                clock: SendPtr(self.clock.as_mut_ptr()),
+            };
+            if !H::SPLIT {
+                self.pool.broadcast(&|w| {
+                    ctx.compute(w);
+                    ctx.exchange(w);
+                });
+            } else {
+                if let Err(failure) = self.pool.try_broadcast(&|w| ctx.compute(w)) {
+                    match hooks.policy() {
+                        RecoveryPolicy::FailFast => failure.resume(),
+                        RecoveryPolicy::Restart => crashed = Some(failure.panicked),
+                        // Re-run each dead chunk inline on this thread. The
+                        // products fully overwrite their output, so the
+                        // re-run is bitwise what the worker would have
+                        // produced; remaining one-shot events may fire (and
+                        // panic) again, hence the loop.
+                        RecoveryPolicy::Degrade => {
+                            for &w in &failure.panicked {
+                                loop {
+                                    degraded += 1;
+                                    if catch_unwind(AssertUnwindSafe(|| ctx.compute(w))).is_ok() {
+                                        break;
+                                    }
+                                }
+                            }
                         }
                     }
-                    unsafe {
-                        *exch_elapsed.get().add(q) = t.elapsed().as_secs_f64();
-                        *wait_elapsed.get().add(q) = waited;
-                    }
                 }
-            });
-            t0.elapsed().as_secs_f64()
-        };
-        let mut cmax = 0.0f64;
-        for q in owned.clone() {
-            let c = &mut self.counters[q];
-            let post = ov.post_elapsed[q];
-            let interior = self.elapsed[q];
-            let exch = ov.exch_elapsed[q];
-            c.t_compute += post + interior;
-            c.t_exchange += exch;
-            c.t_barrier += (wall - (post + interior + exch)).max(0.0);
-            c.flops += self.pe[q].matrix().smvp_flops();
-            count_exchange(c, &self.inbound[q]);
-            cmax = cmax.max(post + interior);
+                if crashed.is_none() {
+                    self.pool.broadcast(&|w| ctx.exchange(w));
+                }
+            }
         }
-        // The slowest PE's SMVP bills to compute; whatever wall remains
-        // past it is exchange that the interior work failed to hide.
-        self.phases.compute += cmax;
-        self.phases.exchange += (wall - cmax).max(0.0);
-        self.overlap = Some(ov);
+        let wall = t0.elapsed().as_secs_f64();
+        hooks.after_dispatch(self, step, degraded);
+        if let Some(panicked) = crashed {
+            return Err(panicked);
+        }
+        let bill = self.bill(wall);
+        hooks.after_step(self, step, wall, &bill);
         self.link.barrier(step).expect("transport barrier");
-
-        // --- Fold phase: replicated results → global vector. ---
-        let t0 = Instant::now();
-        self.fold_serial(y);
-        self.phases.fold += t0.elapsed().as_secs_f64();
-
-        self.steps += 1;
+        Ok(())
     }
 
-    /// [`BspExecutor::overlap_step_into`] with telemetry recording folded
-    /// in — the overlap analogue of [`BspExecutor::traced_step_into`].
-    /// Spans are recorded manually rather than through `record_phase`
-    /// (which would bill a full barrier wait to each of the three passes
-    /// of the merged broadcast): each PE gets one Post, one Compute, one
-    /// Exchange span at its measured offsets, plus a single Barrier span
-    /// for the wall time past its own work. The drift monitor is fed
-    /// exchange time *minus* spin wait, which is the barrier schedule's
-    /// exchange-work equivalent — so a healthy overlapped run stays
-    /// drift-silent.
-    fn overlap_traced_step_into(&mut self, x: &[Vec3], y: &mut [Vec3]) {
-        let mut telem = self
-            .telemetry
-            .take()
-            .expect("traced step requires armed telemetry");
-        let mut ov = self
-            .overlap
-            .take()
-            .expect("overlap step requires overlap state");
-        let step = self.steps;
-        let p = self.pe.len();
+    /// Bills one finished step from the stage clocks: every owned PE's own
+    /// seconds go to its counters, with the rest of `wall` as its barrier
+    /// wait, and the slowest worker's own assemble, compute and fold go to
+    /// [`PhaseWalls`], with the rest of `wall` as exchange. Returns those
+    /// phase walls; the trace hooks record exactly these numbers.
+    fn bill(&mut self, wall: f64) -> PeSecs {
+        let overlap = self.boundary_rows.is_some();
         let threads = self.pool.threads();
-        let owned = self.owned.clone();
+        let mut slowest = PeSecs::default();
+        for w in 0..threads {
+            // The worker's own work; its exchange stays zero here.
+            let mut sum = PeSecs::default();
+            for q in owned_chunk(&self.owned, threads, w) {
+                let s = self.clock[q].secs(overlap);
+                sum.assemble += s.assemble;
+                sum.post += s.post;
+                sum.compute += s.compute;
+                sum.fold += s.fold;
+                let c = &mut self.counters[q];
+                c.t_assemble += s.assemble;
+                c.t_compute += s.post + s.compute;
+                c.t_exchange += s.exchange;
+                c.t_barrier += (wall - s.busy()).max(0.0);
+                c.flops += self.pe[q].matrix().smvp_flops();
+                count_exchange(c, &self.inbound[q]);
+            }
+            if sum.busy() > slowest.busy() {
+                slowest = sum;
+            }
+        }
+        slowest.exchange = (wall - slowest.busy()).max(0.0);
+        self.phases.assemble += slowest.assemble;
+        self.phases.compute += slowest.post + slowest.compute;
+        self.phases.exchange += slowest.exchange;
+        self.phases.fold += slowest.fold;
+        slowest
+    }
+
+    /// Records one billed step into `telem`. The phase walls are `bill`'s,
+    /// Post plus Compute being the billed compute. Every owned PE gets an
+    /// Assemble, (under overlap) Post, Compute, Exchange and Fold span at
+    /// its stamps, the transport Wait nested at the tail of its exchange,
+    /// and a Barrier span for the rest of `wall`. On node-aware runs each
+    /// exchange also nests a Gather span: the share of its fetch time
+    /// spent on same-node neighbors, the intra-node leg of the two-level
+    /// exchange. The drift monitor sees exchange time net of transport
+    /// waits: blocking in `acquire` tracks the sender's progress, not this
+    /// PE's load.
+    fn record_trace(&mut self, telem: &mut TelemetryState, step: u64, wall: f64, bill: &PeSecs) {
+        let overlap = self.boundary_rows.is_some();
         let epoch = telem.epoch;
-
-        // --- Assemble phase: gather replicated local x per PE. ---
-        let wall = {
-            let pe = &self.pe;
-            let owned = &owned;
-            let elapsed = SendPtr(self.elapsed.as_mut_ptr());
-            let x_local = SendPtr(self.x_local.as_mut_ptr());
-            let start_ns = SendPtr(telem.start_ns.as_mut_ptr());
-            let t0 = Instant::now();
-            self.pool.broadcast(&|w| {
-                for q in owned_chunk(owned, threads, w) {
-                    let t = Instant::now();
-                    // SAFETY: each PE q belongs to exactly one worker's
-                    // chunk, so these per-q accesses are disjoint.
-                    unsafe {
-                        *start_ns.get().add(q) = ns_since(epoch, t);
-                    }
-                    let xl = unsafe { &mut *x_local.get().add(q) };
-                    for (slot, &g) in xl.iter_mut().zip(&pe[q].gather) {
-                        *slot = x[g];
-                    }
-                    unsafe {
-                        *elapsed.get().add(q) = t.elapsed().as_secs_f64();
-                    }
-                }
+        let data = &mut telem.data;
+        let post_ns = secs_to_ns(bill.post);
+        for (phase, ns) in [
+            (PhaseId::Assemble, secs_to_ns(bill.assemble)),
+            (PhaseId::Post, post_ns),
+            (
+                PhaseId::Compute,
+                secs_to_ns(bill.post + bill.compute) - post_ns,
+            ),
+            (PhaseId::Exchange, secs_to_ns(bill.exchange)),
+            (PhaseId::Fold, secs_to_ns(bill.fold)),
+        ] {
+            data.add_phase_wall(phase, ns);
+        }
+        for q in self.owned.clone() {
+            let clk = &self.clock[q];
+            let s = clk.secs(overlap);
+            let at = |t: Instant| ns_since(epoch, t);
+            let exchange_ns = secs_to_ns(s.exchange);
+            let wait_ns = secs_to_ns(clk.wait.clamp(0.0, s.exchange));
+            let gather_ns = self.node_view.as_ref().map_or(0, |nv| {
+                let intra_ns: u64 = self.inbound[q]
+                    .iter()
+                    .zip(&telem.msg_ns[q])
+                    .filter(|(m, _)| nv.node_of[m.neighbor] == nv.node_of[q])
+                    .map(|(_, &ns)| ns)
+                    .sum();
+                intra_ns.min(exchange_ns)
             });
-            t0.elapsed().as_secs_f64()
-        };
-        self.phases.assemble += wall;
-        for q in owned.clone() {
-            let dt = self.elapsed[q];
-            let c = &mut self.counters[q];
-            c.t_assemble += dt;
-            c.t_barrier += (wall - dt).max(0.0);
-        }
-        telem.record_phase(PhaseId::Assemble, step, &self.elapsed, wall, owned.clone());
-
-        // --- Overlapped compute+exchange: one broadcast, three passes,
-        // per-pass start offsets staged for manual span recording. ---
-        for (slot, buf) in ov.part_base.iter_mut().zip(self.partials.iter_mut()) {
-            *slot = SendPtr(buf.as_mut_ptr());
-        }
-        let wall = {
-            let pe = &self.pe;
-            let inbound = &self.inbound;
-            let outbound = &self.outbound;
-            let link = &self.link;
-            let owned = &owned;
-            let post_elapsed = SendPtr(ov.post_elapsed.as_mut_ptr());
-            let exch_elapsed = SendPtr(ov.exch_elapsed.as_mut_ptr());
-            let wait_elapsed = SendPtr(ov.wait_elapsed.as_mut_ptr());
-            let post_start = SendPtr(ov.post_start.as_mut_ptr());
-            let exch_start = SendPtr(ov.exch_start.as_mut_ptr());
-            let boundary = &ov.boundary_rows;
-            let part_base = &ov.part_base;
-            let elapsed = SendPtr(self.elapsed.as_mut_ptr());
-            let x_local = SendPtr(self.x_local.as_mut_ptr());
-            let exchanged = SendPtr(self.exchanged.as_mut_ptr());
-            let pack = SendPtr(self.pack.as_mut_ptr());
-            let stage = SendPtr(self.stage.as_mut_ptr());
-            let start_ns = SendPtr(telem.start_ns.as_mut_ptr());
-            let msg_ns = SendPtr(telem.msg_ns.as_mut_ptr());
-            let t0 = Instant::now();
-            self.pool.broadcast(&|w| {
-                // Pass A — compute and post the boundary rows.
-                for q in owned_chunk(owned, threads, w) {
-                    let t = Instant::now();
-                    // SAFETY: same disjointness argument as the untraced
-                    // overlap path; the timing scratch is per-PE too.
-                    unsafe {
-                        *post_start.get().add(q) = ns_since(epoch, t);
-                    }
-                    let xl = unsafe { &*x_local.get().add(q) };
-                    let nb = boundary[q];
-                    let out = unsafe { std::slice::from_raw_parts_mut(part_base[q].get(), nb) };
-                    pe[q].matrix().mult_range(xl, 0..nb, out);
-                    let buf = unsafe { &mut *pack.get().add(q) };
-                    for ob in &outbound[q] {
-                        let blk = &mut buf[..ob.send_idx.len()];
-                        for (slot, &l) in blk.iter_mut().zip(&ob.send_idx) {
-                            *slot = out[l];
-                        }
-                        link.post(step, q, ob.to, blk).expect("transport post");
-                    }
-                    unsafe {
-                        *post_elapsed.get().add(q) = t.elapsed().as_secs_f64();
-                    }
-                }
-                // Pass B — interior rows, overlapping the neighbors' posts.
-                for q in owned_chunk(owned, threads, w) {
-                    let t = Instant::now();
-                    unsafe {
-                        *start_ns.get().add(q) = ns_since(epoch, t);
-                    }
-                    let xl = unsafe { &*x_local.get().add(q) };
-                    let n = pe[q].matrix().block_rows();
-                    let nb = boundary[q];
-                    let out = unsafe {
-                        std::slice::from_raw_parts_mut(part_base[q].get().add(nb), n - nb)
-                    };
-                    pe[q].matrix().mult_range(xl, nb..n, out);
-                    unsafe {
-                        *elapsed.get().add(q) = t.elapsed().as_secs_f64();
-                    }
-                }
-                // Pass C — exchange as the posts land; per-message fetch
-                // latency (acquire wait included — that IS the latency the
-                // schedule is hiding) feeds the block histogram.
-                for q in owned_chunk(owned, threads, w) {
-                    let t = Instant::now();
-                    let mut waited = 0.0f64;
-                    unsafe {
-                        *exch_start.get().add(q) = ns_since(epoch, t);
-                    }
-                    let out = unsafe { &mut *exchanged.get().add(q) };
-                    let mine = unsafe {
-                        std::slice::from_raw_parts(part_base[q].get() as *const Vec3, out.len())
-                    };
-                    out.copy_from_slice(mine);
-                    let buf = unsafe { &mut *stage.get().add(q) };
-                    let lat = unsafe { &mut *msg_ns.get().add(q) };
-                    for (mi, msg) in inbound[q].iter().enumerate() {
-                        let tm = Instant::now();
-                        let block = &mut buf[..msg.pairs.len()];
-                        let info = link
-                            .acquire(step, msg.neighbor, q, block)
-                            .expect("transport acquire");
-                        waited += info.waited_s;
-                        for (&(m, _), v) in msg.pairs.iter().zip(block.iter()) {
-                            out[m] += *v;
-                        }
-                        lat[mi] = tm.elapsed().as_nanos() as u64;
-                    }
-                    unsafe {
-                        *exch_elapsed.get().add(q) = t.elapsed().as_secs_f64();
-                        *wait_elapsed.get().add(q) = waited;
-                    }
-                }
-            });
-            t0.elapsed().as_secs_f64()
-        };
-        let mut cmax = 0.0f64;
-        let mut post_max = 0.0f64;
-        let mut interior_max = 0.0f64;
-        for q in owned.clone() {
-            let c = &mut self.counters[q];
-            let post = ov.post_elapsed[q];
-            let interior = self.elapsed[q];
-            let exch = ov.exch_elapsed[q];
-            c.t_compute += post + interior;
-            c.t_exchange += exch;
-            c.t_barrier += (wall - (post + interior + exch)).max(0.0);
-            c.flops += self.pe[q].matrix().smvp_flops();
-            count_exchange(c, &self.inbound[q]);
-            cmax = cmax.max(post + interior);
-            post_max = post_max.max(post);
-            interior_max = interior_max.max(interior);
-        }
-        self.phases.compute += cmax;
-        self.phases.exchange += (wall - cmax).max(0.0);
-        telem
-            .data
-            .add_phase_wall(PhaseId::Post, secs_to_ns(post_max));
-        telem
-            .data
-            .add_phase_wall(PhaseId::Compute, secs_to_ns(interior_max));
-        telem
-            .data
-            .add_phase_wall(PhaseId::Exchange, secs_to_ns((wall - cmax).max(0.0)));
-        for q in owned.clone() {
-            let post = ov.post_elapsed[q];
-            let interior = self.elapsed[q];
-            let exch = ov.exch_elapsed[q];
-            for (phase, start, dur) in [
-                (PhaseId::Post, ov.post_start[q], post),
-                (PhaseId::Compute, telem.start_ns[q], interior),
-                (PhaseId::Exchange, ov.exch_start[q], exch),
+            let compute_at = if overlap { clk.interior } else { clk.compute };
+            for (phase, start_ns, dur_ns) in [
+                (PhaseId::Assemble, at(clk.gather), secs_to_ns(s.assemble)),
+                (PhaseId::Post, at(clk.compute), secs_to_ns(s.post)),
+                (PhaseId::Compute, at(compute_at), secs_to_ns(s.compute)),
+                (PhaseId::Exchange, at(clk.exchange), exchange_ns),
+                (PhaseId::Fold, at(clk.fold), secs_to_ns(s.fold)),
+                // Nested or trailing spans, recorded only when nonzero and
+                // added to their own phase walls.
+                (
+                    PhaseId::Wait,
+                    at(clk.exchange) + exchange_ns - wait_ns,
+                    wait_ns,
+                ),
+                (
+                    PhaseId::Barrier,
+                    at(clk.done),
+                    secs_to_ns((wall - s.busy()).max(0.0)),
+                ),
+                (PhaseId::Gather, at(clk.exchange), gather_ns),
             ] {
-                telem.data.span(Span {
+                match phase {
+                    PhaseId::Post if !overlap => continue,
+                    PhaseId::Wait | PhaseId::Barrier | PhaseId::Gather => {
+                        if dur_ns == 0 {
+                            continue;
+                        }
+                        data.add_phase_wall(phase, dur_ns);
+                    }
+                    _ => {}
+                }
+                data.span(Span {
                     phase,
                     pe: q as u32,
                     step,
-                    start_ns: start,
-                    dur_ns: secs_to_ns(dur),
+                    start_ns,
+                    dur_ns,
                 });
             }
-            // Transport wait, nested at the tail of the exchange span: the
-            // acquire pass accumulates blocked time waiting on senders.
-            let waited = ov.wait_elapsed[q].clamp(0.0, exch);
-            if waited > 0.0 {
-                let waited_ns = secs_to_ns(waited);
-                telem.data.add_phase_wall(PhaseId::Wait, waited_ns);
-                telem.data.span(Span {
-                    phase: PhaseId::Wait,
-                    pe: q as u32,
-                    step,
-                    start_ns: ov.exch_start[q] + secs_to_ns(exch) - waited_ns,
-                    dur_ns: waited_ns,
-                });
+            data.compute_ns.record(secs_to_ns(s.post + s.compute));
+            for (msg, &ns) in self.inbound[q].iter().zip(&telem.msg_ns[q]) {
+                data.block_latency_ns.record(ns);
+                data.block_words.record(3 * msg.pairs.len() as u64);
             }
-            let wait = (wall - (post + interior + exch)).max(0.0);
-            if wait > 0.0 {
-                let wait_ns = secs_to_ns(wait);
-                telem.data.add_phase_wall(PhaseId::Barrier, wait_ns);
-                telem.data.span(Span {
-                    phase: PhaseId::Barrier,
-                    pe: q as u32,
-                    step,
-                    start_ns: ov.exch_start[q] + secs_to_ns(exch),
-                    dur_ns: wait_ns,
-                });
-            }
-            telem.data.compute_ns.record(secs_to_ns(post + interior));
+            self.wait_scratch[q] = (s.exchange - clk.wait).max(0.0);
         }
-        for q in owned.clone() {
-            for (mi, msg) in self.inbound[q].iter().enumerate() {
-                telem.data.block_latency_ns.record(telem.msg_ns[q][mi]);
-                telem.data.block_words.record(3 * msg.pairs.len() as u64);
+        if let Some(nv) = &self.node_view {
+            for &w in &nv.pair_words {
+                data.node_block_words.record(w);
             }
         }
-        self.record_node_exchange(&mut telem, step, Some(&ov.exch_start), &ov.exch_elapsed);
-        for q in owned.clone() {
-            ov.drift_scratch[q] = (ov.exch_elapsed[q] - ov.wait_elapsed[q]).max(0.0);
-        }
-        let flagged = telem
-            .data
+        let flagged = data
             .drift
             .as_mut()
-            .and_then(|m| m.observe(step, &ov.drift_scratch[owned.clone()]));
+            .and_then(|m| m.observe(step, &self.wait_scratch[self.owned.clone()]));
         if flagged.is_some() {
-            telem.data.instant(TraceInstant {
+            data.instant(TraceInstant {
                 name: "drift:flagged",
-                pe: p as u32,
+                pe: self.pe.len() as u32,
                 step,
                 at_ns: ns_since(epoch, Instant::now()),
             });
         }
-        self.overlap = Some(ov);
-        self.link.barrier(step).expect("transport barrier");
-
-        // --- Fold phase: replicated results → global vector (driver). ---
-        let t0 = Instant::now();
-        self.fold_serial(y);
-        let fold_dt = t0.elapsed().as_secs_f64();
-        self.phases.fold += fold_dt;
-        telem.data.span(Span {
-            phase: PhaseId::Fold,
-            pe: p as u32,
-            step,
-            start_ns: ns_since(epoch, t0),
-            dur_ns: secs_to_ns(fold_dt),
-        });
-        telem
-            .data
-            .add_phase_wall(PhaseId::Fold, secs_to_ns(fold_dt));
-        telem.data.steps += 1;
-
-        self.steps += 1;
-        self.telemetry = Some(telem);
     }
 
-    /// The chaos-armed variant of [`BspExecutor::step_into`]: checkpoints on
+    /// The chaos driver around [`BspExecutor::run_step`]: checkpoints on
     /// schedule, executes the logical step, and on a crashed attempt
     /// (Restart policy) respawns the dead workers, restores the last
     /// checkpoint, and replays forward until the target step completes.
-    fn chaos_step_into(&mut self, x: &[Vec3], y: &mut [Vec3]) {
+    fn chaos_step(&mut self, x: &[Vec3], y: &mut [Vec3], fault: Box<FaultState>) {
+        let mut chaos = Chaos::new(fault, self.telemetry.take());
         let target = self.steps;
-        {
-            let fault = self
-                .fault
-                .as_deref_mut()
-                .expect("chaos step requires armed faults");
-            if target.is_multiple_of(fault.checkpoint_every) {
-                fault.checkpoint = Checkpoint {
-                    step: target,
-                    counters: self.counters.clone(),
-                    phases: self.phases,
-                };
-                fault.report.checkpoints += 1;
-            }
+        if target.is_multiple_of(chaos.fault.checkpoint_every) {
+            chaos.fault.checkpoint = Checkpoint {
+                step: target,
+                counters: self.counters.clone(),
+                phases: self.phases,
+            };
+            chaos.fault.report.checkpoints += 1;
         }
         // Replay cursor: normally just `target`; after a restore it walks
         // back up from the checkpoint. Each replayed step re-runs clean
         // (its events are already consumed), so the loop always converges.
         let mut s = target;
         loop {
-            match self.chaos_execute_step(x, y, s) {
-                Ok(()) => {
-                    if s == target {
-                        break;
-                    }
-                    s += 1;
-                }
+            match self.run_step(x, y, s, &mut chaos) {
+                Ok(()) if s == target => break,
+                Ok(()) => s += 1,
                 Err(panicked) => {
                     let t_rec = Instant::now();
                     for &w in &panicked {
                         self.pool.respawn(w);
                     }
-                    let fault = self
-                        .fault
-                        .as_deref_mut()
-                        .expect("chaos step requires armed faults");
+                    let fault = &mut *chaos.fault;
                     fault.report.respawned_workers += panicked.len() as u64;
                     fault.report.restores += 1;
                     fault.report.recovered.crash += fault.pending_crashes;
@@ -2112,7 +1371,7 @@ impl BspExecutor {
                     self.counters = fault.checkpoint.counters.clone();
                     self.phases = fault.checkpoint.phases;
                     s = fault.checkpoint.step;
-                    if let Some(t) = self.telemetry.as_deref_mut() {
+                    if let Some(t) = chaos.trace.as_mut().map(|t| &mut t.telem) {
                         let driver = self.pe.len() as u32;
                         let start = ns_since(t.epoch, t_rec);
                         let dur = secs_to_ns(t_rec.elapsed().as_secs_f64());
@@ -2135,509 +1394,11 @@ impl BspExecutor {
             }
         }
         // One logical step regardless of how many attempts it took.
-        self.steps += 1;
-        if let Some(t) = self.telemetry.as_deref_mut() {
-            t.data.steps += 1;
-        }
-    }
-
-    /// Executes one step with fault events live. Returns `Err(panicked
-    /// worker indices)` only under [`RecoveryPolicy::Restart`] when a crash
-    /// event fired; every other fault (and every crash under `Degrade`) is
-    /// healed in here and the step completes with output bitwise-equal to
-    /// the fault-free path.
-    fn chaos_execute_step(
-        &mut self,
-        x: &[Vec3],
-        y: &mut [Vec3],
-        step: u64,
-    ) -> Result<(), Vec<usize>> {
-        let p = self.pe.len();
-        let threads = self.pool.threads();
-        let owned = self.owned.clone();
-        // Taken out of `self` so telemetry recording can run while `fault`
-        // borrows its own field; restored on every exit path.
-        let mut telem = self.telemetry.take();
-        let fault = self
-            .fault
-            .as_deref_mut()
-            .expect("chaos step requires armed faults");
-
-        // --- Assemble phase: identical to the clean path (no fault kind
-        // targets it). ---
-        let (wall, t0) = {
-            let pe = &self.pe;
-            let owned = &owned;
-            let elapsed = SendPtr(self.elapsed.as_mut_ptr());
-            let x_local = SendPtr(self.x_local.as_mut_ptr());
-            let t0 = Instant::now();
-            self.pool.broadcast(&|w| {
-                for q in owned_chunk(owned, threads, w) {
-                    let t = Instant::now();
-                    // SAFETY: each PE q belongs to exactly one worker's
-                    // chunk, so these per-q accesses are disjoint.
-                    let xl = unsafe { &mut *x_local.get().add(q) };
-                    for (slot, &g) in xl.iter_mut().zip(&pe[q].gather) {
-                        *slot = x[g];
-                    }
-                    unsafe {
-                        *elapsed.get().add(q) = t.elapsed().as_secs_f64();
-                    }
-                }
-            });
-            (t0.elapsed().as_secs_f64(), t0)
-        };
-        self.phases.assemble += wall;
-        for q in owned.clone() {
-            let dt = self.elapsed[q];
-            let c = &mut self.counters[q];
-            c.t_assemble += dt;
-            c.t_barrier += (wall - dt).max(0.0);
-        }
-        if let Some(t) = telem.as_deref_mut() {
-            // Chaos-path spans share the phase start (per-PE starts would
-            // need scratch in every closure; the phase-aligned view is what
-            // the trace needs to show recovery structure).
-            t.start_ns.fill(ns_since(t.epoch, t0));
-            t.record_phase(PhaseId::Assemble, step, &self.elapsed, wall, owned.clone());
-        }
-
-        // --- Compute phase: local SMVP, with Crash and Straggle events
-        // live. Crash is checked first so a consumed straggle always has a
-        // written elapsed slot behind it. ---
-        let mut restart_failed: Option<Vec<usize>> = None;
-        let (wall, t0, degraded) = {
-            let pe = &self.pe;
-            let elapsed = SendPtr(self.elapsed.as_mut_ptr());
-            let x_local = SendPtr(self.x_local.as_mut_ptr());
-            let partials = SendPtr(self.partials.as_mut_ptr());
-            let acc = SendPtr(self.acc.as_mut_ptr());
-            let plan = &fault.plan;
-            let fired = &fault.fired;
-            let scratch = SendPtr(fault.scratch.as_mut_ptr());
-            let owned_c = owned.clone();
-            let compute = move |w: usize| {
-                for q in owned_chunk(&owned_c, threads, w) {
-                    let t = Instant::now();
-                    // SAFETY: per-q accesses are disjoint (one worker per
-                    // PE); the scratch slot likewise.
-                    let sc = unsafe { &mut *scratch.get().add(q) };
-                    for e in plan.at(step, q) {
-                        if let FaultKind::Crash = plan.events()[e].kind {
-                            if !fired[e].swap(true, Ordering::Relaxed) {
-                                sc.crashes += 1;
-                                panic!("injected fault: PE {q} crash at step {step}");
-                            }
-                        }
-                    }
-                    for e in plan.at(step, q) {
-                        if let FaultKind::Straggle { delay_us } = plan.events()[e].kind {
-                            if !fired[e].swap(true, Ordering::Relaxed) {
-                                let delay = Duration::from_micros(u64::from(delay_us));
-                                sc.straggles += 1;
-                                sc.straggle_delay_s += delay.as_secs_f64();
-                                std::thread::sleep(delay);
-                            }
-                        }
-                    }
-                    let xl = unsafe { &*x_local.get().add(q) };
-                    let part = unsafe { &mut *partials.get().add(q) };
-                    let acc = unsafe { &mut *acc.get().add(q) };
-                    pe[q].matrix().mult_full(xl, acc, part);
-                    unsafe {
-                        *elapsed.get().add(q) = t.elapsed().as_secs_f64();
-                    }
-                }
-            };
-            let t0 = Instant::now();
-            let mut degraded = 0u64;
-            if let Err(failure) = self.pool.try_broadcast(&compute) {
-                match fault.policy {
-                    RecoveryPolicy::FailFast => failure.resume(),
-                    RecoveryPolicy::Degrade => {
-                        // Re-execute each dead shard inline on this thread.
-                        // spmv fully overwrites its output, so the re-run is
-                        // bitwise-identical to what the worker would have
-                        // produced; remaining one-shot events may fire (and
-                        // panic) again, hence the loop.
-                        for &w in &failure.panicked {
-                            // Each attempt overwrites the chunk's phase
-                            // clocks, and a straggle's sleep only shows in
-                            // the attempt where it fired (events are
-                            // one-shot). Track the per-PE max across
-                            // attempts so the observational evidence of a
-                            // straggle survives the clean re-run.
-                            let chunk = owned_chunk(&owned, threads, w);
-                            let mut best: Vec<f64> =
-                                chunk.clone().map(|q| self.elapsed[q]).collect();
-                            loop {
-                                degraded += 1;
-                                let done = catch_unwind(AssertUnwindSafe(|| compute(w))).is_ok();
-                                for (slot, q) in best.iter_mut().zip(chunk.clone()) {
-                                    *slot = slot.max(self.elapsed[q]);
-                                }
-                                if done {
-                                    break;
-                                }
-                            }
-                            for (&b, q) in best.iter().zip(chunk) {
-                                // Restore only where a straggle fired: that
-                                // PE really did spend the slept time.
-                                if fault.scratch[q].straggle_delay_s > 0.0 {
-                                    self.elapsed[q] = self.elapsed[q].max(b);
-                                }
-                            }
-                        }
-                    }
-                    RecoveryPolicy::Restart => restart_failed = Some(failure.panicked),
-                }
-            }
-            (t0.elapsed().as_secs_f64(), t0, degraded)
-        };
-        fault.report.degraded_shards += degraded;
-        let mut crashes = 0u64;
-        for (q, slot) in fault.scratch.iter_mut().enumerate() {
-            let sc = std::mem::take(slot);
-            if sc.straggles > 0 {
-                fault.report.injected.straggle += sc.straggles;
-                // Detection is observational: the phase clock for this PE
-                // must actually show the injected delay.
-                if self.elapsed[q] >= sc.straggle_delay_s * 0.999 {
-                    fault.report.detected.straggle += sc.straggles;
-                    // The barrier absorbs the delay; nothing else to heal.
-                    fault.report.recovered.straggle += sc.straggles;
-                }
-            }
-            crashes += sc.crashes;
-            if let Some(t) = telem.as_deref_mut() {
-                let at_ns = ns_since(t.epoch, Instant::now());
-                for _ in 0..sc.straggles {
-                    t.data.instant(TraceInstant {
-                        name: "fault:straggle",
-                        pe: q as u32,
-                        step,
-                        at_ns,
-                    });
-                }
-                for _ in 0..sc.crashes {
-                    t.data.instant(TraceInstant {
-                        name: "fault:crash",
-                        pe: q as u32,
-                        step,
-                        at_ns,
-                    });
-                }
-            }
-        }
-        if crashes > 0 {
-            fault.report.injected.crash += crashes;
-            // Detection = the supervisor caught the panic.
-            fault.report.detected.crash += crashes;
-            match fault.policy {
-                RecoveryPolicy::Degrade => fault.report.recovered.crash += crashes,
-                // Credited as recovered once the restart actually restores.
-                RecoveryPolicy::Restart => fault.pending_crashes += crashes,
-                RecoveryPolicy::FailFast => {}
-            }
-        }
-        if let Some(panicked) = restart_failed {
-            self.telemetry = telem;
-            return Err(panicked);
-        }
-        self.phases.compute += wall;
-        for q in owned.clone() {
-            let dt = self.elapsed[q];
-            let c = &mut self.counters[q];
-            c.t_compute += dt;
-            c.t_barrier += (wall - dt).max(0.0);
-            c.flops += self.pe[q].matrix().smvp_flops();
-        }
-        if let Some(t) = telem.as_deref_mut() {
-            t.start_ns.fill(ns_since(t.epoch, t0));
-            t.record_phase(PhaseId::Compute, step, &self.elapsed, wall, owned.clone());
-            for q in owned.clone() {
-                t.data.compute_ns.record(secs_to_ns(self.elapsed[q]));
-            }
-        }
-
-        // --- Exchange phase: outbound blocks are posted through the
-        // transport, and every inbound block is fetched through the staging
-        // buffer with Drop and Corrupt events live. The transport carries
-        // the sender-side checksum; the receiver re-verifies after the wire
-        // (where corruption is injected) and re-fetches on mismatch. ---
-        let msg_lat = telem.as_deref_mut().map(|t| SendPtr(t.msg_ns.as_mut_ptr()));
-        let (wall, t0) = {
-            let inbound = &self.inbound;
-            let outbound = &self.outbound;
-            let link = Arc::clone(&self.link);
-            let owned_c = owned.clone();
-            let elapsed = SendPtr(self.elapsed.as_mut_ptr());
-            let partials = SendPtr(self.partials.as_mut_ptr());
-            let exchanged = SendPtr(self.exchanged.as_mut_ptr());
-            let plan = &fault.plan;
-            let fired = &fault.fired;
-            let scratch = SendPtr(fault.scratch.as_mut_ptr());
-            let pack = SendPtr(self.pack.as_mut_ptr());
-            let stage = SendPtr(self.stage.as_mut_ptr());
-            let wait = SendPtr(self.wait_scratch.as_mut_ptr());
-            let t0 = Instant::now();
-            self.pool.broadcast(&move |w| {
-                // Post pass — publishing is not a fault target: drops and
-                // corruption are injected on the *receive* side of the
-                // modeled wire, so the posted blocks are always clean.
-                for q in owned_chunk(&owned_c, threads, w) {
-                    // SAFETY: pack[q]/partials[q] belong to this worker
-                    // alone (one worker per PE).
-                    let mine = unsafe { &*(partials.get().add(q) as *const Vec<Vec3>) };
-                    let buf = unsafe { &mut *pack.get().add(q) };
-                    for ob in &outbound[q] {
-                        let blk = &mut buf[..ob.send_idx.len()];
-                        for (slot, &l) in blk.iter_mut().zip(&ob.send_idx) {
-                            *slot = mine[l];
-                        }
-                        link.post(step, q, ob.to, blk).expect("transport post");
-                    }
-                }
-                for q in owned_chunk(&owned_c, threads, w) {
-                    let t = Instant::now();
-                    // SAFETY: only exchanged[q], scratch[q], stage[q] (and,
-                    // when telemetry is armed, this PE's latency scratch)
-                    // are written (one worker per PE).
-                    let out = unsafe { &mut *exchanged.get().add(q) };
-                    let mine = unsafe { &*(partials.get().add(q) as *const Vec<Vec3>) };
-                    out.copy_from_slice(mine);
-                    let sc = unsafe { &mut *scratch.get().add(q) };
-                    let buf = unsafe { &mut *stage.get().add(q) };
-                    let mut waited = 0.0f64;
-                    let n_msgs = inbound[q].len();
-                    for (mi, msg) in inbound[q].iter().enumerate() {
-                        let tm = Instant::now();
-                        let block = &mut buf[..msg.pairs.len()];
-                        let mut attempt: u32 = 0;
-                        // Deterministic decorrelated jitter for re-fetch
-                        // retries, seeded per (step, PE, message) so a
-                        // replayed step sleeps the identical schedule.
-                        let mut retry = RetryBackoff::new(mix64(
-                            step ^ ((q as u64) << 40) ^ ((mi as u64) << 20),
-                        ));
-                        loop {
-                            attempt += 1;
-                            assert!(
-                                attempt <= MAX_FETCH_ATTEMPTS,
-                                "PE {q} message {mi}: fetch failed after \
-                                 {MAX_FETCH_ATTEMPTS} attempts"
-                            );
-                            // The network eats this attempt if an unfired
-                            // Drop event charged to message `mi` exists (the
-                            // j-th Drop on PE q targets message j mod n).
-                            let mut dropped = false;
-                            let mut dcount = 0usize;
-                            for e in plan.at(step, q) {
-                                if let FaultKind::Drop = plan.events()[e].kind {
-                                    let victim = dcount % n_msgs;
-                                    dcount += 1;
-                                    if victim == mi && !fired[e].swap(true, Ordering::Relaxed) {
-                                        dropped = true;
-                                        break;
-                                    }
-                                }
-                            }
-                            if dropped {
-                                sc.drops += 1;
-                                // Detection: the fetch visibly failed.
-                                sc.drops_detected += 1;
-                                sc.retries += 1;
-                                // Bounded decorrelated-jitter backoff
-                                // before retry.
-                                let backoff = retry.next_delay();
-                                sc.backoff_ns += backoff.as_nanos() as u64;
-                                std::thread::sleep(backoff);
-                                continue;
-                            }
-                            // Fetch: stage the block through the transport,
-                            // which carries the sender-side checksum (a
-                            // re-fetch acquires the same posted step again).
-                            let ts = Instant::now();
-                            let info = link
-                                .acquire(step, msg.neighbor, q, block)
-                                .expect("transport acquire");
-                            waited += info.waited_s;
-                            let sent = info.checksum;
-                            sc.stage_ns += ts.elapsed().as_nanos() as u64;
-                            // In-flight corruption: flip one bit of one
-                            // staged ghost word, chosen by the event's salt.
-                            for e in plan.at(step, q) {
-                                if let FaultKind::Corrupt { salt } = plan.events()[e].kind {
-                                    if (salt as usize) % n_msgs == mi
-                                        && !fired[e].swap(true, Ordering::Relaxed)
-                                    {
-                                        let words = 3 * msg.pairs.len();
-                                        let wi = ((salt >> 8) as usize) % words;
-                                        let bit = ((salt >> 32) % 64) as u32;
-                                        let v = &mut block[wi / 3];
-                                        let c = match wi % 3 {
-                                            0 => &mut v.x,
-                                            1 => &mut v.y,
-                                            _ => &mut v.z,
-                                        };
-                                        *c = f64::from_bits(c.to_bits() ^ (1u64 << bit));
-                                        sc.corrupts += 1;
-                                        break;
-                                    }
-                                }
-                            }
-                            // Receiver-side verification; a mismatch forces
-                            // a clean re-fetch of the whole block.
-                            let tv = Instant::now();
-                            let verified = link.verify(block, sent);
-                            sc.verify_ns += tv.elapsed().as_nanos() as u64;
-                            if !verified {
-                                sc.corrupts_detected += 1;
-                                sc.refetches += 1;
-                                continue;
-                            }
-                            break;
-                        }
-                        // Apply the verified block in clean-path pair order,
-                        // so the sums are bitwise-identical to fault-free.
-                        for (&(m, _), v) in msg.pairs.iter().zip(block.iter()) {
-                            out[m] += *v;
-                        }
-                        if let Some(lp) = msg_lat {
-                            // SAFETY: latency slot [q][mi] is only touched
-                            // by this PE's worker this phase.
-                            unsafe {
-                                let lat = &mut *lp.get().add(q);
-                                lat[mi] = tm.elapsed().as_nanos() as u64;
-                            }
-                        }
-                    }
-                    unsafe {
-                        *elapsed.get().add(q) = t.elapsed().as_secs_f64();
-                        *wait.get().add(q) = waited;
-                    }
-                }
-            });
-            (t0.elapsed().as_secs_f64(), t0)
-        };
-        self.phases.exchange += wall;
-        for q in owned.clone() {
-            let dt = self.elapsed[q];
-            let c = &mut self.counters[q];
-            c.t_exchange += dt;
-            c.t_barrier += (wall - dt).max(0.0);
-            count_exchange(c, &self.inbound[q]);
-        }
-        if let Some(t) = telem.as_deref_mut() {
-            t.start_ns.fill(ns_since(t.epoch, t0));
-            t.record_phase(PhaseId::Exchange, step, &self.elapsed, wall, owned.clone());
-            for q in owned.clone() {
-                for (mi, msg) in self.inbound[q].iter().enumerate() {
-                    t.data.block_latency_ns.record(t.msg_ns[q][mi]);
-                    t.data.block_words.record(3 * msg.pairs.len() as u64);
-                }
-            }
-        }
-        for (q, slot) in fault.scratch.iter_mut().enumerate() {
-            let sc = std::mem::take(slot);
-            fault.report.injected.drop += sc.drops;
-            fault.report.detected.drop += sc.drops_detected;
-            // The step completed, so every detected drop/corruption was
-            // healed by its retry/re-fetch.
-            fault.report.recovered.drop += sc.drops_detected;
-            fault.report.retries += sc.retries;
-            fault.report.injected.corrupt += sc.corrupts;
-            fault.report.detected.corrupt += sc.corrupts_detected;
-            fault.report.recovered.corrupt += sc.corrupts_detected;
-            fault.report.refetches += sc.refetches;
-            if let Some(t) = telem.as_deref_mut() {
-                let phase_start = ns_since(t.epoch, t0);
-                // Aggregate staging/verification work as spans nested inside
-                // this PE's exchange span.
-                if sc.stage_ns > 0 {
-                    t.data.add_phase_wall(PhaseId::Stage, sc.stage_ns);
-                    t.data.span(Span {
-                        phase: PhaseId::Stage,
-                        pe: q as u32,
-                        step,
-                        start_ns: phase_start,
-                        dur_ns: sc.stage_ns,
-                    });
-                }
-                if sc.verify_ns > 0 {
-                    t.data.add_phase_wall(PhaseId::Verify, sc.verify_ns);
-                    t.data.span(Span {
-                        phase: PhaseId::Verify,
-                        pe: q as u32,
-                        step,
-                        start_ns: phase_start + sc.stage_ns,
-                        dur_ns: sc.verify_ns,
-                    });
-                }
-                // Only the total backoff survives the hot path; record the
-                // mean once per retry.
-                if let Some(mean_ns) = sc.backoff_ns.checked_div(sc.retries) {
-                    t.data.retry_ns.record_n(mean_ns, sc.retries);
-                }
-                let at_ns = ns_since(t.epoch, Instant::now());
-                for _ in 0..sc.drops {
-                    t.data.instant(TraceInstant {
-                        name: "fault:drop",
-                        pe: q as u32,
-                        step,
-                        at_ns,
-                    });
-                }
-                for _ in 0..sc.corrupts {
-                    t.data.instant(TraceInstant {
-                        name: "fault:corrupt",
-                        pe: q as u32,
-                        step,
-                        at_ns,
-                    });
-                }
-            }
-        }
-        if let Some(t) = telem.as_deref_mut() {
-            self.record_node_exchange(t, step, None, &self.elapsed);
-            // Same convention as the clean traced paths: drift sees the
-            // exchange work net of transport waits.
-            for q in owned.clone() {
-                self.wait_scratch[q] = (self.elapsed[q] - self.wait_scratch[q]).max(0.0);
-            }
-            let flagged = t
-                .data
-                .drift
-                .as_mut()
-                .and_then(|m| m.observe(step, &self.wait_scratch[owned.clone()]));
-            if flagged.is_some() {
-                t.data.instant(TraceInstant {
-                    name: "drift:flagged",
-                    pe: p as u32,
-                    step,
-                    at_ns: ns_since(t.epoch, Instant::now()),
-                });
-            }
-        }
-        self.link.barrier(step).expect("transport barrier");
-
-        // --- Fold phase: identical to the clean path. ---
-        let t0 = Instant::now();
-        self.fold_serial(y);
-        let fold_dt = t0.elapsed().as_secs_f64();
-        self.phases.fold += fold_dt;
-        if let Some(t) = telem.as_deref_mut() {
-            t.data.span(Span {
-                phase: PhaseId::Fold,
-                pe: p as u32,
-                step,
-                start_ns: ns_since(t.epoch, t0),
-                dur_ns: secs_to_ns(fold_dt),
-            });
-            t.data.add_phase_wall(PhaseId::Fold, secs_to_ns(fold_dt));
-        }
-        self.telemetry = telem;
-        Ok(())
+        self.fault = Some(chaos.fault);
+        self.telemetry = chaos.trace.map(|mut t| {
+            t.telem.data.steps += 1;
+            t.telem
+        });
     }
 
     /// Executes one bulk-synchronous SMVP `y = Kx`, allocating the result.
@@ -2670,6 +1431,620 @@ impl BspExecutor {
             pe: self.counters.clone(),
             phases: self.phases,
             fault: self.fault.as_ref().map(|f| f.report),
+        }
+    }
+}
+
+/// One PE's stage stamps for the current step, each boundary taken once.
+/// Stamps of a stage the schedule skips keep their build-time value, so
+/// that stage measures zero.
+#[derive(Clone, Copy)]
+struct StageClock {
+    gather: Instant,
+    compute: Instant,
+    computed: Instant,
+    post: Instant,
+    posted: Instant,
+    interior: Instant,
+    interior_done: Instant,
+    exchange: Instant,
+    fold: Instant,
+    done: Instant,
+    /// Seconds of the exchange spent blocked in transport waits.
+    wait: f64,
+}
+
+/// Seconds billed to one PE (or summed over a worker's PEs) for a step.
+#[derive(Debug, Clone, Copy, Default)]
+struct PeSecs {
+    assemble: f64,
+    /// Boundary compute plus posting, under overlap only.
+    post: f64,
+    compute: f64,
+    exchange: f64,
+    fold: f64,
+}
+
+impl PeSecs {
+    fn busy(&self) -> f64 {
+        self.assemble + self.post + self.compute + self.exchange + self.fold
+    }
+}
+
+impl StageClock {
+    fn new(t: Instant) -> Self {
+        StageClock {
+            gather: t,
+            compute: t,
+            computed: t,
+            post: t,
+            posted: t,
+            interior: t,
+            interior_done: t,
+            exchange: t,
+            fold: t,
+            done: t,
+            wait: 0.0,
+        }
+    }
+
+    /// The stamps as billed seconds. Under overlap the boundary compute
+    /// plus posting is `post` and the interior is `compute`; under the
+    /// barrier schedule posting is exchange, as the profiler expects.
+    fn secs(&self, overlap: bool) -> PeSecs {
+        let d = |a: Instant, b: Instant| (b - a).as_secs_f64();
+        let head = d(self.compute, self.computed);
+        let posting = d(self.post, self.posted);
+        let exchange = d(self.exchange, self.fold);
+        let (post, compute, exchange) = if overlap {
+            (
+                head + posting,
+                d(self.interior, self.interior_done),
+                exchange,
+            )
+        } else {
+            (0.0, head, posting + exchange)
+        };
+        PeSecs {
+            assemble: d(self.gather, self.compute),
+            post,
+            compute,
+            exchange,
+            fold: d(self.fold, self.done),
+        }
+    }
+}
+
+/// What varies between a clean, a traced and a chaos step; the step body
+/// itself is [`BspExecutor::run_step`]. `before_compute` and `fetch` run on
+/// the thread running a PE's stages (its pool worker, or the caller when
+/// Degrade re-runs a dead worker's chunk); the rest run on the caller.
+trait StepHooks: Sync {
+    /// Run stages 1 and 2 without posting in one supervised dispatch, then
+    /// post, acquire, apply and fold in a second (see the module docs).
+    const SPLIT: bool = false;
+
+    /// Runs before PE `q`'s compute, inside its compute stamp.
+    ///
+    /// # Safety
+    ///
+    /// Only the thread running PE `q`'s stages may call this, and no other
+    /// thread may touch PE `q`'s state meanwhile.
+    #[inline]
+    unsafe fn before_compute(&self, _step: u64, _q: usize) {}
+
+    /// Fetches PE `q`'s `mi`-th inbound block (of `inbound`) into `block`;
+    /// returns the seconds spent blocked in transport waits.
+    ///
+    /// # Safety
+    ///
+    /// As for [`StepHooks::before_compute`].
+    #[inline]
+    unsafe fn fetch(
+        &self,
+        link: &dyn Transport,
+        step: u64,
+        q: usize,
+        inbound: &[Inbound],
+        mi: usize,
+        block: &mut [Vec3],
+    ) -> f64 {
+        link.acquire(step, inbound[mi].neighbor, q, block)
+            .expect("transport acquire")
+            .waited_s
+    }
+
+    /// How a panicked compute dispatch is healed (split hooks only).
+    fn policy(&self) -> RecoveryPolicy {
+        RecoveryPolicy::FailFast
+    }
+
+    /// After the dispatches, before billing; `degraded` counts the inline
+    /// re-runs Degrade made.
+    #[inline]
+    fn after_dispatch(&mut self, _exec: &BspExecutor, _step: u64, _degraded: u64) {}
+
+    /// After the step was billed; `bill` is its phase walls.
+    #[inline]
+    fn after_step(&mut self, _exec: &mut BspExecutor, _step: u64, _wall: f64, _bill: &PeSecs) {}
+}
+
+/// The clean step: no hooks, compiled away.
+struct Clean;
+
+impl StepHooks for Clean {}
+
+/// Telemetry hooks: time every fetch, then record the billed step.
+struct Traced {
+    telem: Box<TelemetryState>,
+    /// `telem.msg_ns`, row q written only by the worker that owns PE q.
+    lat: SendPtr<Vec<u64>>,
+}
+
+impl Traced {
+    fn new(mut telem: Box<TelemetryState>) -> Self {
+        let lat = SendPtr(telem.msg_ns.as_mut_ptr());
+        Traced { telem, lat }
+    }
+
+    /// Runs `fetch` and records its latency as PE `q`'s `mi`-th message.
+    ///
+    /// # Safety
+    ///
+    /// As for [`StepHooks::before_compute`].
+    unsafe fn timed(&self, q: usize, mi: usize, fetch: impl FnOnce() -> f64) -> f64 {
+        let t = Instant::now();
+        let waited = fetch();
+        // SAFETY: row q is written only by the thread running PE q.
+        let row = unsafe { &mut *self.lat.get().add(q) };
+        row[mi] = t.elapsed().as_nanos() as u64;
+        waited
+    }
+}
+
+impl StepHooks for Traced {
+    unsafe fn fetch(
+        &self,
+        link: &dyn Transport,
+        step: u64,
+        q: usize,
+        inbound: &[Inbound],
+        mi: usize,
+        block: &mut [Vec3],
+    ) -> f64 {
+        // SAFETY: the caller runs q's stages.
+        unsafe { self.timed(q, mi, || Clean.fetch(link, step, q, inbound, mi, block)) }
+    }
+
+    fn after_step(&mut self, exec: &mut BspExecutor, step: u64, wall: f64, bill: &PeSecs) {
+        exec.record_trace(&mut self.telem, step, wall, bill);
+    }
+}
+
+/// Chaos hooks: straggle and crash events fire before a PE's compute, drop
+/// and corrupt events inside its fetches. The per-PE ledger scratch and the
+/// optional telemetry are drained on the caller after the dispatches.
+struct Chaos {
+    fault: Box<FaultState>,
+    trace: Option<Traced>,
+    /// `fault.scratch`, slot q written only by the worker that owns PE q.
+    scratch: SendPtr<PeFaultScratch>,
+}
+
+impl Chaos {
+    fn new(mut fault: Box<FaultState>, telem: Option<Box<TelemetryState>>) -> Self {
+        let scratch = SendPtr(fault.scratch.as_mut_ptr());
+        Chaos {
+            fault,
+            trace: telem.map(Traced::new),
+            scratch,
+        }
+    }
+
+    /// PE `q`'s ledger slot.
+    ///
+    /// # Safety
+    ///
+    /// As for [`StepHooks::before_compute`].
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn slot(&self, q: usize) -> &mut PeFaultScratch {
+        // SAFETY: slot q is touched only by the thread running PE q.
+        unsafe { &mut *self.scratch.get().add(q) }
+    }
+
+    /// The drop, backoff, corrupt, verify and refetch loop around
+    /// `Transport::acquire`; returns the seconds blocked in its waits.
+    ///
+    /// # Safety
+    ///
+    /// As for [`StepHooks::before_compute`].
+    unsafe fn fetch_verified(
+        &self,
+        link: &dyn Transport,
+        step: u64,
+        q: usize,
+        inbound: &[Inbound],
+        mi: usize,
+        block: &mut [Vec3],
+    ) -> f64 {
+        let (plan, fired) = (&self.fault.plan, &self.fault.fired);
+        // SAFETY: the caller runs q's stages.
+        let sc = unsafe { self.slot(q) };
+        let (msg, n_msgs) = (&inbound[mi], inbound.len());
+        let mut waited = 0.0;
+        // Deterministic decorrelated jitter for re-fetch retries, seeded per
+        // (step, PE, message) so a replayed step sleeps the same schedule.
+        let mut retry = RetryBackoff::new(mix64(step ^ ((q as u64) << 40) ^ ((mi as u64) << 20)));
+        for attempt in 1.. {
+            assert!(
+                attempt <= MAX_FETCH_ATTEMPTS,
+                "PE {q} message {mi}: fetch failed after {MAX_FETCH_ATTEMPTS} attempts"
+            );
+            // The network eats this attempt if an unfired Drop event
+            // charged to message `mi` exists (the j-th Drop on PE q targets
+            // message j mod n).
+            let dropped = plan
+                .at(step, q)
+                .filter(|&e| matches!(plan.events()[e].kind, FaultKind::Drop))
+                .enumerate()
+                .any(|(j, e)| j % n_msgs == mi && !fired[e].swap(true, Ordering::Relaxed));
+            if dropped {
+                // Detection: the fetch visibly failed. Back off, then retry.
+                sc.drops += 1;
+                sc.drops_detected += 1;
+                sc.retries += 1;
+                let backoff = retry.next_delay();
+                sc.backoff_ns += backoff.as_nanos() as u64;
+                std::thread::sleep(backoff);
+                continue;
+            }
+            // Stage the block through the transport, which carries the
+            // sender-side checksum (a re-fetch acquires the same post again).
+            let ts = Instant::now();
+            let info = link
+                .acquire(step, msg.neighbor, q, block)
+                .expect("transport acquire");
+            waited += info.waited_s;
+            sc.stage_ns += ts.elapsed().as_nanos() as u64;
+            // In-flight corruption: flip one bit of one staged ghost word,
+            // chosen by the event's salt.
+            for e in plan.at(step, q) {
+                if let FaultKind::Corrupt { salt } = plan.events()[e].kind {
+                    if (salt as usize) % n_msgs == mi && !fired[e].swap(true, Ordering::Relaxed) {
+                        let wi = ((salt >> 8) as usize) % (3 * msg.pairs.len());
+                        let bit = ((salt >> 32) % 64) as u32;
+                        let v = &mut block[wi / 3];
+                        let c = match wi % 3 {
+                            0 => &mut v.x,
+                            1 => &mut v.y,
+                            _ => &mut v.z,
+                        };
+                        *c = f64::from_bits(c.to_bits() ^ (1u64 << bit));
+                        sc.corrupts += 1;
+                        break;
+                    }
+                }
+            }
+            // Receiver-side verification; a mismatch forces a clean
+            // re-fetch of the whole block.
+            let tv = Instant::now();
+            let verified = link.verify(block, info.checksum);
+            sc.verify_ns += tv.elapsed().as_nanos() as u64;
+            if verified {
+                break;
+            }
+            sc.corrupts_detected += 1;
+            sc.refetches += 1;
+        }
+        waited
+    }
+}
+
+impl StepHooks for Chaos {
+    const SPLIT: bool = true;
+
+    unsafe fn before_compute(&self, step: u64, q: usize) {
+        let (plan, fired) = (&self.fault.plan, &self.fault.fired);
+        // SAFETY: the caller runs q's stages.
+        let sc = unsafe { self.slot(q) };
+        // Crash first, so a straggle that fires always shows in a finished
+        // compute stamp.
+        for e in plan.at(step, q) {
+            if matches!(plan.events()[e].kind, FaultKind::Crash)
+                && !fired[e].swap(true, Ordering::Relaxed)
+            {
+                sc.crashes += 1;
+                panic!("injected fault: PE {q} crash at step {step}");
+            }
+        }
+        for e in plan.at(step, q) {
+            if let FaultKind::Straggle { delay_us } = plan.events()[e].kind {
+                if !fired[e].swap(true, Ordering::Relaxed) {
+                    let delay = Duration::from_micros(u64::from(delay_us));
+                    sc.straggles += 1;
+                    sc.straggle_delay_s += delay.as_secs_f64();
+                    std::thread::sleep(delay);
+                }
+            }
+        }
+    }
+
+    unsafe fn fetch(
+        &self,
+        link: &dyn Transport,
+        step: u64,
+        q: usize,
+        inbound: &[Inbound],
+        mi: usize,
+        block: &mut [Vec3],
+    ) -> f64 {
+        // SAFETY: the caller runs q's stages.
+        unsafe {
+            match &self.trace {
+                Some(t) => t.timed(q, mi, || {
+                    self.fetch_verified(link, step, q, inbound, mi, block)
+                }),
+                None => self.fetch_verified(link, step, q, inbound, mi, block),
+            }
+        }
+    }
+
+    fn policy(&self) -> RecoveryPolicy {
+        self.fault.policy
+    }
+
+    /// Drains the per-PE ledger into the fault report and, when traced,
+    /// into fault instants and Stage/Verify spans nested in each exchange.
+    /// Straggle detection is observational: the PE's compute stamp must
+    /// show the injected delay.
+    fn after_dispatch(&mut self, exec: &BspExecutor, step: u64, degraded: u64) {
+        let (fault, mut telem) = (&mut *self.fault, self.trace.as_mut().map(|t| &mut t.telem));
+        let report = &mut fault.report;
+        report.degraded_shards += degraded;
+        let mut crashes = 0u64;
+        for (q, slot) in fault.scratch.iter_mut().enumerate() {
+            let sc = std::mem::take(slot);
+            let clk = &exec.clock[q];
+            if sc.straggles > 0 {
+                report.injected.straggle += sc.straggles;
+                if (clk.computed - clk.compute).as_secs_f64() >= sc.straggle_delay_s * 0.999 {
+                    report.detected.straggle += sc.straggles;
+                    // The barrier absorbs the delay; nothing else to heal.
+                    report.recovered.straggle += sc.straggles;
+                }
+            }
+            crashes += sc.crashes;
+            // Drops and corruptions fire only in an exchange, which always
+            // completes, so every detected one was healed by its retry or
+            // re-fetch.
+            report.injected.drop += sc.drops;
+            report.detected.drop += sc.drops_detected;
+            report.recovered.drop += sc.drops_detected;
+            report.retries += sc.retries;
+            report.injected.corrupt += sc.corrupts;
+            report.detected.corrupt += sc.corrupts_detected;
+            report.recovered.corrupt += sc.corrupts_detected;
+            report.refetches += sc.refetches;
+            let Some(t) = telem.as_deref_mut() else {
+                continue;
+            };
+            let start = ns_since(t.epoch, clk.exchange);
+            for (phase, start_ns, dur_ns) in [
+                (PhaseId::Stage, start, sc.stage_ns),
+                (PhaseId::Verify, start + sc.stage_ns, sc.verify_ns),
+            ] {
+                if dur_ns > 0 {
+                    t.data.add_phase_wall(phase, dur_ns);
+                    t.data.span(Span {
+                        phase,
+                        pe: q as u32,
+                        step,
+                        start_ns,
+                        dur_ns,
+                    });
+                }
+            }
+            // Only the total backoff survives the hot path; record the mean
+            // once per retry.
+            if let Some(mean_ns) = sc.backoff_ns.checked_div(sc.retries) {
+                t.data.retry_ns.record_n(mean_ns, sc.retries);
+            }
+            let at_ns = ns_since(t.epoch, Instant::now());
+            for (name, n) in [
+                ("fault:straggle", sc.straggles),
+                ("fault:crash", sc.crashes),
+                ("fault:drop", sc.drops),
+                ("fault:corrupt", sc.corrupts),
+            ] {
+                for _ in 0..n {
+                    t.data.instant(TraceInstant {
+                        name,
+                        pe: q as u32,
+                        step,
+                        at_ns,
+                    });
+                }
+            }
+        }
+        if crashes > 0 {
+            report.injected.crash += crashes;
+            // Detection = the supervisor caught the panic.
+            report.detected.crash += crashes;
+            match fault.policy {
+                RecoveryPolicy::Degrade => report.recovered.crash += crashes,
+                // Credited as recovered once the restart actually restores.
+                RecoveryPolicy::Restart => fault.pending_crashes += crashes,
+                RecoveryPolicy::FailFast => {}
+            }
+        }
+    }
+
+    fn after_step(&mut self, exec: &mut BspExecutor, step: u64, wall: f64, bill: &PeSecs) {
+        if let Some(t) = &mut self.trace {
+            t.after_step(exec, step, wall, bill);
+        }
+    }
+}
+
+/// What one step's dispatches share: the plan, read-only, and the per-PE
+/// buffers, reached through [`SendPtr`] by the one worker that owns each PE.
+struct StepCtx<'a, H> {
+    hooks: &'a H,
+    link: &'a dyn Transport,
+    pe: &'a [PeState],
+    inbound: &'a [Vec<Inbound>],
+    outbound: &'a [Vec<Outbound>],
+    /// Boundary row counts under overlap, `None` under the barrier schedule.
+    boundary: Option<&'a [usize]>,
+    owned: Range<usize>,
+    threads: usize,
+    step: u64,
+    /// When the step's first dispatch began.
+    t0: Instant,
+    x: &'a [Vec3],
+    y: SendPtr<Vec3>,
+    x_local: SendPtr<Vec<Vec3>>,
+    acc: SendPtr<Vec<LaneBlock>>,
+    partials: SendPtr<Vec<Vec3>>,
+    exchanged: SendPtr<Vec<Vec3>>,
+    pack: SendPtr<Vec<Vec3>>,
+    stage: SendPtr<Vec<Vec3>>,
+    clock: SendPtr<StageClock>,
+}
+
+/// One PE's slot of every per-step buffer.
+struct PeBufs<'b> {
+    clock: &'b mut StageClock,
+    x_local: &'b mut [Vec3],
+    acc: &'b mut [LaneBlock],
+    partials: &'b mut [Vec3],
+    exchanged: &'b mut [Vec3],
+    pack: &'b mut [Vec3],
+    stage: &'b mut [Vec3],
+}
+
+impl<H: StepHooks> StepCtx<'_, H> {
+    /// PE `q`'s buffers.
+    ///
+    /// # Safety
+    ///
+    /// The caller runs PE `q`'s stages (see [`StepHooks::before_compute`])
+    /// and holds no other reference into its buffers.
+    unsafe fn bufs(&self, q: usize) -> PeBufs<'_> {
+        PeBufs {
+            clock: &mut *self.clock.get().add(q),
+            x_local: &mut *self.x_local.get().add(q),
+            acc: &mut *self.acc.get().add(q),
+            partials: &mut *self.partials.get().add(q),
+            exchanged: &mut *self.exchanged.get().add(q),
+            pack: &mut *self.pack.get().add(q),
+            stage: &mut *self.stage.get().add(q),
+        }
+    }
+
+    /// Stages 1 and 2 for worker `w`'s PEs. Under `H::SPLIT` a Degrade
+    /// re-run skips the PEs whose stage 1 already finished this step.
+    fn compute(&self, w: usize) {
+        let chunk = owned_chunk(&self.owned, self.threads, w);
+        for q in chunk.clone() {
+            // SAFETY: q is in chunk `w`, which no other thread runs: a pool
+            // worker in a dispatch, or the caller re-running a dead worker.
+            let b = unsafe { self.bufs(q) };
+            if H::SPLIT && b.clock.computed >= self.t0 {
+                continue;
+            }
+            // Stage 1: gather, compute the posted rows, post (unless split).
+            b.clock.gather = Instant::now();
+            for (slot, &g) in b.x_local.iter_mut().zip(&self.pe[q].gather) {
+                *slot = self.x[g];
+            }
+            b.clock.compute = Instant::now();
+            // SAFETY: this thread runs q's stages.
+            unsafe { self.hooks.before_compute(self.step, q) };
+            let m = self.pe[q].matrix();
+            match self.boundary {
+                None => m.mult_full(b.x_local, b.acc, b.partials),
+                Some(nb) => m.mult_range(b.x_local, 0..nb[q], &mut b.partials[..nb[q]]),
+            }
+            let t = Instant::now();
+            b.clock.computed = t;
+            if !H::SPLIT {
+                self.post(q, b.partials, b.pack, b.clock, t);
+            }
+        }
+        // Stage 2, overlap only: the interior rows, hiding the neighbors'
+        // posts.
+        if let Some(nb) = self.boundary {
+            for q in chunk {
+                // SAFETY: as in stage 1.
+                let b = unsafe { self.bufs(q) };
+                b.clock.interior = Instant::now();
+                let rows = nb[q]..b.partials.len();
+                self.pe[q]
+                    .matrix()
+                    .mult_range(b.x_local, rows.clone(), &mut b.partials[rows]);
+                b.clock.interior_done = Instant::now();
+            }
+        }
+    }
+
+    /// Packs PE `q`'s outbound blocks in each receiver's pair order and
+    /// posts them. Under overlap every posted slot is a boundary row
+    /// (checked at build), so the blocks are complete after stage 1.
+    fn post(&self, q: usize, part: &[Vec3], pack: &mut [Vec3], clk: &mut StageClock, at: Instant) {
+        clk.post = at;
+        for ob in &self.outbound[q] {
+            let blk = &mut pack[..ob.send_idx.len()];
+            for (slot, &l) in blk.iter_mut().zip(&ob.send_idx) {
+                *slot = part[l];
+            }
+            self.link
+                .post(self.step, q, ob.to, blk)
+                .expect("transport post");
+        }
+        clk.posted = Instant::now();
+    }
+
+    /// Stage 3 for worker `w`'s PEs, posting them all first when split.
+    /// Posting ALL its PEs before acquiring ANY keeps the schedule
+    /// deadlock-free however PEs are striped across workers and shards.
+    fn exchange(&self, w: usize) {
+        let chunk = owned_chunk(&self.owned, self.threads, w);
+        if H::SPLIT {
+            for q in chunk.clone() {
+                // SAFETY: as in `compute`.
+                let b = unsafe { self.bufs(q) };
+                self.post(q, b.partials, b.pack, b.clock, Instant::now());
+            }
+        }
+        for q in chunk {
+            // SAFETY: as in `compute`.
+            let b = unsafe { self.bufs(q) };
+            b.clock.exchange = Instant::now();
+            // Acquire and apply in schedule order, the serial product's
+            // summation order, so every transport is bitwise-equivalent.
+            b.exchanged.copy_from_slice(b.partials);
+            let inbound = &self.inbound[q];
+            let mut waited = 0.0;
+            for (mi, msg) in inbound.iter().enumerate() {
+                let block = &mut b.stage[..msg.pairs.len()];
+                // SAFETY: this thread runs q's stages.
+                waited += unsafe {
+                    self.hooks
+                        .fetch(self.link, self.step, q, inbound, mi, block)
+                };
+                for (&(m, _), v) in msg.pairs.iter().zip(block.iter()) {
+                    b.exchanged[m] += *v;
+                }
+            }
+            b.clock.fold = Instant::now();
+            for &(l, g) in &self.pe[q].fold {
+                // SAFETY: each global node is in exactly one owned PE's
+                // fold list, so workers write disjoint slots of `y`.
+                unsafe { *self.y.get().add(g) = b.exchanged[l] };
+            }
+            b.clock.done = Instant::now();
+            b.clock.wait = waited;
         }
     }
 }
@@ -2754,38 +2129,47 @@ mod tests {
     fn steady_state_steps_do_not_reallocate() {
         let (mesh, _, sys) = setup(4);
         let x = random_x(mesh.node_count(), 17);
-        let mut exec = BspExecutor::new(&sys, 2);
-        let mut y = vec![Vec3::ZERO; mesh.node_count()];
-        // Warmup step, then the buffers must be pinned.
-        exec.step_into(&x, &mut y);
-        let fp = exec.buffer_fingerprint();
-        for v in &exec.acc {
-            assert!(!v.is_empty() && fp.contains(&(v.as_ptr() as usize, v.capacity())));
-        }
-        for (ptr, cap) in [
-            (exec.pe_secs.as_ptr() as usize, exec.pe_secs.capacity()),
-            (
-                exec.worker_secs.as_ptr() as usize,
-                exec.worker_secs.capacity(),
-            ),
-        ] {
-            assert!(fp.contains(&(ptr, cap)), "timing scratch is fingerprinted");
-        }
-        let y_fp = (y.as_ptr() as usize, y.capacity());
-        for _ in 0..100 {
+        for traced in [false, true] {
+            let mut exec = BspExecutor::new(&sys, 2);
+            if traced {
+                exec.enable_telemetry(TelemetryConfig::default());
+            }
+            let mut y = vec![Vec3::ZERO; mesh.node_count()];
+            // Warmup step, then the buffers must be pinned.
             exec.step_into(&x, &mut y);
+            let fp = exec.buffer_fingerprint();
+            for v in &exec.acc {
+                assert!(!v.is_empty() && fp.contains(&(v.as_ptr() as usize, v.capacity())));
+            }
+            let mut scratch = vec![
+                (exec.clock.as_ptr() as usize, exec.clock.capacity()),
+                (
+                    exec.wait_scratch.as_ptr() as usize,
+                    exec.wait_scratch.capacity(),
+                ),
+            ];
+            if let Some(t) = &exec.telemetry {
+                scratch.extend(t.msg_ns.iter().map(|v| (v.as_ptr() as usize, v.capacity())));
+            }
+            for (ptr, cap) in scratch {
+                assert!(fp.contains(&(ptr, cap)), "timing scratch is fingerprinted");
+            }
+            let y_fp = (y.as_ptr() as usize, y.capacity());
+            for _ in 0..100 {
+                exec.step_into(&x, &mut y);
+            }
+            assert_eq!(
+                exec.buffer_fingerprint(),
+                fp,
+                "executor buffers moved or regrew during steady-state steps (traced {traced})"
+            );
+            assert_eq!(
+                (y.as_ptr() as usize, y.capacity()),
+                y_fp,
+                "output buffer moved during steady-state steps"
+            );
+            assert_eq!(exec.report().steps, 101);
         }
-        assert_eq!(
-            exec.buffer_fingerprint(),
-            fp,
-            "executor buffers moved or regrew during steady-state steps"
-        );
-        assert_eq!(
-            (y.as_ptr() as usize, y.capacity()),
-            y_fp,
-            "output buffer moved during steady-state steps"
-        );
-        assert_eq!(exec.report().steps, 101);
     }
 
     #[test]
@@ -2967,6 +2351,62 @@ mod tests {
     }
 
     #[test]
+    fn every_mode_keeps_one_step_shape_and_traced_walls_match_the_billing() {
+        let (mesh, _, sys) = setup(4);
+        let x = random_x(mesh.node_count(), 71);
+        let steps = 3u64;
+        for use_overlap in [false, true] {
+            for (mode, dispatches) in [("clean", 1), ("traced", 1), ("chaos", 2)] {
+                let what = format!("{mode}, overlap {use_overlap}");
+                let mut exec = BspExecutor::with_options(&sys, 2, false, use_overlap);
+                match mode {
+                    "traced" => exec.enable_telemetry(TelemetryConfig::default()),
+                    "chaos" => exec.enable_faults(FaultPlan::none(), RecoveryPolicy::Restart, 4),
+                    _ => {}
+                }
+                let before = exec.pool_stats().broadcasts;
+                exec.run(&x, steps);
+                assert_eq!(
+                    exec.pool_stats().broadcasts - before,
+                    dispatches * steps,
+                    "dispatches per step ({what})"
+                );
+                let Some(t) = exec.telemetry() else {
+                    continue;
+                };
+                // A traced step is billed like an untraced one: its phase
+                // walls are the report's, up to one truncated ns per step.
+                let billed = exec.report().phases;
+                for (phase, ns, secs) in [
+                    (
+                        "assemble",
+                        t.phase_wall_ns(PhaseId::Assemble),
+                        billed.assemble,
+                    ),
+                    (
+                        "compute",
+                        t.phase_wall_ns(PhaseId::Compute) + t.phase_wall_ns(PhaseId::Post),
+                        billed.compute,
+                    ),
+                    (
+                        "exchange",
+                        t.phase_wall_ns(PhaseId::Exchange),
+                        billed.exchange,
+                    ),
+                    ("fold", t.phase_wall_ns(PhaseId::Fold), billed.fold),
+                ] {
+                    let gap = (ns as f64 - secs * 1e9).abs();
+                    assert!(
+                        gap <= steps as f64,
+                        "{phase} ({what}): traced {ns} ns vs billed {} ns",
+                        secs * 1e9
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn every_global_node_is_folded_once_and_replicas_agree() {
         let (mesh, _, sys) = setup(6);
         let n = mesh.node_count();
@@ -3016,19 +2456,24 @@ mod tests {
     fn overlap_steady_state_steps_do_not_reallocate() {
         let (mesh, _, sys) = setup(4);
         let x = random_x(mesh.node_count(), 29);
-        let mut exec = BspExecutor::with_options(&sys, 2, false, true);
-        let mut y = vec![Vec3::ZERO; mesh.node_count()];
-        exec.step_into(&x, &mut y);
-        let fp = exec.buffer_fingerprint();
-        for _ in 0..100 {
+        for traced in [false, true] {
+            let mut exec = BspExecutor::with_options(&sys, 2, false, true);
+            if traced {
+                exec.enable_telemetry(TelemetryConfig::default());
+            }
+            let mut y = vec![Vec3::ZERO; mesh.node_count()];
             exec.step_into(&x, &mut y);
+            let fp = exec.buffer_fingerprint();
+            for _ in 0..100 {
+                exec.step_into(&x, &mut y);
+            }
+            assert_eq!(
+                exec.buffer_fingerprint(),
+                fp,
+                "overlap buffers moved or regrew during steady-state steps (traced {traced})"
+            );
+            assert_eq!(exec.report().steps, 101);
         }
-        assert_eq!(
-            exec.buffer_fingerprint(),
-            fp,
-            "overlap buffers moved or regrew during steady-state steps"
-        );
-        assert_eq!(exec.report().steps, 101);
     }
 
     #[test]

@@ -200,8 +200,8 @@ fn traced_overlap_runs_record_post_spans_and_stay_drift_silent() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Overlap composes with the chaos layer (which falls back to barrier
-    /// phases over the boundary-first matrices): a fault-injected,
+    /// Overlap composes with the chaos layer (the same step body, split
+    /// into a compute and an exchange dispatch): a fault-injected,
     /// recovered run with overlap armed still equals the barrier
     /// fault-free reference, the ledger balances, and the counters are
     /// untouched.

@@ -27,6 +27,13 @@ pub enum CliError {
     MissingValue(String),
     /// An argument did not start with `--` where a flag was expected.
     UnexpectedArgument(String),
+    /// A `--flag` the command does not read.
+    UnknownFlag {
+        /// The subcommand.
+        command: String,
+        /// The flag name.
+        flag: String,
+    },
     /// A flag value failed to parse.
     BadValue {
         /// The flag name.
@@ -43,6 +50,9 @@ impl fmt::Display for CliError {
             CliError::UnknownCommand(c) => write!(f, "unknown command '{c}'; try 'quake help'"),
             CliError::MissingValue(k) => write!(f, "flag --{k} needs a value"),
             CliError::UnexpectedArgument(a) => write!(f, "unexpected argument '{a}'"),
+            CliError::UnknownFlag { command, flag } => {
+                write!(f, "'{command}' has no flag --{flag}; try 'quake help'")
+            }
             CliError::BadValue { flag, value } => {
                 write!(f, "cannot parse '{value}' for --{flag}")
             }
@@ -62,6 +72,51 @@ pub const COMMANDS: [&str; 6] = [
     "help",
 ];
 
+/// The flags `command` reads; any other flag is a usage error, so a
+/// misspelt or retired flag never runs silently with its default.
+pub fn flags(command: &str) -> &'static [&'static str] {
+    match command {
+        "mesh" => &["period", "scale", "seed", "out"],
+        "characterize" => &["period", "scale", "seed", "parts", "partitioner"],
+        "requirements" => &["mflops", "efficiency", "app"],
+        "simulate" => &["period", "scale", "seed", "steps"],
+        "smvp-run" => &[
+            "period",
+            "scale",
+            "seed",
+            "parts",
+            "threads",
+            "steps",
+            "partitioner",
+            "transport",
+            "shards",
+            "nodes",
+            "aggregate",
+            "wire-latency",
+            "conn-timeout",
+            "wire-fault-rate",
+            "wire-fault-seed",
+            "restart-budget",
+            "rcm",
+            "overlap",
+            "fault-rate",
+            "fault-seed",
+            "recovery",
+            "checkpoint-every",
+            "fault-json",
+            "trace",
+            "trace-json",
+            "metrics",
+            "profile",
+            "profile-json",
+            "drift-threshold",
+            "span-capacity",
+            "quiet",
+        ],
+        _ => &[],
+    }
+}
+
 impl Invocation {
     /// Parses `args` (without the program name).
     ///
@@ -80,6 +135,9 @@ impl Invocation {
                 .strip_prefix("--")
                 .ok_or_else(|| CliError::UnexpectedArgument(arg.clone()))?
                 .to_string();
+            if !flags(&command).contains(&key.as_str()) {
+                return Err(CliError::UnknownFlag { command, flag: key });
+            }
             let value = it
                 .next()
                 .ok_or_else(|| CliError::MissingValue(key.clone()))?;
@@ -253,7 +311,8 @@ COMMANDS:
                   and validation tables (errors still print to stderr)
   help          print this text
 
-EXIT STATUS: 0 on success, 1 on runtime failure, 2 on a usage error."
+EXIT STATUS: 0 on success, 1 on runtime failure, 2 on a usage error (an
+unknown command, a flag the command does not take, or a bad value)."
 }
 
 #[cfg(test)]
@@ -292,6 +351,33 @@ mod tests {
             parse(&["mesh", "--period"]),
             Err(CliError::MissingValue(_))
         ));
+    }
+
+    #[test]
+    fn rejects_flags_the_command_does_not_read() {
+        for (args, flag) in [
+            (&["smvp-run", "--overlp", "on"][..], "overlp"),
+            (&["smvp-run", "--kernel", "turbo"][..], "kernel"),
+            (&["mesh", "--steps", "3"][..], "steps"),
+            (&["help", "--period", "5"][..], "period"),
+        ] {
+            assert_eq!(
+                parse(args),
+                Err(CliError::UnknownFlag {
+                    command: args[0].to_string(),
+                    flag: flag.to_string()
+                })
+            );
+        }
+        assert!(parse(&["smvp-run", "--overlap", "on", "--seed", "3"]).is_ok());
+        for c in COMMANDS {
+            for flag in flags(c) {
+                assert!(
+                    help().contains(&format!("--{flag}")),
+                    "--{flag} undocumented"
+                );
+            }
+        }
     }
 
     #[test]
