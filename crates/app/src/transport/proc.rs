@@ -873,8 +873,9 @@ fn scatter_merged(fabric: &Arc<Fabric>, step: u64, from: usize, to: usize, block
     true
 }
 
-/// Drains one peer connection into the mailbox until the peer says `Bye`,
-/// the socket dies, or a fresh connection supersedes this epoch.
+/// Drains one peer connection into the mailbox until the peer says `Bye`
+/// (on a node relay: until it hangs up after its `Bye`), the socket dies,
+/// or a fresh connection supersedes this epoch.
 /// Checksum-mismatched frames leave the stream framed and trigger a
 /// `Resend` request; `Resend` requests from the peer replay our cache and
 /// settle one outstanding injected-damage credit.
@@ -926,9 +927,14 @@ fn reader_loop(fabric: Arc<Fabric>, peer: Arc<Peer>, mut stream: UnixStream, epo
                     FrameKind::Heartbeat => {}
                     // An orderly goodbye: the peer finished its run. Its
                     // posted blocks stay acquirable, so `alive` stays up.
+                    // A node relay keeps reading: the peer's reader
+                    // threads may still forward a merged batch or member
+                    // frame that its main thread's `Bye` overtook.
                     FrameKind::Bye => {
                         peer.done.store(true, Ordering::Release);
-                        return;
+                        if fabric.relay.is_none() {
+                            return;
+                        }
                     }
                     _ => break,
                 }
@@ -943,7 +949,9 @@ fn reader_loop(fabric: Arc<Fabric>, peer: Arc<Peer>, mut stream: UnixStream, epo
             Err(_) => break,
         }
     }
-    conn_down(&fabric, &peer, epoch);
+    if !peer.done.load(Ordering::Acquire) {
+        conn_down(&fabric, &peer, epoch);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1482,10 +1490,12 @@ fn child_main() -> Result<(), TransportError> {
     }
     fabric.send_parent(FrameKind::Result, &encode_result(&result))?;
     link.farewell();
-    if respawn {
+    if respawn || fabric.relay.is_some() {
         // Hold the mesh open for laggards: a survivor that exits now
-        // would strand a respawned peer's rejoin dial. The parent's Bye
-        // releases everyone after the last Result lands.
+        // would strand a respawned peer's rejoin dial, and a node relay
+        // whose own run is done may still owe the last step's merged
+        // batch or member forwards from its reader threads. The parent's
+        // Bye releases everyone after the last Result lands.
         parent
             .set_read_timeout(Some(conn_timeout.mul_f64(spec.restart_budget as f64 + 4.0)))
             .map_err(io_err)?;
@@ -2741,6 +2751,30 @@ mod tests {
         drop(leader2_ours);
         h1.join().unwrap();
         h2.join().unwrap();
+    }
+
+    #[test]
+    fn relay_reader_keeps_draining_after_a_bye() {
+        // A remote leader's Bye can overtake the merged batch one of its
+        // reader threads is still relaying: the batch must land all the
+        // same, and the hang-up after the Bye is no connection failure.
+        let (fabric, peers) = relay_fabric();
+        let (mut leader2_ours, leader2_theirs) = UnixStream::pair().unwrap();
+        let h = wire_up(&fabric, &peers[1], leader2_theirs);
+        write_frame(&mut leader2_ours, FrameKind::Bye, &[]).unwrap();
+        let b20 = [Vec3::new(1.0, 2.0, 3.0), Vec3::new(4.0, 5.0, 6.0)];
+        let payload = encode_ghost_batch(&[(3, 2, 0, &b20[..])]);
+        write_frame(&mut leader2_ours, FrameKind::GhostBatch, &payload).unwrap();
+        let mut out = [Vec3::ZERO; 2];
+        fabric
+            .mailbox
+            .acquire(3, 2, 0, &mut out)
+            .expect("the batch behind the Bye is delivered");
+        assert_eq!(out[1].y.to_bits(), b20[1].y.to_bits());
+        drop(leader2_ours);
+        h.join().unwrap();
+        assert!(peers[1].done.load(Ordering::Acquire));
+        assert!(peers[1].alive.load(Ordering::Acquire));
     }
 
     #[test]

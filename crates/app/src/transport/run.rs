@@ -20,6 +20,7 @@ use quake_core::machine::Network;
 use quake_core::telemetry::{ShardTrace, TelemetryConfig};
 use quake_fem::assembly::UniformMaterial;
 use quake_mesh::ground::Material;
+use quake_partition::comm::{CommAnalysis, MaxRateAnalysis};
 use quake_partition::geometric::Partitioner;
 use quake_partition::partition::Partition;
 use quake_sparse::dense::Vec3;
@@ -272,6 +273,59 @@ pub fn run_with(kind: TransportKind, spec: &RunSpec, built: &Built) -> Result<Ru
         shard_telemetry: Vec::new(),
         shard_faults: Vec::new(),
     })
+}
+
+/// A run's measured exchange wall next to the two communication models
+/// that predict it, per step.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ExchangeScore {
+    /// Measured exchange wall, seconds per step.
+    pub measured_s: f64,
+    /// Eq. (2), `B_max·T_l + C_max·T_w`, under the run's link.
+    pub eq2_s: f64,
+    /// The max-rate model of Bienz, Gropp & Olson: the busiest node's
+    /// injection port plus the intra-node gather leg. `None` unless the
+    /// run aggregates (`nodes >= 1` and `aggregate`), since it prices the
+    /// merged exchange a flat run never performs.
+    pub maxrate_s: Option<f64>,
+}
+
+impl ExchangeScore {
+    /// Eq. (2)'s relative error against the measured wall.
+    pub fn eq2_rel_err(&self) -> f64 {
+        self.rel_err(self.eq2_s)
+    }
+
+    /// The max-rate model's relative error, when the run aggregates.
+    pub fn maxrate_rel_err(&self) -> Option<f64> {
+        self.maxrate_s.map(|p| self.rel_err(p))
+    }
+
+    fn rel_err(&self, predicted: f64) -> f64 {
+        (self.measured_s - predicted).abs() / self.measured_s.max(f64::MIN_POSITIVE)
+    }
+}
+
+/// Scores Eq. (2) and, on an aggregating run, the max-rate model against
+/// `out`'s measured exchange wall per step, both under `out`'s link (proc:
+/// measured on the live socket). An emulated inter-node hold
+/// (`wire_latency`) is part of the link both models must price, so it
+/// folds into the slow leg's latency term; the max-rate model's intra-node
+/// gather leg rides the raw link.
+pub fn score_exchange(spec: &RunSpec, built: &Built, out: &RunOutput) -> ExchangeScore {
+    let comm = CommAnalysis::new(&built.app.mesh, &built.partition);
+    let link = out.link;
+    let t_l_eff = link.t_l + spec.wire_latency;
+    let eq2_s = comm.b_max() as f64 * t_l_eff + comm.c_max() as f64 * link.t_w;
+    let maxrate_s = (spec.nodes >= 1 && spec.aggregate).then(|| {
+        MaxRateAnalysis::from_comm(comm, spec.nodes)
+            .predicted_with_local(t_l_eff, link.t_w, link.t_l, link.t_w)
+    });
+    ExchangeScore {
+        measured_s: out.report.phases.exchange / spec.steps.max(1) as f64,
+        eq2_s,
+        maxrate_s,
+    }
 }
 
 #[cfg(test)]

@@ -2,14 +2,17 @@
 //! bitwise-identical folded product and exactly matching measurement
 //! counters for the same [`RunSpec`], across the full option surface —
 //! worker-thread counts 1–8, ±RCM renumbering, ±latency-hiding overlap,
-//! ±telemetry, ±chaos-layer fault injection.
+//! ±telemetry, ±chaos-layer fault injection. A gate section also holds
+//! the node-aware exchange to its two performance claims under an
+//! emulated inter-node link.
 //!
 //! `harness = false`: the proc backend re-executes this binary as shard
 //! children via `current_exe()`, and the shard hook must run before any
 //! other code (libtest's argument parsing included). A custom `main`
 //! routes children first, then runs the sections sequentially.
 //!
-//! `QUAKE_CONFORMANCE_QUICK=1` shrinks the matrix for CI smoke runs.
+//! `QUAKE_CONFORMANCE_QUICK=1` shrinks the matrices for CI smoke runs; the
+//! gate section runs the same way in both modes.
 
 use quake_app::transport::run::{self, RunOutput};
 use quake_app::transport::wire::RunSpec;
@@ -288,6 +291,75 @@ fn node_matrix(quick: bool) {
     println!("node aggregation matrix: {cases} node-aware runs matched the flat reference");
 }
 
+/// The node-aware exchange gates: 16 PEs on 4 shard processes placed on 2
+/// nodes, with every cross-node frame held 5 ms (a netem-style emulated
+/// inter-node link; on one host the intra- and inter-node legs are
+/// otherwise the same socket, which no message-count optimisation can tell
+/// apart). The flat arm (`aggregate` off) keeps the placement and the slow
+/// link but sends every boundary frame across it; the aggregated arm
+/// gathers partials intra-node and sends one merged block per node pair.
+/// Two gates, both on the exchange wall per step:
+///
+/// 1. the aggregated exchange beats the flat one;
+/// 2. on the aggregated run, the max-rate model (Bienz, Gropp & Olson)
+///    scores closer to the measured wall than Eq. (2), which charges the
+///    slow link for every flat boundary message.
+///
+/// Both models are scored by [`run::score_exchange`], the same numbers
+/// `smvp-run` prints.
+fn node_exchange_gates() {
+    let flat = RunSpec {
+        parts: 16,
+        threads: 2,
+        steps: 4,
+        shards: 4,
+        nodes: 2,
+        aggregate: false,
+        wire_latency: 5e-3,
+        ..RunSpec::default()
+    };
+    let aggregated = RunSpec {
+        aggregate: true,
+        ..flat.clone()
+    };
+    let built = run::build(&flat).expect("node gate fixture builds");
+    let run_proc = |spec: &RunSpec, arm: &str| {
+        let out = run::run_with(TransportKind::Proc, spec, &built)
+            .unwrap_or_else(|e| panic!("node gates: {arm} proc run failed: {e}"));
+        (run::score_exchange(spec, &built, &out), out.y)
+    };
+    let (flat_score, flat_y) = run_proc(&flat, "flat");
+    let (score, y) = run_proc(&aggregated, "aggregated");
+    assert!(
+        bitwise_eq(&flat_y, &y),
+        "node gates: aggregated y diverged from the flat run"
+    );
+    assert!(
+        score.measured_s < flat_score.measured_s,
+        "node gates: the aggregated exchange ({:.3e} s/step) must beat the flat one \
+         ({:.3e} s/step)",
+        score.measured_s,
+        flat_score.measured_s
+    );
+    let maxrate_err = score
+        .maxrate_rel_err()
+        .expect("an aggregating run is scored by the max-rate model");
+    assert!(
+        maxrate_err < score.eq2_rel_err(),
+        "node gates: the max-rate model's rel error ({maxrate_err:.4}) must be below \
+         Eq. (2)'s ({:.4})",
+        score.eq2_rel_err()
+    );
+    println!(
+        "node exchange gates: aggregated {:.3e} s/step vs flat {:.3e} s/step; max-rate rel \
+         err {:.1}% vs Eq. (2) rel err {:.1}%",
+        score.measured_s,
+        flat_score.measured_s,
+        100.0 * maxrate_err,
+        100.0 * score.eq2_rel_err()
+    );
+}
+
 /// The wire-chaos matrix: seeded fault injection on the live socket
 /// stream — payload corruption, tail truncation, delays, connection
 /// resets and hung-peer stalls — across shard counts and schedule
@@ -544,6 +616,7 @@ fn main() {
     std::fs::create_dir_all(&tmp).expect("scratch dir");
     matrix(quick);
     node_matrix(quick);
+    node_exchange_gates();
     wire_chaos_matrix(quick);
     peer_kill_is_a_clean_error(&tmp);
     peer_kill_restart_recovers(&tmp);

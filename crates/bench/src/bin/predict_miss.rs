@@ -3,12 +3,9 @@
 //!
 //! Replays the SMVP demand-access trace of each family mesh through
 //! `memsim::predict` under the `modern_core_like` hierarchy and prints one
-//! markdown table per mesh: the four layout transforms (`mat3-baseline` →
-//! `tiled` → `tiled-prefetch` → `tiled-banded-prefetch`) with their L1 miss
-//! rate, memory fraction, simulated demand time and streamed matrix bytes.
-//! The row-band plan uses the same window `bench_smvp`'s banded arm
-//! uses — half the modeled L2 — so the prediction describes exactly the
-//! sweep that arm runs.
+//! markdown table per mesh: the three layout transforms (`mat3-baseline` →
+//! `tiled` → `tiled-prefetch`) with their L1 miss rate, memory fraction,
+//! simulated demand time and streamed matrix bytes.
 //!
 //! Usage:
 //!
@@ -21,7 +18,7 @@ use quake_fem::assembly::{assemble, UniformMaterial};
 use quake_memsim::hierarchy::Hierarchy;
 use quake_memsim::predict_transforms;
 use quake_mesh::ground::Material;
-use quake_sparse::tiles::{BandPlan, Bcsr3Tiles};
+use quake_sparse::tiles::Bcsr3Tiles;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -32,11 +29,9 @@ fn main() {
         (scale, standard_family(scale))
     };
     let template = Hierarchy::modern_core_like();
-    let window = (template.l2().capacity_bytes() / 2) as usize;
     println!(
         "Predicted SMVP demand-access behavior per layout transform \
-         (memsim `modern_core_like`, {} KiB row-band window, scale {scale}):",
-        window / 1024
+         (memsim `modern_core_like`, scale {scale}):"
     );
     let mat = Material {
         vs: 1000.0,
@@ -48,15 +43,13 @@ fn main() {
         let app = QuakeApp::generate(config).expect("mesh generation failed");
         let sys = assemble(&app.mesh, &UniformMaterial(mat)).expect("assembly");
         let tiles = Bcsr3Tiles::from_bcsr(&sys.stiffness);
-        let plan = BandPlan::for_tiles(&tiles, window);
-        let rows = predict_transforms(&tiles, &plan, &template);
-        let base = rows.first().expect("four transforms").l1_miss_rate;
+        let rows = predict_transforms(&tiles, &template);
+        let base = rows.first().expect("three transforms").l1_miss_rate;
         println!(
-            "\n{} ({} block rows, {} blocks, {} row bands):\n",
+            "\n{} ({} block rows, {} blocks):\n",
             app.config.name,
             tiles.block_rows(),
-            sys.stiffness.blocks().len(),
-            plan.bands().len()
+            sys.stiffness.blocks().len()
         );
         println!(
             "| transform | L1 miss % | Δ vs baseline | memory % | demand ms | matrix MiB/product |"

@@ -4,7 +4,7 @@
 //! layout or prefetch transform is implemented in the kernels, replay its
 //! exact reference stream under the hierarchy and *predict* the miss-rate
 //! change, then record prediction next to measurement in EXPERIMENTS.md.
-//! This module replays the block-SMVP trace of [`Bcsr3Tiles`] under four
+//! This module replays the block-SMVP trace of [`Bcsr3Tiles`] under three
 //! successive transforms:
 //!
 //! 1. **`mat3-baseline`** — PR 5's register-blocked kernel: row-major
@@ -13,15 +13,6 @@
 //!    block (column-major, sequentially streamed) but 4-byte indices.
 //! 3. **`tiled-prefetch`** — plus the kernel's software prefetch of the
 //!    gather target and tile stream a few tiles ahead.
-//! 4. **`tiled-banded-prefetch`** — plus the [`BandPlan`] row-band sweep
-//!    that pulls each band's x-window into cache ahead of its gathers.
-//!
-//! Banding *without* prefetch is deliberately absent: the band traversal
-//! visits rows in the same global order (that is what keeps the kernel
-//! bitwise-equal), so its reference stream — and therefore its simulated
-//! miss count — is identical to `tiled`. Banding's contribution is that it
-//! gives the prefetcher an exact, bounded window to sweep; the model
-//! expresses that by only letting the sweep exist in the banded transform.
 //!
 //! Prefetches install lines without charging demand counters or time
 //! ([`Hierarchy::prefetch`]): the model assumes fills overlap with
@@ -30,7 +21,7 @@
 //! alongside miss rates.
 
 use crate::hierarchy::Hierarchy;
-use quake_sparse::tiles::{BandPlan, Bcsr3Tiles};
+use quake_sparse::tiles::Bcsr3Tiles;
 
 /// Gather-prefetch lookahead in tiles — keep in step with the kernel's
 /// `LOOKAHEAD` in `quake-spark`'s tile kernels.
@@ -89,28 +80,20 @@ impl Layout {
     }
 }
 
-/// Which extras a replay adds on top of the demand stream.
-#[derive(Clone, Copy, PartialEq)]
-struct Extras {
-    /// 4-byte (tiled) vs 8-byte (baseline) block-column indices.
-    idx_bytes: u64,
-    /// Gather + stream lookahead prefetch, as the AVX kernel issues it.
-    gather_prefetch: bool,
-    /// Sweep each band's x-window ahead of the band's rows.
-    band_sweep: bool,
-}
-
 /// Replays one transform: a warm-up product, then one measured product.
+/// `idx_bytes` is the block-column index width (4 tiled, 8 baseline);
+/// `gather_prefetch` adds the AVX kernel's gather and stream lookahead
+/// prefetches.
 fn replay(
     name: &'static str,
     tiles: &Bcsr3Tiles,
-    plan: &BandPlan,
     template: &Hierarchy,
-    extras: Extras,
+    idx_bytes: u64,
+    gather_prefetch: bool,
 ) -> TransformPrediction {
     let n = tiles.block_rows() as u64;
     let nk = tiles.block_nnz();
-    let layout = Layout::new(n, nk as u64, extras.idx_bytes);
+    let layout = Layout::new(n, nk as u64, idx_bytes);
     let row_ptr = tiles.row_ptr();
     let col_idx = tiles.col_idx();
     let mut h = template.clone();
@@ -119,37 +102,25 @@ fn replay(
     for pass in 0..2 {
         let before_time = h.total_time();
         let before_counts = h.counts();
-        for band in plan.bands() {
-            if extras.band_sweep {
-                let line = h.l1().line_bytes();
-                let lo = layout.x + band.cols.start as u64 * VEC3_BYTES;
-                let hi = layout.x + band.cols.end as u64 * VEC3_BYTES;
-                let mut addr = lo;
-                while addr < hi {
-                    h.prefetch(addr);
-                    addr += line;
+        for r in 0..tiles.block_rows() {
+            h.access(layout.row_ptr + (r as u64 + 1) * 8);
+            for k in row_ptr[r]..row_ptr[r + 1] {
+                if gather_prefetch && nk != 0 {
+                    let kp = (k + LOOKAHEAD).min(nk - 1);
+                    h.prefetch(layout.x + col_idx[kp] as u64 * VEC3_BYTES);
+                    h.prefetch(layout.values + (kp as u64) * BLOCK_BYTES);
+                }
+                h.access(layout.col_idx + k as u64 * idx_bytes);
+                for w in 0..9u64 {
+                    h.access(layout.values + k as u64 * BLOCK_BYTES + w * 8);
+                }
+                let col = col_idx[k] as u64;
+                for w in 0..3u64 {
+                    h.access(layout.x + col * VEC3_BYTES + w * 8);
                 }
             }
-            for r in band.rows.clone() {
-                h.access(layout.row_ptr + (r as u64 + 1) * 8);
-                for k in row_ptr[r]..row_ptr[r + 1] {
-                    if extras.gather_prefetch && nk != 0 {
-                        let kp = (k + LOOKAHEAD).min(nk - 1);
-                        h.prefetch(layout.x + col_idx[kp] as u64 * VEC3_BYTES);
-                        h.prefetch(layout.values + (kp as u64) * BLOCK_BYTES);
-                    }
-                    h.access(layout.col_idx + k as u64 * extras.idx_bytes);
-                    for w in 0..9u64 {
-                        h.access(layout.values + k as u64 * BLOCK_BYTES + w * 8);
-                    }
-                    let col = col_idx[k] as u64;
-                    for w in 0..3u64 {
-                        h.access(layout.x + col * VEC3_BYTES + w * 8);
-                    }
-                }
-                for w in 0..3u64 {
-                    h.access(layout.y + r as u64 * VEC3_BYTES + w * 8);
-                }
+            for w in 0..3u64 {
+                h.access(layout.y + r as u64 * VEC3_BYTES + w * 8);
             }
         }
         if pass == 1 {
@@ -176,60 +147,20 @@ fn replay(
         l1_miss_rate: frac(counts.1 + counts.2),
         memory_fraction: frac(counts.2),
         mem_time,
-        bytes_streamed: (n + 1) * 8 + nk as u64 * (extras.idx_bytes + BLOCK_BYTES),
+        bytes_streamed: (n + 1) * 8 + nk as u64 * (idx_bytes + BLOCK_BYTES),
     }
 }
 
 /// Predicts the per-transform miss rates for one matrix under `template`'s
 /// hierarchy, in the order the transforms were implemented (see module
 /// docs). The same demand stream is replayed each time — only layout and
-/// prefetch differ — so `accesses` is constant across the four entries and
-/// the deltas isolate each transform's contribution.
-pub fn predict_transforms(
-    tiles: &Bcsr3Tiles,
-    plan: &BandPlan,
-    template: &Hierarchy,
-) -> Vec<TransformPrediction> {
-    let whole = BandPlan::for_tiles(tiles, usize::MAX / 2);
-    let no_extras = Extras {
-        idx_bytes: 8,
-        gather_prefetch: false,
-        band_sweep: false,
-    };
+/// prefetch differ — so `accesses` is constant across the three entries
+/// and the deltas isolate each transform's contribution.
+pub fn predict_transforms(tiles: &Bcsr3Tiles, template: &Hierarchy) -> Vec<TransformPrediction> {
     vec![
-        replay("mat3-baseline", tiles, &whole, template, no_extras),
-        replay(
-            "tiled",
-            tiles,
-            &whole,
-            template,
-            Extras {
-                idx_bytes: 4,
-                ..no_extras
-            },
-        ),
-        replay(
-            "tiled-prefetch",
-            tiles,
-            &whole,
-            template,
-            Extras {
-                idx_bytes: 4,
-                gather_prefetch: true,
-                band_sweep: false,
-            },
-        ),
-        replay(
-            "tiled-banded-prefetch",
-            tiles,
-            plan,
-            template,
-            Extras {
-                idx_bytes: 4,
-                gather_prefetch: true,
-                band_sweep: true,
-            },
-        ),
+        replay("mat3-baseline", tiles, template, 8, false),
+        replay("tiled", tiles, template, 4, false),
+        replay("tiled-prefetch", tiles, template, 4, true),
     ]
 }
 
@@ -262,17 +193,11 @@ mod tests {
     #[test]
     fn transforms_improve_in_order() {
         let tiles = spilled_tiles();
-        let plan = BandPlan::for_tiles(&tiles, 8 * 1024);
         let h = Hierarchy::alpha_21164_like();
-        let p = predict_transforms(&tiles, &plan, &h);
+        let p = predict_transforms(&tiles, &h);
         assert_eq!(
             p.iter().map(|t| t.name).collect::<Vec<_>>(),
-            [
-                "mat3-baseline",
-                "tiled",
-                "tiled-prefetch",
-                "tiled-banded-prefetch"
-            ]
+            ["mat3-baseline", "tiled", "tiled-prefetch"]
         );
         // Same algorithm, same demand stream: access counts agree.
         assert!(p.iter().all(|t| t.accesses == p[0].accesses));
@@ -282,28 +207,23 @@ mod tests {
         // Gather prefetch converts demand misses into hits.
         assert!(p[2].l1_miss_rate < p[1].l1_miss_rate);
         assert!(p[2].memory_fraction < p[1].memory_fraction);
-        // The band sweep may only help beyond the unswept tiled replay
-        // (tiny tolerance: sweeping can evict the odd stream line).
-        assert!(p[3].l1_miss_rate <= p[1].l1_miss_rate + 1e-3);
-        assert!(p[3].mem_time > 0.0);
+        assert!(p[2].mem_time > 0.0);
     }
 
     #[test]
     fn prediction_is_deterministic() {
         let tiles = spilled_tiles();
-        let plan = BandPlan::for_tiles(&tiles, 8 * 1024);
         let h = Hierarchy::modern_core_like();
-        let a = predict_transforms(&tiles, &plan, &h);
-        let b = predict_transforms(&tiles, &plan, &h);
+        let a = predict_transforms(&tiles, &h);
+        let b = predict_transforms(&tiles, &h);
         assert_eq!(a, b);
     }
 
     #[test]
     fn empty_matrix_predicts_zero_misses() {
         let tiles = Bcsr3Tiles::from_bcsr(&Bcsr3Builder::new(0).build());
-        let plan = BandPlan::for_tiles(&tiles, 1024);
-        let p = predict_transforms(&tiles, &plan, &Hierarchy::alpha_21164_like());
-        assert_eq!(p.len(), 4);
+        let p = predict_transforms(&tiles, &Hierarchy::alpha_21164_like());
+        assert_eq!(p.len(), 3);
         assert!(p.iter().all(|t| t.accesses == 0 && t.l1_miss_rate == 0.0));
     }
 

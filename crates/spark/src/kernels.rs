@@ -525,8 +525,7 @@ pub fn pmv_pooled_into(matrix: &Csr, x: &[f64], pool: &WorkerPool, y: &mut [f64]
     let n = matrix.rows();
     let threads = pool.threads();
     // Hoisted raw CSR parts: resolving `matrix.row(r)` inside the hot loop
-    // costs two bounds-checked slice constructions per row, which is what
-    // made this path lose to the boxed-task baseline in BENCH_smvp.
+    // costs two bounds-checked slice constructions per row.
     let row_ptr = matrix.row_ptr();
     let col_idx = matrix.col_idx();
     let values = matrix.values();

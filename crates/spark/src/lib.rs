@@ -15,15 +15,15 @@
 //! [`kernels::pmv_pooled_into`], [`kernels::bmv_pooled_into`], …) draw
 //! their scratch space from a reusable [`workspace::KernelWorkspace`] and
 //! dispatch over [`pool::WorkerPool::broadcast`], making the steady-state
-//! product allocation-free; `bench_executor` and `bench_smvp` track the
-//! pooled-vs-spawned and alloc-vs-in-place gaps. [`kernels::broadcast_rows`]
-//! exposes their row split for fused per-row passes such as the time step.
-
+//! product allocation-free; `bench_executor` tracks the pooled-vs-spawned
+//! gap. [`kernels::broadcast_rows`] exposes their row split for fused
+//! per-row passes such as the time step.
 //!
 //! The [`tile_kernels`] module layers an AVX microkernel (behind the
-//! `simd` cargo feature, runtime-dispatched) and a cache-blocked banded
-//! variant over the flat [`quake_sparse::tiles::Bcsr3Tiles`] layout,
-//! bitwise-equal to the scalar 3×3 micro path.
+//! `simd` cargo feature, runtime-dispatched) over the flat
+//! [`quake_sparse::tiles::Bcsr3Tiles`] layout and its half-storage
+//! [`quake_sparse::tiles::SymTiles`] twin, bitwise-equal to the scalar 3×3
+//! micro path.
 
 pub mod kernels;
 pub mod pool;
@@ -36,7 +36,5 @@ pub use kernels::{
     smv_into,
 };
 pub use pool::{BatchFailure, PoolStats, SupervisionPolicy, WorkerPool};
-pub use tile_kernels::{
-    bmv_sym_into, bmv_tiles_banded_into, bmv_tiles_range_into, force_scalar, simd_active,
-};
+pub use tile_kernels::{bmv_sym_into, bmv_tiles_range_into, force_scalar, simd_active};
 pub use workspace::KernelWorkspace;

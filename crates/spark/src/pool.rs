@@ -5,25 +5,21 @@
 //! paper's 6000-step time loop where the same parallel shape repeats every
 //! step. [`WorkerPool`] keeps a fixed set of OS threads alive, each with
 //! its **own** command queue (no shared `Mutex<Receiver>` on the dispatch
-//! path), and offers two ways to feed them:
-//!
-//! * [`WorkerPool::execute`] — a batch of boxed closures, round-robined
-//!   across the per-worker queues. Flexible (any number of tasks) but pays
-//!   one `Box` per task. Full barrier.
-//! * [`WorkerPool::broadcast`] — the steady-state fast path: one *shared*
-//!   closure invoked once per worker with that worker's index. Nothing is
-//!   boxed and nothing is allocated per call (the per-worker queues and the
-//!   completion latch are reused), so a 6000-step time loop can dispatch
-//!   6000 × phases batches without touching the allocator. Full barrier.
+//! path), and feeds them through [`WorkerPool::broadcast`]: one *shared*
+//! closure invoked once per worker with that worker's index. Nothing is
+//! boxed and nothing is allocated per call (the per-worker queues and the
+//! completion latch are reused), so a 6000-step time loop can dispatch
+//! 6000 × phases batches without touching the allocator. Full barrier.
 //!
 //! # Safety model
 //!
-//! Tasks may borrow from the caller's stack (`'scope` lifetime). The pool
-//! erases that lifetime to move tasks onto long-lived worker threads, which
-//! is sound because `execute`/`broadcast` block on a completion latch until
-//! every task in the batch has finished (or panicked) — no task can outlive
-//! the borrowed data. Worker panics are caught, counted, and re-raised on
-//! the calling thread after the batch drains.
+//! The broadcast closure may borrow from the caller's stack (`'scope`
+//! lifetime). The pool erases that lifetime to hand the closure to
+//! long-lived worker threads, which is sound because `broadcast` blocks on
+//! a completion latch until every worker's call has finished (or
+//! panicked) — no call can outlive the borrowed data. Worker panics are
+//! caught, counted, and re-raised on the calling thread after the batch
+//! drains.
 //!
 //! # Supervision
 //!
@@ -44,11 +40,6 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-
-/// A borrowed task: runs once on some worker thread.
-pub type Task<'scope> = Box<dyn FnOnce() + Send + 'scope>;
-
-type StaticTask = Box<dyn FnOnce() + Send + 'static>;
 
 /// A shared batch closure, called once per worker with the worker index.
 pub type BatchFn<'scope> = dyn Fn(usize) + Sync + 'scope;
@@ -104,7 +95,7 @@ impl std::fmt::Debug for BatchFailure {
     }
 }
 
-/// Completion latch for one `execute`/`broadcast` batch.
+/// Completion latch for one `broadcast` or `run_on` batch.
 struct Latch {
     state: Mutex<LatchState>,
     cv: Condvar,
@@ -170,18 +161,10 @@ impl Latch {
             }
         }
     }
-
-    fn wait(&self) {
-        if let Err(failure) = self.wait_outcome() {
-            failure.resume();
-        }
-    }
 }
 
 /// One queued command for a specific worker.
 enum Cmd {
-    /// A boxed task from `execute`.
-    Task(StaticTask, Arc<Latch>),
     /// A lifetime-erased shared closure from `broadcast`; the worker calls
     /// it with its own index.
     Batch(&'static BatchFn<'static>, Arc<Latch>),
@@ -253,9 +236,6 @@ pub struct WorkerPool {
     /// Serializes `broadcast` callers so the reusable latch is never shared
     /// between two live batches.
     submit: Mutex<()>,
-    /// Round-robin start offset so small `execute` batches spread across
-    /// workers instead of piling onto worker 0.
-    next_worker: Mutex<usize>,
     /// Lifetime dispatch counters (relaxed; noise next to the batch
     /// barrier itself) for the observability layer.
     stats: PoolCounters,
@@ -307,7 +287,6 @@ impl WorkerPool {
             threads,
             batch_latch: Arc::new(Latch::new(0)),
             submit: Mutex::new(()),
-            next_worker: Mutex::new(0),
             stats: PoolCounters::default(),
         }
     }
@@ -326,35 +305,10 @@ impl WorkerPool {
         }
     }
 
-    /// Runs every task in `tasks` on the pool and returns once all have
-    /// completed — a full barrier. Tasks are distributed round-robin over
-    /// the per-worker queues. If any task panicked, the first payload is
-    /// re-raised here after the whole batch has drained (so borrowed data
-    /// is never abandoned mid-use).
-    pub fn execute<'scope>(&self, tasks: Vec<Task<'scope>>) {
-        if tasks.is_empty() {
-            return;
-        }
-        let latch = Arc::new(Latch::new(tasks.len()));
-        let start = {
-            let mut next = self.next_worker.lock().expect("next_worker lock");
-            let s = *next;
-            *next = (s + tasks.len()) % self.threads;
-            s
-        };
-        for (k, task) in tasks.into_iter().enumerate() {
-            // SAFETY: `wait` below blocks until every task has run to
-            // completion (the latch is decremented after the task body
-            // returns or panics), so no `'scope` borrow escapes this call.
-            let task: StaticTask = unsafe { std::mem::transmute::<Task<'scope>, StaticTask>(task) };
-            self.queues[(start + k) % self.threads].push(Cmd::Task(task, Arc::clone(&latch)));
-        }
-        latch.wait();
-    }
-
-    /// The steady-state fast path: runs `f(w)` once on every worker
-    /// `w ∈ 0..threads()` and returns once all calls have completed — a
-    /// full barrier with the same panic semantics as [`WorkerPool::execute`].
+    /// Runs `f(w)` once on every worker `w ∈ 0..threads()` and returns once
+    /// all calls have completed — a full barrier. If any call panicked, the
+    /// first payload is re-raised here after the whole batch has drained
+    /// (so borrowed data is never abandoned mid-use).
     ///
     /// Nothing is boxed and nothing is heap-allocated on this path: the
     /// closure is passed by reference, the per-worker queues reuse their
@@ -507,10 +461,6 @@ impl Drop for WorkerPool {
 fn worker_loop(queue: &WorkerQueue, index: usize) {
     while let Some(cmd) = queue.pop() {
         match cmd {
-            Cmd::Task(task, latch) => {
-                let outcome = catch_unwind(AssertUnwindSafe(task));
-                latch.complete(index, outcome.err());
-            }
             Cmd::Batch(f, latch) => {
                 let outcome = catch_unwind(AssertUnwindSafe(|| f(index)));
                 latch.complete(index, outcome.err());
@@ -526,105 +476,23 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
-    fn executes_every_task_exactly_once() {
-        let pool = WorkerPool::new(4);
-        let counter = AtomicUsize::new(0);
-        let tasks: Vec<Task> = (0..100)
-            .map(|_| {
-                Box::new(|| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                }) as Task
-            })
-            .collect();
-        pool.execute(tasks);
-        assert_eq!(counter.load(Ordering::Relaxed), 100);
-    }
-
-    #[test]
-    fn tasks_may_borrow_stack_data() {
-        let pool = WorkerPool::new(3);
-        let input = vec![1u64, 2, 3, 4, 5, 6];
-        let mut outputs = vec![0u64; 6];
-        let tasks: Vec<Task> = outputs
-            .iter_mut()
-            .zip(&input)
-            .map(|(out, &v)| {
-                Box::new(move || {
-                    *out = v * v;
-                }) as Task
-            })
-            .collect();
-        pool.execute(tasks);
-        assert_eq!(outputs, vec![1, 4, 9, 16, 25, 36]);
-    }
-
-    #[test]
-    fn execute_is_a_barrier_across_batches() {
-        // A second batch must observe every write of the first.
-        let pool = WorkerPool::new(4);
-        let mut data = vec![0u64; 64];
-        let tasks: Vec<Task> = data
-            .iter_mut()
-            .map(|slot| Box::new(move || *slot = 7) as Task)
-            .collect();
-        pool.execute(tasks);
-        let sum = Mutex::new(0u64);
-        let data_ref = &data;
-        let sum_ref = &sum;
-        pool.execute(vec![Box::new(move || {
-            *sum_ref.lock().unwrap() = data_ref.iter().sum();
-        }) as Task]);
-        assert_eq!(sum.into_inner().unwrap(), 7 * 64);
-    }
-
-    #[test]
-    fn pool_outlives_many_batches() {
-        let pool = WorkerPool::new(2);
-        for round in 0..50 {
-            let counter = AtomicUsize::new(0);
-            let tasks: Vec<Task> = (0..8)
-                .map(|_| {
-                    Box::new(|| {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                    }) as Task
-                })
-                .collect();
-            pool.execute(tasks);
-            assert_eq!(counter.load(Ordering::Relaxed), 8, "round {round}");
-        }
-    }
-
-    #[test]
-    fn empty_batch_is_a_no_op() {
-        let pool = WorkerPool::new(2);
-        pool.execute(Vec::new());
-    }
-
-    #[test]
     fn worker_panic_propagates_after_batch_drains() {
-        let pool = WorkerPool::new(2);
+        let pool = WorkerPool::new(4);
         let completed = AtomicUsize::new(0);
         let result = catch_unwind(AssertUnwindSafe(|| {
-            let mut tasks: Vec<Task> = vec![Box::new(|| panic!("task failed"))];
-            for _ in 0..10 {
-                tasks.push(Box::new(|| {
-                    completed.fetch_add(1, Ordering::Relaxed);
-                }));
-            }
-            pool.execute(tasks);
+            pool.broadcast(&|w| {
+                if w == 0 {
+                    panic!("worker 0 failed");
+                }
+                completed.fetch_add(1, Ordering::Relaxed);
+            });
         }));
         assert!(result.is_err(), "panic must reach the caller");
         assert_eq!(
             completed.load(Ordering::Relaxed),
-            10,
-            "non-panicking tasks still complete before the panic is re-raised"
+            3,
+            "non-panicking workers still complete before the panic is re-raised"
         );
-        // The pool remains usable after a panicked batch.
-        let counter = AtomicUsize::new(0);
-        pool.execute(vec![Box::new(|| {
-            counter.fetch_add(1, Ordering::Relaxed);
-        }) as Task]);
-        assert_eq!(counter.load(Ordering::Relaxed), 1);
     }
 
     #[test]
@@ -679,19 +547,6 @@ mod tests {
             counter.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(counter.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn execute_and_broadcast_interleave() {
-        let pool = WorkerPool::new(2);
-        let counter = AtomicUsize::new(0);
-        pool.execute(vec![Box::new(|| {
-            counter.fetch_add(10, Ordering::Relaxed);
-        }) as Task]);
-        pool.broadcast(&|_| {
-            counter.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 12);
     }
 
     #[test]

@@ -32,22 +32,19 @@
 //! which delivers every row's terms in its full-storage column order, so
 //! this path too is bitwise-equal to [`bmv_range_into`] on the full matrix.
 //!
-//! **Prefetch and banding.** The irregular `x[col]` gather is the stream
-//! the hardware prefetcher cannot predict; the AVX path issues a software
-//! prefetch for the gather target a few tiles ahead (plus the tile stream
-//! itself, cheap insurance when the hardware stride prefetcher lags). The
-//! banded entry ([`bmv_tiles_banded_into`]) additionally sweeps a
-//! [`BandPlan`] band's x-window into cache before gathering from it —
-//! band traversal is row order, so output remains bitwise-identical.
+//! **Prefetch.** The irregular `x[col]` gather is the stream the hardware
+//! prefetcher cannot predict; the AVX path issues a software prefetch for
+//! the gather target a few tiles ahead (plus the tile stream itself, cheap
+//! insurance when the hardware stride prefetcher lags).
 
 use crate::kernels::bmv_range_into;
 use quake_sparse::bcsr::Bcsr3;
 use quake_sparse::dense::Vec3;
-use quake_sparse::tiles::{BandPlan, Bcsr3Tiles, LaneBlock, SymTiles, TILE_LANES};
+use quake_sparse::tiles::{Bcsr3Tiles, LaneBlock, SymTiles, TILE_LANES};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// When set, [`bmv_tiles_range_into`] and the banded entry take the scalar
+/// When set, [`bmv_tiles_range_into`] and [`bmv_sym_into`] take the scalar
 /// tile path even where AVX is available.
 static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
 
@@ -95,83 +92,6 @@ pub fn bmv_tiles_range_into(tiles: &Bcsr3Tiles, x: &[Vec3], rows: Range<usize>, 
         }
     }
     rows_range_scalar(tiles, x, rows, out);
-}
-
-/// Cache-blocked SMVP: [`bmv_tiles_range_into`] with the traversal grouped
-/// by `plan`'s row bands, each band's x-window swept by software prefetch
-/// before its gathers issue (vector path only; the sweep is a hint and the
-/// scalar path skips it). Two guards keep the sweep from inverting the
-/// blocking win. It is *incremental*: consecutive bands' windows overlap
-/// (heavily so at natural mesh ordering), and only the part of a band's
-/// window not covered by the previous band's is swept, so one product
-/// sweeps each source line O(1) times instead of once per band touching
-/// it. And it is *amortization-gated*: a band whose fresh window is wider
-/// than its own tile stream — the degenerate single-row bands
-/// [`BandPlan::for_tiles`] emits when one scattered row gathers wider than
-/// the budget — skips the sweep outright. Bands are visited in row order,
-/// so the accumulation order — and therefore every output bit — is
-/// identical to the unbanded kernel.
-///
-/// # Panics
-///
-/// As [`bmv_tiles_range_into`]; additionally debug-asserts that `plan`
-/// covers the matrix's rows.
-pub fn bmv_tiles_banded_into(
-    tiles: &Bcsr3Tiles,
-    plan: &BandPlan,
-    x: &[Vec3],
-    rows: Range<usize>,
-    out: &mut [Vec3],
-) {
-    check_args(tiles, x, &rows, out);
-    debug_assert_eq!(
-        plan.bands().last().map_or(0, |b| b.rows.end),
-        tiles.block_rows(),
-        "band plan does not cover the matrix"
-    );
-    let vector = simd_active();
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    let mut swept: Range<usize> = 0..0;
-    for band in plan.bands() {
-        let lo = band.rows.start.max(rows.start);
-        let hi = band.rows.end.min(rows.end);
-        if lo >= hi {
-            continue;
-        }
-        let out_band = &mut out[lo - rows.start..hi - rows.start];
-        if vector {
-            #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-            // SAFETY: simd_active() verified AVX; args checked on entry and
-            // band.cols lies within 0..block_rows == x.len() by BandPlan
-            // construction.
-            unsafe {
-                // Fresh window: the parts of this band's window the
-                // previous band did not already sweep (up to two contiguous
-                // pieces around the overlap). Skipping prefetches never
-                // changes output — the sweep is a pure hint.
-                let c = &band.cols;
-                let head = c.start..c.end.min(swept.start.max(c.start));
-                let tail = c.start.max(swept.end.min(c.end))..c.end;
-                let fresh = head.len() + tail.len();
-                let fresh_lines = (fresh * quake_sparse::tiles::X_ENTRY_BYTES).div_ceil(64);
-                let band_tiles = tiles.row_ptr()[hi] - tiles.row_ptr()[lo];
-                // Amortization gate: at most ~one prefetch per tile the
-                // band itself processes. Degenerate bands — one scattered
-                // row forced over the plan's budget — would otherwise sweep
-                // a window wider than the cache for a few dozen flops.
-                if fresh_lines <= band_tiles {
-                    avx::sweep_window(x, head);
-                    avx::sweep_window(x, tail);
-                    swept = c.clone();
-                }
-                avx::rows_range(tiles, x, lo..hi, out_band);
-            }
-            #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-            rows_range_scalar(tiles, x, lo..hi, out_band);
-        } else {
-            rows_range_scalar(tiles, x, lo..hi, out_band);
-        }
-    }
 }
 
 /// Full SMVP `out = K x` from the half-storage layout: bitwise-equal to
@@ -277,30 +197,6 @@ mod avx {
     /// at ~15 tiles/row, near enough that the line is rarely evicted
     /// before use.
     const LOOKAHEAD: usize = 4;
-
-    /// One cache line, for the band-window sweep stride.
-    const LINE_BYTES: usize = 64;
-
-    /// Prefetches the source-vector window `cols` (a [`BandPlan`] band's
-    /// gather range) into cache, one request per line.
-    ///
-    /// # Safety
-    ///
-    /// Caller must have AVX verified. `cols` must lie within `x`
-    /// (prefetch never faults, but the pointer arithmetic must not leave
-    /// the allocation except via `wrapping_add`).
-    #[target_feature(enable = "avx")]
-    pub unsafe fn sweep_window(x: &[Vec3], cols: Range<usize>) {
-        let base = x.as_ptr().add(cols.start) as *const i8;
-        let bytes = cols.len() * std::mem::size_of::<Vec3>();
-        let mut off = 0;
-        while off < bytes {
-            // T1: the window targets L2 residency — T0 would thrash an
-            // 8-way L1 long before a band-sized window fits it.
-            _mm_prefetch(base.wrapping_add(off), _MM_HINT_T1);
-            off += LINE_BYTES;
-        }
-    }
 
     /// The AVX row-range kernel. Per tile: three 4-lane column loads
     /// (lane 3 overhangs into the next column / zero tail pad and is
@@ -457,7 +353,6 @@ mod tests {
     use super::*;
     use quake_sparse::bcsr::Bcsr3Builder;
     use quake_sparse::dense::Mat3;
-    use quake_sparse::tiles::X_ENTRY_BYTES;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::sync::Mutex;
@@ -566,31 +461,6 @@ mod tests {
     }
 
     #[test]
-    fn banded_matches_unbanded_bitwise_at_every_window() {
-        let n = 150;
-        let matrix = random_bcsr(n, 7);
-        let tiles = Bcsr3Tiles::from_bcsr(&matrix);
-        let x = random_x(n, 7);
-        let mut want = vec![Vec3::ZERO; n];
-        bmv_tiles_range_into(&tiles, &x, 0..n, &mut want);
-        for window in [X_ENTRY_BYTES, 16 * X_ENTRY_BYTES, 4096, usize::MAX / 2] {
-            let plan = BandPlan::for_tiles(&tiles, window);
-            let mut got = vec![Vec3::ZERO; n];
-            bmv_tiles_banded_into(&tiles, &plan, &x, 0..n, &mut got);
-            assert_vec3_bits_eq(&got, &want, &format!("window {window}"));
-            // Banded partial ranges (the executor's boundary/interior
-            // split) must honor the same out-offset convention.
-            let mid = n / 3;
-            let mut head = vec![Vec3::ZERO; mid];
-            let mut tail = vec![Vec3::ZERO; n - mid];
-            bmv_tiles_banded_into(&tiles, &plan, &x, 0..mid, &mut head);
-            bmv_tiles_banded_into(&tiles, &plan, &x, mid..n, &mut tail);
-            assert_vec3_bits_eq(&head, &want[..mid], "banded head");
-            assert_vec3_bits_eq(&tail, &want[mid..], "banded tail");
-        }
-    }
-
-    #[test]
     fn tail_tiles_of_every_residue_match() {
         // Matrices whose total tile count runs through every residue mod 4
         // (the lane-block granularity) and whose last row has 1..=8 tiles,
@@ -635,9 +505,6 @@ mod tests {
         );
         let mut forced = vec![Vec3::ZERO; n];
         bmv_tiles_range_into(&tiles, &x, 0..n, &mut forced);
-        let plan = BandPlan::for_tiles(&tiles, 4096);
-        let mut forced_banded = vec![Vec3::ZERO; n];
-        bmv_tiles_banded_into(&tiles, &plan, &x, 0..n, &mut forced_banded);
         force_scalar(false);
         assert_eq!(
             simd_active(),
@@ -646,7 +513,6 @@ mod tests {
         );
 
         assert_vec3_bits_eq(&forced, &want, "forced fallback");
-        assert_vec3_bits_eq(&forced_banded, &want, "forced banded fallback");
     }
 
     /// A random bitwise-symmetric matrix: some rows empty, some holding

@@ -12,8 +12,8 @@
 //!   Spark98 kernels;
 //! * [`pattern::Pattern`] — symbolic node-adjacency structure;
 //! * [`reorder`] — reverse Cuthill–McKee bandwidth reduction;
-//! * [`tiles`] — SIMD-friendly flat tile layout, its symmetric
-//!   half-storage twin, and row-band cache blocking over [`bcsr::Bcsr3`];
+//! * [`tiles`] — SIMD-friendly flat tile layout over [`bcsr::Bcsr3`] and
+//!   its symmetric half-storage twin;
 //! * [`dense`] — `Vec3`/`Mat3` micro-kernels.
 //!
 //! # Examples
@@ -54,4 +54,4 @@ pub use dense::{Mat3, Vec3};
 pub use error::SparseError;
 pub use pattern::Pattern;
 pub use sym::SymCsr;
-pub use tiles::{Band, BandPlan, Bcsr3Tiles, SymTiles};
+pub use tiles::{Bcsr3Tiles, SymTiles};

@@ -1,4 +1,4 @@
-//! SIMD-friendly flat tile layout for [`Bcsr3`] and row-band cache blocking.
+//! SIMD-friendly flat tile layout for [`Bcsr3`].
 //!
 //! [`Bcsr3`] stores its blocks as row-major [`Mat3`]s — the natural layout
 //! for the scalar register-blocked microkernel, but the wrong transpose for
@@ -30,20 +30,9 @@
 //! bitwise-symmetric matrix: it streams each symmetric pair of blocks
 //! once, and its construction checks the two invariants a kernel needs
 //! to reproduce the full product bit for bit.
-//!
-//! [`BandPlan`] adds row-band cache blocking on top: contiguous row bands
-//! sized so each band's source-vector window stays resident in a target
-//! cache level. Bands preserve row order — processing them in sequence is
-//! the *same* traversal as an unblocked sweep, so banding never perturbs
-//! the floating-point summation order (the bitwise-equality contract the
-//! executor proves every run). The transform's benefit is locality shaping
-//! only: a band's x-window can be swept ahead by software prefetch and is
-//! then guaranteed to still be resident when the band's irregular gathers
-//! land on it.
 
 use crate::bcsr::Bcsr3;
 use crate::error::SparseError;
-use std::ops::Range;
 
 /// Four `f64` lanes at the vector unit's natural 32-byte alignment — the
 /// building block of the tile stream's backing store.
@@ -413,115 +402,6 @@ fn check_bitwise_symmetric(matrix: &Bcsr3) -> Result<(), SparseError> {
     Ok(())
 }
 
-/// One cache-blocking band: a contiguous row range and the block-column
-/// window its tiles gather from.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Band {
-    /// Block rows of the band.
-    pub rows: Range<usize>,
-    /// Smallest contiguous block-column range covering every gather the
-    /// band performs (`x[cols]` is the band's source-vector window).
-    pub cols: Range<usize>,
-}
-
-/// Row-band cache blocking: contiguous bands whose source-vector windows
-/// each fit a byte budget (sized from a cache level's capacity).
-///
-/// Bands partition `0..block_rows` in order, so a banded sweep visits rows
-/// — and therefore accumulates floating-point terms — in exactly the
-/// unblocked order. The plan only *shapes locality*: a kernel can sweep
-/// prefetches over `band.cols` before gathering from it.
-///
-/// # Examples
-///
-/// ```
-/// use quake_sparse::bcsr::Bcsr3Builder;
-/// use quake_sparse::dense::Mat3;
-/// use quake_sparse::tiles::{BandPlan, Bcsr3Tiles};
-///
-/// let mut b = Bcsr3Builder::new(100);
-/// for i in 0..100 {
-///     b.add_block(i, i, Mat3::identity());
-/// }
-/// let tiles = Bcsr3Tiles::from_bcsr(&b.build());
-/// // 24 bytes per x entry; a 240-byte window holds 10 entries.
-/// let plan = BandPlan::for_tiles(&tiles, 240);
-/// assert_eq!(plan.bands().len(), 10);
-/// assert!(plan.bands().iter().all(|b| b.rows.len() == 10));
-/// ```
-#[derive(Debug, Clone)]
-pub struct BandPlan {
-    bands: Vec<Band>,
-    window_bytes: usize,
-}
-
-/// Bytes one source-vector entry occupies (a `Vec3` of three `f64`).
-pub const X_ENTRY_BYTES: usize = 24;
-
-impl BandPlan {
-    /// Plans bands over `tiles` so each band's x-window spans at most
-    /// `window_bytes` (at least one row per band — a single row whose own
-    /// window exceeds the budget still forms a band; blocking cannot help
-    /// a row that gathers wider than the cache).
-    pub fn for_tiles(tiles: &Bcsr3Tiles, window_bytes: usize) -> Self {
-        let n = tiles.block_rows();
-        let row_ptr = tiles.row_ptr();
-        let col_idx = tiles.col_idx();
-        let budget_entries = (window_bytes / X_ENTRY_BYTES).max(1);
-        let mut bands = Vec::new();
-        let mut start = 0usize;
-        let (mut lo, mut hi) = (usize::MAX, 0usize); // current window (min, max+1)
-        for r in 0..n {
-            let (mut rlo, mut rhi) = (lo, hi);
-            for &c in &col_idx[row_ptr[r]..row_ptr[r + 1]] {
-                rlo = rlo.min(c as usize);
-                rhi = rhi.max(c as usize + 1);
-            }
-            let fits = rlo == usize::MAX || rhi - rlo <= budget_entries;
-            if fits || r == start {
-                // Row joins the current band (possibly overflowing a
-                // single-row band, which is allowed).
-                lo = rlo;
-                hi = rhi;
-            } else {
-                bands.push(Band {
-                    rows: start..r,
-                    cols: if lo == usize::MAX { 0..0 } else { lo..hi },
-                });
-                start = r;
-                lo = usize::MAX;
-                hi = 0;
-                for &c in &col_idx[row_ptr[r]..row_ptr[r + 1]] {
-                    lo = lo.min(c as usize);
-                    hi = hi.max(c as usize + 1);
-                }
-            }
-        }
-        if start < n || n == 0 {
-            bands.push(Band {
-                rows: start..n,
-                cols: if lo == usize::MAX { 0..0 } else { lo..hi },
-            });
-        }
-        BandPlan {
-            bands,
-            window_bytes,
-        }
-    }
-
-    /// The planned bands, in row order, partitioning `0..block_rows`.
-    #[inline]
-    pub fn bands(&self) -> &[Band] {
-        &self.bands
-    }
-
-    /// The x-window byte budget the plan was sized for.
-    #[inline]
-    pub fn window_bytes(&self) -> usize {
-        self.window_bytes
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -568,6 +448,8 @@ mod tests {
         tiles
             .audit()
             .expect("fresh tiles must pass their own audit");
+        let empty = Bcsr3Tiles::from_bcsr(&Bcsr3Builder::new(0).build());
+        empty.audit().expect("empty tiles are valid");
         assert_eq!(tiles.values().as_ptr() as usize % STREAM_ALIGN, 0);
         // Tail: at least one full zero tile past the last real one.
         let live = tiles.block_nnz() * TILE_LANES;
@@ -661,68 +543,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn band_plan_partitions_rows_in_order() {
-        let m = dense_band_matrix(200, 4);
-        let tiles = Bcsr3Tiles::from_bcsr(&m);
-        for window in [X_ENTRY_BYTES, 480, 4800, usize::MAX / 2] {
-            let plan = BandPlan::for_tiles(&tiles, window);
-            let mut next = 0;
-            for band in plan.bands() {
-                assert_eq!(band.rows.start, next, "bands must be contiguous");
-                assert!(!band.rows.is_empty());
-                next = band.rows.end;
-            }
-            assert_eq!(next, 200, "bands must cover every row");
-        }
-    }
-
-    #[test]
-    fn band_windows_cover_their_gathers() {
-        let m = dense_band_matrix(150, 6);
-        let tiles = Bcsr3Tiles::from_bcsr(&m);
-        let plan = BandPlan::for_tiles(&tiles, 40 * X_ENTRY_BYTES);
-        for band in plan.bands() {
-            for r in band.rows.clone() {
-                for k in tiles.row_ptr()[r]..tiles.row_ptr()[r + 1] {
-                    let c = tiles.col_idx()[k] as usize;
-                    assert!(
-                        band.cols.contains(&c),
-                        "row {r} gathers column {c} outside window {:?}",
-                        band.cols
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn band_windows_respect_budget_except_single_rows() {
-        let m = dense_band_matrix(150, 6);
-        let tiles = Bcsr3Tiles::from_bcsr(&m);
-        let budget = 20 * X_ENTRY_BYTES;
-        let plan = BandPlan::for_tiles(&tiles, budget);
-        assert!(plan.bands().len() > 1, "budget should force multiple bands");
-        for band in plan.bands() {
-            if band.rows.len() > 1 {
-                assert!(
-                    band.cols.len() * X_ENTRY_BYTES <= budget,
-                    "multi-row band {:?} window {:?} exceeds budget",
-                    band.rows,
-                    band.cols
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn empty_matrix_plans_one_empty_band() {
-        let tiles = Bcsr3Tiles::from_bcsr(&Bcsr3Builder::new(0).build());
-        tiles.audit().expect("empty tiles are valid");
-        let plan = BandPlan::for_tiles(&tiles, 4096);
-        assert_eq!(plan.bands().len(), 1);
-        assert_eq!(plan.bands()[0].rows, 0..0);
     }
 }

@@ -825,41 +825,25 @@ fn run_smvp_proc(
         );
         // Eq. (2) under the measured parameters, against the measured
         // exchange wall — the proc analogue of the netsim postal model.
-        // An emulated inter-node hold (`--wire-latency`) is part of the
-        // link both models must price, so it folds into the per-message
-        // latency term.
-        let i = &analyzed.instance;
-        let t_l_eff = out.link.t_l + spec.wire_latency;
-        let predicted = i.b_max as f64 * t_l_eff + i.c_max as f64 * out.link.t_w;
-        let measured = report.phases.exchange / spec.steps.max(1) as f64;
+        let score = run::score_exchange(spec, built, &out);
         println!(
             "Eq. (2) with measured link: B_max·T_l + C_max·T_w = {:.3e} s/step \
              vs measured exchange {:.3e} s/step (ratio {:.2})\n",
-            predicted,
-            measured,
-            measured / predicted.max(f64::MIN_POSITIVE)
+            score.eq2_s,
+            score.measured_s,
+            score.measured_s / score.eq2_s.max(f64::MIN_POSITIVE)
         );
-        // Node-aware runs also price the exchange with the max-rate model
+        // Aggregating runs also price the exchange with the max-rate model
         // (Bienz, Gropp & Olson): the busiest node's injection port plus
         // the intra-node gather leg, under the same measured link.
-        if spec.nodes >= 1 {
-            let mr = quake_partition::comm::MaxRateAnalysis::new(
-                &built.app.mesh,
-                &built.partition,
-                spec.nodes,
-            );
-            // Inter-node leg pays the (possibly emulated) slow link;
-            // the intra-node gather rides the raw measured socket.
-            let mr_pred =
-                mr.predicted_with_local(t_l_eff, out.link.t_w, out.link.t_l, out.link.t_w);
-            let floor = measured.max(f64::MIN_POSITIVE);
+        if let (Some(mr_pred), Some(mr_err)) = (score.maxrate_s, score.maxrate_rel_err()) {
             println!(
                 "max-rate model ({} nodes): max_N(B_N·T_l + C_N·T_w) + local gather = \
                  {:.3e} s/step (rel err {:.1}% vs Eq. (2) rel err {:.1}%)\n",
                 spec.nodes,
                 mr_pred,
-                100.0 * (measured - mr_pred).abs() / floor,
-                100.0 * (measured - predicted).abs() / floor,
+                100.0 * mr_err,
+                100.0 * score.eq2_rel_err(),
             );
         }
     }
