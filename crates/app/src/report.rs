@@ -129,6 +129,33 @@ pub fn fmt_seconds(s: f64) -> String {
     format!("{v:.digits$} {unit}")
 }
 
+/// Wall-clock time of each set-up phase a run goes through, printed as one
+/// `set-up:` line so the phases before the measured work account for their
+/// own time.
+#[derive(Debug, Default, Clone)]
+pub struct SetupWalls(pub Vec<(&'static str, f64)>);
+
+impl SetupWalls {
+    /// Runs `f` as set-up phase `phase`, recording its wall.
+    pub fn time<T>(&mut self, phase: &'static str, f: impl FnOnce() -> T) -> T {
+        let start = std::time::Instant::now();
+        let out = f();
+        self.0.push((phase, start.elapsed().as_secs_f64()));
+        out
+    }
+}
+
+impl std::fmt::Display for SetupWalls {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("set-up:")?;
+        for (i, (phase, s)) in self.0.iter().enumerate() {
+            let sep = if i == 0 { " " } else { ", " };
+            write!(f, "{sep}{phase} {}", fmt_seconds(*s))?;
+        }
+        Ok(())
+    }
+}
+
 /// Formats a count exactly below 10 000 and with a k/M/G suffix (three
 /// significant figures) above.
 pub fn fmt_count(n: u64) -> String {

@@ -2317,6 +2317,9 @@ fn run_ensemble(
         incidents: sup.incidents,
         shard_telemetry,
         shard_faults,
+        telemetry: None,
+        pool_stats: None,
+        plan_s: None,
     })
 }
 

@@ -6,6 +6,14 @@
 //! results ever cross a socket. The same builder drives the in-process
 //! backends, which is what makes the cross-transport conformance suite
 //! meaningful: every backend runs the bitwise-identical problem.
+//!
+//! This module is also the whole of `quake smvp-run`'s pipeline: the
+//! command parses its flags into a [`RunSpec`], builds with
+//! [`build_timed`], runs with [`run_with`] over whichever transport was
+//! asked for, and renders its report from the [`Built`] problem and the
+//! [`RunOutput`] alone. Its proofs rerun a clean variant of the spec
+//! through [`run_with`], and the setup golden digests that pin [`build`]
+//! pin the command too.
 
 use super::wire::RunSpec;
 use super::{
@@ -15,14 +23,16 @@ use super::{
 use crate::distributed::DistributedSystem;
 use crate::executor::{BspExecutor, ExecutionReport};
 use crate::family::{AppConfig, QuakeApp};
+use crate::report::SetupWalls;
 use quake_core::fault::{FaultPlan, FaultRates, RecoveryPolicy};
 use quake_core::machine::Network;
-use quake_core::telemetry::{ShardTrace, TelemetryConfig};
+use quake_core::telemetry::{ShardTrace, Telemetry, TelemetryConfig};
 use quake_fem::assembly::UniformMaterial;
 use quake_mesh::ground::Material;
 use quake_partition::comm::{CommAnalysis, MaxRateAnalysis};
 use quake_partition::geometric::Partitioner;
 use quake_partition::partition::Partition;
+use quake_spark::PoolStats;
 use quake_sparse::dense::Vec3;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -56,13 +66,24 @@ pub struct RunOutput {
     /// Proc only: supervisor-observed recovery incidents (suspects,
     /// shard respawns, stall announcements), in wall-clock order.
     pub incidents: Vec<Incident>,
-    /// Proc + trace only: every shard's telemetry snapshot with its
-    /// handshake-measured clock offset, ready for the trace merger. One
-    /// entry per shard generation that finished a run attempt.
+    /// Trace only: every shard's telemetry snapshot with its clock offset,
+    /// ready for the trace merger and the profiler. Proc: one entry per
+    /// shard generation that finished a run attempt, offset by the
+    /// handshake measurement. In process: one pseudo-shard on offset 0,
+    /// so every run renders through the same merged writer.
     pub shard_telemetry: Vec<ShardTrace>,
     /// Proc only: per-shard wire/chaos ledgers as `(shard, generation,
     /// report)`, for shard-labeled Prometheus series.
     pub shard_faults: Vec<(usize, u32, quake_core::fault::FaultReport)>,
+    /// In-process + trace only: the executor's live telemetry. Unlike the
+    /// merged snapshots it keeps the drift monitor, so the summary and the
+    /// Prometheus exposition read it directly.
+    pub telemetry: Option<Telemetry>,
+    /// In-process only: the executor's worker-pool dispatch counters.
+    pub pool_stats: Option<PoolStats>,
+    /// In-process only: seconds spent building the executor's plan (proc
+    /// shard children plan their own).
+    pub plan_s: Option<f64>,
 }
 
 /// One supervisor-observed recovery event on the proc fabric, stamped
@@ -122,35 +143,52 @@ pub fn make_x(spec: &RunSpec, nodes: usize) -> Result<Vec<Vec3>, String> {
     }
 }
 
-/// Builds the full problem instance a spec describes. Mirrors the
-/// `smvp-run` command's construction path exactly — a shard child calling
-/// this reproduces the parent's mesh, partition and matrices bit for bit.
+/// Builds the full problem instance a spec describes. This is the
+/// `smvp-run` command's construction path, and a shard child calling it
+/// reproduces the parent's mesh, partition and matrices bit for bit.
 ///
 /// # Errors
 ///
 /// Returns a message on an invalid spec or a generation failure.
 pub fn build(spec: &RunSpec) -> Result<Built, String> {
+    build_timed(spec).map(|(built, _)| built)
+}
+
+/// [`build`], also returning the wall of each phase it ran: `generate`,
+/// `partition` and `system build`.
+///
+/// # Errors
+///
+/// Returns a message on an invalid spec or a generation failure.
+pub fn build_timed(spec: &RunSpec) -> Result<(Built, SetupWalls), String> {
+    let mut walls = SetupWalls::default();
     let mut config = AppConfig::new(format!("sf{}", spec.period), spec.period, spec.scale);
     config.seed = spec.seed;
-    let app = QuakeApp::generate(config).map_err(|e| e.to_string())?;
+    let app = walls
+        .time("generate", || QuakeApp::generate(config))
+        .map_err(|e| e.to_string())?;
     let strat = partitioner(&spec.partitioner)?;
-    let partition = strat
-        .partition(&app.mesh, spec.parts)
+    let partition = walls
+        .time("partition", || strat.partition(&app.mesh, spec.parts))
         .map_err(|e| e.to_string())?;
     let mat = Material {
         vs: app.ground.vs_rock,
         vp: 2.0 * app.ground.vs_rock,
         rho: 2600.0,
     };
-    let system = DistributedSystem::build(&app.mesh, &partition, &UniformMaterial(mat))
+    let system = walls
+        .time("system build", || {
+            DistributedSystem::build(&app.mesh, &partition, &UniformMaterial(mat))
+        })
         .map_err(|e| e.to_string())?;
     let x = make_x(spec, app.mesh.node_count())?;
-    Ok(Built {
+    let built = Built {
         app,
         partition,
         system,
         x,
-    })
+    };
+    Ok((built, walls))
 }
 
 /// Arms the fault and telemetry layers on an executor per the spec —
@@ -211,7 +249,8 @@ pub(crate) fn arm_at(
 /// Runs the spec over the chosen transport and returns the folded product
 /// plus the merged report. `shared` and `netsim` run in-process over the
 /// mailbox fabric; `proc` forks `spec.shards` shard processes connected
-/// by Unix-domain sockets (see [`proc::run_parent`]).
+/// by Unix-domain sockets (see [`proc::run_parent`]). A traced in-process
+/// run also returns its telemetry, live and as a one-shard capture.
 ///
 /// # Errors
 ///
@@ -253,6 +292,7 @@ pub fn run_with(kind: TransportKind, spec: &RunSpec, built: &Built) -> Result<Ru
         TransportKind::Proc => unreachable!("handled above"),
     };
     let params = link.link();
+    let plan = std::time::Instant::now();
     let mut exec = BspExecutor::with_transport(
         &built.system,
         spec.threads,
@@ -261,8 +301,11 @@ pub fn run_with(kind: TransportKind, spec: &RunSpec, built: &Built) -> Result<Ru
         0..p,
         link,
     );
+    let plan_s = plan.elapsed().as_secs_f64();
     arm(&mut exec, spec)?;
     let y = exec.run(&built.x, spec.steps);
+    let telemetry = exec.telemetry().cloned();
+    let shard_telemetry = telemetry.iter().map(ShardTrace::local).collect();
     Ok(RunOutput {
         y,
         report: exec.report(),
@@ -270,8 +313,11 @@ pub fn run_with(kind: TransportKind, spec: &RunSpec, built: &Built) -> Result<Ru
         link: params,
         modeled_exchange_s: netsim.map(|t| t.modeled_exchange_s()),
         incidents: Vec::new(),
-        shard_telemetry: Vec::new(),
+        shard_telemetry,
         shard_faults: Vec::new(),
+        telemetry,
+        pool_stats: Some(exec.pool_stats()),
+        plan_s: Some(plan_s),
     })
 }
 

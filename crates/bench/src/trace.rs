@@ -355,7 +355,10 @@ pub fn validate_prometheus(text: &str) -> Result<MetricsSummary, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quake_core::telemetry::{PhaseId, Span, Telemetry, TelemetryConfig, TraceInstant};
+    use quake_core::telemetry::{
+        merged_chrome_trace, PhaseId, ShardTrace, Span, SupervisorInstant, Telemetry,
+        TelemetryConfig, TraceInstant,
+    };
 
     fn sample_telemetry() -> Telemetry {
         let mut t = Telemetry::new(2, vec![(20, 2), (16, 2)], TelemetryConfig::default());
@@ -384,13 +387,28 @@ mod tests {
 
     #[test]
     fn live_chrome_trace_passes_validation() {
-        let trace = sample_telemetry().to_chrome_trace("sf-test");
+        let shard = ShardTrace::local(&sample_telemetry());
+        let trace = merged_chrome_trace("sf-test", &[shard], &[]);
         let summary = validate_chrome_trace(&trace).expect("valid trace");
         assert!(summary.metadata >= 3, "process + 2 PE lanes at minimum");
         assert_eq!(summary.spans, 2);
         assert_eq!(summary.instants, 1);
         assert!(summary.has_span("compute") && summary.has_span("exchange"));
         assert!(summary.instant_names.contains("fault:drop"));
+    }
+
+    #[test]
+    fn supervisor_only_chrome_trace_passes_validation() {
+        let sup = [SupervisorInstant {
+            name: "shard-respawn".to_string(),
+            shard: 1,
+            at_ns: 1_000,
+        }];
+        let summary =
+            validate_chrome_trace(&merged_chrome_trace("sf-test", &[], &sup)).expect("valid");
+        assert_eq!(summary.spans, 0);
+        assert_eq!(summary.instants, 1);
+        assert!(summary.instant_names.contains("shard-respawn"));
     }
 
     #[test]

@@ -1,14 +1,12 @@
-//! Exporters: Chrome `trace_event` JSON and Prometheus text exposition.
+//! Exporters: Prometheus text exposition, plus the JSON and timestamp
+//! helpers the Chrome `trace_event` writer ([`super::merged_chrome_trace`])
+//! shares.
 //!
 //! Both formats are emitted by hand (the workspace has no real serde) and
-//! deterministically: spans in ring order, histograms in bucket order,
-//! object keys fixed. The Chrome output is the JSON Object Format
-//! (`{"traceEvents": [...]}`) with complete (`ph:"X"`) events for spans and
-//! instant (`ph:"i"`) events for faults, timestamps in fractional
-//! microseconds as the format requires; it loads directly in
-//! `chrome://tracing` and Perfetto. The Prometheus output uses the plain
-//! text exposition format: histogram families with cumulative `le` buckets
-//! and `+Inf`, plus counters for steps, phase walls, and drift flags.
+//! deterministically: histograms in bucket order, object keys fixed. The
+//! Prometheus output uses the plain text exposition format: histogram
+//! families with cumulative `le` buckets and `+Inf`, plus counters for
+//! steps, phase walls, and drift flags.
 
 use std::fmt::Write as _;
 
@@ -42,106 +40,6 @@ pub(super) fn us(ns: u64) -> String {
 }
 
 impl Telemetry {
-    /// Renders the Chrome `trace_event` JSON document.
-    ///
-    /// One process (`pid` 0) named `process_name`; one thread lane per PE
-    /// plus a `driver` lane (tid = PE count) for caller-thread work (fold,
-    /// recovery control).
-    pub fn to_chrome_trace(&self, process_name: &str) -> String {
-        let mut out = String::with_capacity(256 + 160 * self.spans.len());
-        out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-        let mut first = true;
-        let mut push = |out: &mut String, ev: String| {
-            if !std::mem::take(&mut first) {
-                out.push(',');
-            }
-            out.push_str(&ev);
-        };
-        push(
-            &mut out,
-            format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                json_escape(process_name)
-            ),
-        );
-        // Truncated span windows must not masquerade as complete ones: the
-        // ring overwrites oldest-first, so surface the loss in-band where a
-        // person inspecting the trace will see it.
-        push(
-            &mut out,
-            format!(
-                "{{\"name\":\"telemetry_stats\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
-                 \"args\":{{\"name\":\"telemetry_stats\",\"dropped_spans\":{},\
-                 \"dropped_instants\":{}}}}}",
-                self.spans.dropped(),
-                self.instants_dropped()
-            ),
-        );
-        // Node-aggregated runs: surface the merged (node, node) block-size
-        // distribution in-band so a Perfetto reader sees the aggregation
-        // factor next to the gather spans and flow arrows.
-        if self.node_block_words.count() > 0 {
-            let s = self.node_block_words.summary();
-            push(
-                &mut out,
-                format!(
-                    "{{\"name\":\"node_block_words\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
-                     \"args\":{{\"name\":\"node_block_words\",\"count\":{},\
-                     \"p50\":{},\"p99\":{},\"max\":{},\"mean\":{}}}}}",
-                    s.count,
-                    s.p50,
-                    s.p99,
-                    s.max,
-                    fmt_f64(s.mean)
-                ),
-            );
-        }
-        for pe in 0..=self.pes() {
-            let label = if pe == self.pes() {
-                "driver".to_string()
-            } else {
-                format!("PE {pe}")
-            };
-            push(
-                &mut out,
-                format!(
-                    "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{pe},\
-                     \"args\":{{\"name\":\"{label}\"}}}}"
-                ),
-            );
-        }
-        for s in self.spans.iter() {
-            push(
-                &mut out,
-                format!(
-                    "{{\"name\":\"{}\",\"cat\":\"bsp\",\"ph\":\"X\",\"pid\":0,\
-                     \"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{\"step\":{}}}}}",
-                    s.phase.name(),
-                    s.pe,
-                    us(s.start_ns),
-                    us(s.dur_ns),
-                    s.step
-                ),
-            );
-        }
-        for i in self.instants() {
-            push(
-                &mut out,
-                format!(
-                    "{{\"name\":\"{}\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"t\",\
-                     \"pid\":0,\"tid\":{},\"ts\":{},\"args\":{{\"step\":{}}}}}",
-                    json_escape(i.name),
-                    i.pe,
-                    us(i.at_ns),
-                    i.step
-                ),
-            );
-        }
-        out.push_str("]}");
-        out
-    }
-
     /// Renders the Prometheus text exposition.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
@@ -268,7 +166,7 @@ pub(super) fn write_histogram(
 #[cfg(test)]
 mod tests {
     use super::super::span::{Span, TraceInstant};
-    use super::super::{Telemetry, TelemetryConfig};
+    use super::super::{merged_chrome_trace, ShardTrace, Telemetry, TelemetryConfig};
     use super::*;
 
     fn sample_telemetry() -> Telemetry {
@@ -323,7 +221,7 @@ mod tests {
     #[test]
     fn chrome_trace_has_metadata_spans_and_instants() {
         let t = sample_telemetry();
-        let text = t.to_chrome_trace("smvp sf10 x4");
+        let text = merged_chrome_trace("smvp sf10 x4", &[ShardTrace::local(&t)], &[]);
         assert!(text.starts_with("{\"displayTimeUnit\":\"ns\",\"traceEvents\":["));
         assert!(text.ends_with("]}"));
         for needle in [
@@ -373,7 +271,7 @@ mod tests {
     #[test]
     fn empty_telemetry_still_exports_valid_documents() {
         let t = Telemetry::new(1, vec![(0, 0)], TelemetryConfig::default());
-        let trace = t.to_chrome_trace("empty");
+        let trace = merged_chrome_trace("empty", &[ShardTrace::local(&t)], &[]);
         assert!(trace.contains("traceEvents"));
         let prom = t.to_prometheus();
         assert!(prom.contains("quake_steps_total 0"));

@@ -15,7 +15,13 @@
 //!   Perfetto the flow arrows fan out from a posting PE to every consumer,
 //!   and a stalled wire shows up as a long arrow into a long `wait` span;
 //! * per-shard and whole-run `telemetry_stats` metadata carrying dropped
-//!   span/instant/flow counts so a truncated window is visibly truncated.
+//!   span/instant/flow counts so a truncated window is visibly truncated;
+//! * on node-aggregated runs, whole-run `node_block_words` metadata: the
+//!   merged (node, node) block-size distribution summed over the shards.
+//!
+//! This is the one Chrome writer: an in-process run renders as a single
+//! pseudo-shard capture, and a run with no snapshots at all still renders
+//! its supervisor track as a valid document.
 //!
 //! [`merged_telemetry`] separately folds the snapshots into one aggregate
 //! [`Telemetry`] so the existing summary table and Prometheus exposition
@@ -23,8 +29,9 @@
 
 use std::collections::BTreeMap;
 
-use super::context::{FlowKind, TelemetrySnapshot};
-use super::export::{json_escape, us};
+use super::context::{FlowKind, TelemetrySnapshot, TraceContext};
+use super::export::{fmt_f64, json_escape, us};
+use super::histogram::Log2Histogram;
 use super::span::Span;
 use super::{PhaseId, Telemetry, TelemetryConfig};
 
@@ -51,6 +58,22 @@ pub struct SupervisorInstant {
 }
 
 impl ShardTrace {
+    /// A single-process run's telemetry as one pseudo-shard on offset 0:
+    /// the run is its own clock domain, so this is exactly what a
+    /// one-shard proc ensemble would ship.
+    pub fn local(telemetry: &Telemetry) -> Self {
+        let ctx = TraceContext {
+            run_id: 0,
+            shard: 0,
+            generation: 0,
+        };
+        let pes = telemetry.pes() as u32;
+        ShardTrace {
+            snap: TelemetrySnapshot::capture(telemetry, ctx, 0, pes, Vec::new(), 0),
+            clock_offset_ns: 0,
+        }
+    }
+
     /// A shard timestamp expressed on the parent's run clock.
     fn align(&self, ns: u64) -> u64 {
         (ns as i64).saturating_add(self.clock_offset_ns).max(0) as u64
@@ -94,6 +117,29 @@ pub fn merged_chrome_trace(
             shards.len()
         ),
     );
+    // Node-aggregated runs: the merged (node, node) block-size
+    // distribution in-band, so a Perfetto reader sees the aggregation
+    // factor next to the gather spans and flow arrows.
+    let mut node_blocks = Log2Histogram::default();
+    for st in shards {
+        node_blocks.merge(&st.snap.node_block_words);
+    }
+    if node_blocks.count() > 0 {
+        let s = node_blocks.summary();
+        push(
+            &mut out,
+            format!(
+                "{{\"name\":\"node_block_words\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
+                 \"args\":{{\"name\":\"node_block_words\",\"count\":{},\
+                 \"p50\":{},\"p99\":{},\"max\":{},\"mean\":{}}}}}",
+                s.count,
+                s.p50,
+                s.p99,
+                s.max,
+                fmt_f64(s.mean)
+            ),
+        );
+    }
 
     for st in shards {
         let snap = &st.snap;
@@ -518,6 +564,94 @@ mod tests {
         // Supervisor pid sits above the largest shard pid.
         assert!(text.contains("\"pid\":3,\"tid\":0,\"ts\":9.000"));
         assert!(text.contains("\"args\":{\"shard\":2}"));
+    }
+
+    #[test]
+    fn one_shard_capture_renders_lanes_instants_and_node_blocks() {
+        use super::super::span::TraceInstant;
+        let mut t = Telemetry::new(2, vec![(30, 1), (30, 1)], TelemetryConfig::default());
+        for pe in 0..3u32 {
+            // PE 2 is the caller-thread `driver` lane of a 2-PE run.
+            let phase = if pe == 2 {
+                PhaseId::Fold
+            } else {
+                PhaseId::Compute
+            };
+            t.span(Span {
+                phase,
+                pe,
+                step: 0,
+                start_ns: 100,
+                dur_ns: 400,
+            });
+        }
+        t.instant(TraceInstant {
+            name: "fault:drop",
+            pe: 1,
+            step: 0,
+            at_ns: 1_550,
+        });
+        t.node_block_words.record(96);
+        t.node_block_words.record(160);
+        let text = merged_chrome_trace("smvp", &[ShardTrace::local(&t)], &[]);
+        for needle in [
+            "\"name\":\"smvp shard 0 gen 0 (PE 0..2)\"",
+            "\"tid\":0,\"args\":{\"name\":\"PE 0\"}",
+            "\"tid\":1,\"args\":{\"name\":\"PE 1\"}",
+            "\"tid\":2,\"args\":{\"name\":\"driver\"}",
+            "\"name\":\"fold\",\"cat\":\"bsp\",\"ph\":\"X\",\"pid\":0,\"tid\":2",
+            "\"name\":\"fault:drop\",\"cat\":\"fault\",\"ph\":\"i\"",
+            "\"ts\":1.550",
+            "\"name\":\"node_block_words\",\"count\":2,",
+            "\"max\":160,\"mean\":128}",
+        ] {
+            assert!(text.contains(needle), "missing {needle} in trace:\n{text}");
+        }
+        // Flat runs carry no aggregation metadata.
+        assert!(!merged_chrome_trace("smvp", &[shard(0, 0, 2, 0)], &[]).contains("node_block"));
+    }
+
+    #[test]
+    fn node_block_words_sum_over_shards() {
+        let mut a = shard(0, 0, 1, 0);
+        let mut b = shard(1, 1, 2, 0);
+        a.snap.node_block_words.record(64);
+        b.snap.node_block_words.record(64);
+        b.snap.node_block_words.record(64);
+        let text = merged_chrome_trace("smvp", &[a, b], &[]);
+        assert_eq!(
+            text.matches("\"name\":\"node_block_words\",\"ph\"").count(),
+            1
+        );
+        assert!(text.contains("\"count\":3,"));
+    }
+
+    #[test]
+    fn supervisor_only_trace_is_a_valid_document() {
+        let sup = [
+            SupervisorInstant {
+                name: "wire-stall".to_string(),
+                shard: 1,
+                at_ns: 2_500_000,
+            },
+            SupervisorInstant {
+                name: "shard-respawn".to_string(),
+                shard: 1,
+                at_ns: 3_000_000,
+            },
+        ];
+        let text = merged_chrome_trace("sf10", &[], &sup);
+        assert!(text.starts_with("{\"displayTimeUnit\":\"ns\",\"traceEvents\":["));
+        assert!(text.ends_with("]}"));
+        assert!(text.contains("\"shards\":0,"));
+        assert!(text.contains("\"pid\":0,\"tid\":0,\"args\":{\"name\":\"supervisor\"}"));
+        assert!(text.contains("\"name\":\"wire-stall\""));
+        assert!(text.contains("\"ts\":3000.000,\"args\":{\"shard\":1}"));
+        assert!(!text.contains("\"ph\":\"X\""), "no shard, no spans");
+        // No incidents either: still one well-formed document.
+        let empty = merged_chrome_trace("sf10", &[], &[]);
+        assert!(empty.starts_with("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[{"));
+        assert!(empty.ends_with("}]}"));
     }
 
     #[test]

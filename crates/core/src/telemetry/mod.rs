@@ -18,10 +18,12 @@
 //! * [`DriftMonitor`] — per-step comparison of the measured exchange time
 //!   against the Eq. (2) prediction `B_max·T_l + C_max·T_w` and the §3.4 β
 //!   bracket, flagging steps the linear model cannot explain;
-//! * [`Telemetry`] — the aggregate the executor owns, with exporters:
-//!   Chrome `trace_event` JSON ([`Telemetry::to_chrome_trace`], loadable in
-//!   `chrome://tracing` or Perfetto) and Prometheus text exposition
-//!   ([`Telemetry::to_prometheus`]).
+//! * [`Telemetry`] — the aggregate the executor owns, with its Prometheus
+//!   text exposition ([`Telemetry::to_prometheus`]);
+//! * [`merged_chrome_trace`] — the one Chrome `trace_event` JSON writer
+//!   (loadable in `chrome://tracing` or Perfetto), over per-shard
+//!   snapshots; an in-process run is one pseudo-shard
+//!   ([`ShardTrace::local`]).
 //!
 //! Everything here operates on plain integers handed in by the executor
 //! (nanosecond offsets from its epoch), so the module is deterministic

@@ -212,7 +212,14 @@ COMMANDS:
                 schedule streams each symmetric stiffness block once
                 (half-storage tiles), --overlap runs full tiles. Both use
                 AVX where the CPU has it, and every run proves its output
-                bitwise-equal to a rerun on the scalar fallback
+                bitwise-equal to a rerun on the scalar fallback. A run
+                that differs from a plain shared-transport, barrier,
+                fault-free one is proved bitwise-equal to that one clean
+                reference, with a line per claim that applies: 'proc
+                output bitwise-equal to shared transport', 'netsim output
+                bitwise-equal to shared transport', 'overlapped output
+                bitwise-equal to barrier schedule' and 'recovered output
+                bitwise-equal to fault-free reference'
                   --period <s: 10>  --scale <x: 8>  --parts <p: 4>
                   --threads <t: 4>  --steps <n: 25>
                   --partitioner <rib|rcb|spectral|morton|linear|random: rib>
@@ -284,9 +291,9 @@ COMMANDS:
                   (defaults to on when --trace-json or --metrics is given,
                   else off; off leaves the clean hot path untouched)
                   --trace-json <file>  write a Chrome trace_event JSON
-                  trace (load in chrome://tracing or Perfetto); over
-                  --transport proc this is the merged cross-shard trace:
-                  one process track per shard generation on a single
+                  trace (load in chrome://tracing or Perfetto) as one
+                  merged trace: one process track per shard generation
+                  (a single track for an in-process run) on a single
                   handshake-aligned clock, flow arrows pairing every
                   remote ghost post with its acquire, and the
                   supervisor's incidents on their own track

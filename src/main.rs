@@ -2,7 +2,10 @@
 
 use quake_app::characterize::AnalyzedInstance;
 use quake_app::family::{AppConfig, QuakeApp};
-use quake_app::report::{fmt_mb_per_s, fmt_seconds, telemetry_summary, Table};
+use quake_app::report::{fmt_mb_per_s, fmt_seconds, telemetry_summary, SetupWalls, Table};
+use quake_app::transport::run::{self, Built, RunOutput};
+use quake_app::transport::wire::RunSpec;
+use quake_app::transport::TransportKind;
 use quake_core::machine::{BlockRegime, Processor};
 use quake_core::model::eq1::{required_sustained_bandwidth, required_tc};
 use quake_core::model::eq2::half_bandwidth_point;
@@ -12,6 +15,7 @@ use quake_fem::source::{PointSource, Ricker};
 use quake_fem::timestep::Simulation;
 use quake_repro::cli::{help, CliError, Invocation};
 use quake_sparse::dense::Vec3;
+use std::error::Error;
 use std::process::ExitCode;
 
 /// Exit code for malformed command lines, distinct from runtime failures
@@ -59,34 +63,14 @@ fn main() -> ExitCode {
     }
 }
 
-/// Wall-clock time of each set-up phase a command runs, printed as one
-/// `set-up:` line so the phases before the measured work account for their
-/// own time.
-#[derive(Debug, Default)]
-struct SetupWalls(Vec<(&'static str, f64)>);
-
-impl SetupWalls {
-    /// Runs `f` as set-up phase `phase`, recording its wall.
-    fn time<T>(&mut self, phase: &'static str, f: impl FnOnce() -> T) -> T {
-        let start = std::time::Instant::now();
-        let out = f();
-        self.0.push((phase, start.elapsed().as_secs_f64()));
-        out
+fn bad_value(flag: &str, value: impl ToString) -> CliError {
+    CliError::BadValue {
+        flag: flag.to_string(),
+        value: value.to_string(),
     }
 }
 
-impl std::fmt::Display for SetupWalls {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("set-up:")?;
-        for (i, (phase, s)) in self.0.iter().enumerate() {
-            let sep = if i == 0 { " " } else { ", " };
-            write!(f, "{sep}{phase} {}", fmt_seconds(*s))?;
-        }
-        Ok(())
-    }
-}
-
-fn generate(inv: &Invocation) -> Result<QuakeApp, Box<dyn std::error::Error>> {
+fn generate(inv: &Invocation) -> Result<QuakeApp, Box<dyn Error>> {
     let period: f64 = inv.get("period", 10.0)?;
     let scale: f64 = inv.get("scale", 8.0)?;
     let seed: u64 = inv.get("seed", 0x5eedu64)?;
@@ -95,7 +79,7 @@ fn generate(inv: &Invocation) -> Result<QuakeApp, Box<dyn std::error::Error>> {
     Ok(QuakeApp::generate(config)?)
 }
 
-fn cmd_mesh(inv: &Invocation) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_mesh(inv: &Invocation) -> Result<(), Box<dyn Error>> {
     let mut setup = SetupWalls::default();
     let app = setup.time("generate", || generate(inv))?;
     println!("{setup}");
@@ -120,30 +104,11 @@ fn cmd_mesh(inv: &Invocation) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn partitioner(name: &str) -> Result<Box<dyn quake_partition::geometric::Partitioner>, CliError> {
-    use quake_partition::geometric::{LinearPartition, RandomPartition, RecursiveBisection};
-    use quake_partition::sfc::MortonPartition;
-    use quake_partition::spectral::SpectralBisection;
-    Ok(match name {
-        "rib" => Box::new(RecursiveBisection::inertial()),
-        "rcb" => Box::new(RecursiveBisection::coordinate()),
-        "spectral" => Box::new(SpectralBisection::default()),
-        "morton" => Box::new(MortonPartition),
-        "linear" => Box::new(LinearPartition),
-        "random" => Box::new(RandomPartition { seed: 1 }),
-        other => {
-            return Err(CliError::BadValue {
-                flag: "partitioner".to_string(),
-                value: other.to_string(),
-            })
-        }
-    })
-}
-
-fn cmd_characterize(inv: &Invocation) -> Result<(), Box<dyn std::error::Error>> {
-    let app = generate(inv)?;
+fn cmd_characterize(inv: &Invocation) -> Result<(), Box<dyn Error>> {
     let parts = inv.get_usize_list("parts", &[4, 8, 16])?;
-    let strat = partitioner(&inv.get_str("partitioner", "rib"))?;
+    let name = inv.get_str("partitioner", "rib");
+    let strat = run::partitioner(&name).map_err(|_| bad_value("partitioner", &name))?;
+    let app = generate(inv)?;
     let mut t = Table::new(vec![
         "instance", "F", "C_max", "B_max", "M_avg", "F/C_max", "beta",
     ]);
@@ -164,22 +129,16 @@ fn cmd_characterize(inv: &Invocation) -> Result<(), Box<dyn std::error::Error>> 
     Ok(())
 }
 
-fn cmd_requirements(inv: &Invocation) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_requirements(inv: &Invocation) -> Result<(), Box<dyn Error>> {
     let mflops: f64 = inv.get("mflops", 200.0)?;
     let efficiency: f64 = inv.get("efficiency", 0.9)?;
     if !(efficiency > 0.0 && efficiency < 1.0) {
-        return Err(Box::new(CliError::BadValue {
-            flag: "efficiency".to_string(),
-            value: efficiency.to_string(),
-        }));
+        return Err(bad_value("efficiency", efficiency).into());
     }
     let app = inv.get_str("app", "sf2");
     let instances = paperdata::figure7_app(&app);
     if instances.is_empty() {
-        return Err(Box::new(CliError::BadValue {
-            flag: "app".to_string(),
-            value: app,
-        }));
+        return Err(bad_value("app", app).into());
     }
     let pe = Processor::from_mflops("target", mflops);
     let mut t = Table::new(vec![
@@ -206,525 +165,171 @@ fn cmd_requirements(inv: &Invocation) -> Result<(), Box<dyn std::error::Error>> 
     Ok(())
 }
 
-fn cmd_smvp_run(inv: &Invocation) -> Result<(), Box<dyn std::error::Error>> {
-    use quake_app::executor::BspExecutor;
-    use quake_app::transport::{ghost_edges, NetsimTransport, TransportKind};
-    use quake_core::fault::{FaultPlan, FaultRates, RecoveryPolicy};
-    use quake_core::machine::Network;
-    use quake_core::model::validate::validate;
-    use quake_core::telemetry::TelemetryConfig;
-    use quake_fem::assembly::UniformMaterial;
-    use quake_mesh::ground::Material;
-    use std::sync::Arc;
+/// `smvp-run`'s command line: the run itself as a [`RunSpec`], plus the
+/// fabric it runs over and where its report and artifacts go.
+struct SmvpArgs {
+    spec: RunSpec,
+    transport: TransportKind,
+    quiet: bool,
+    profile: bool,
+    trace_json: String,
+    metrics: String,
+    profile_json: String,
+    fault_json: String,
+}
 
-    let mut setup = SetupWalls::default();
-    let app = setup.time("generate", || generate(inv))?;
-    let parts: usize = inv.get("parts", 4usize)?;
-    let threads: usize = inv.get("threads", 4usize)?;
-    let steps: u64 = inv.get("steps", 25u64)?;
-    let fault_seed: u64 = inv.get("fault-seed", 0u64)?;
-    let fault_rate: f64 = inv.get("fault-rate", 0.0f64)?;
-    let checkpoint_every: u64 = inv.get("checkpoint-every", 5u64)?;
-    let quiet: bool = inv.get("quiet", false)?;
+/// An `on|off` flag; `None` when absent, anything else is a usage error.
+fn switch(inv: &Invocation, flag: &str) -> Result<Option<bool>, CliError> {
+    match inv.get_str(flag, "").as_str() {
+        "" => Ok(None),
+        "on" => Ok(Some(true)),
+        "off" => Ok(Some(false)),
+        other => Err(bad_value(flag, other)),
+    }
+}
+
+/// Parses and validates every `smvp-run` flag before any work runs, so a
+/// bad value is a usage error (exit 2) however deep it would bite.
+fn smvp_args(inv: &Invocation) -> Result<SmvpArgs, CliError> {
     let trace_json = inv.get_str("trace-json", "");
     let metrics = inv.get_str("metrics", "");
-    let drift_threshold: f64 = inv.get("drift-threshold", 2.0f64)?;
-    let span_capacity: usize = inv.get("span-capacity", 65_536usize)?;
-    // --profile mirrors --trace's on/off grammar; --profile-json implies
-    // it the same way the trace exporters imply --trace.
-    let profile = inv.get_str("profile", "");
     let profile_json = inv.get_str("profile-json", "");
-    let profile_on = match profile.as_str() {
-        "on" => true,
-        "off" if profile_json.is_empty() => false,
-        "off" => {
-            return Err(Box::new(CliError::BadValue {
-                flag: "profile".to_string(),
-                value: "off (conflicts with --profile-json)".to_string(),
-            }))
+    // --profile-json implies --profile the way the trace exporters imply
+    // --trace; an explicit `off` alongside it is contradictory.
+    let profile = match switch(inv, "profile")? {
+        Some(false) if !profile_json.is_empty() => {
+            return Err(bad_value("profile", "off (conflicts with --profile-json)"))
         }
-        "" => !profile_json.is_empty(),
-        _ => {
-            return Err(Box::new(CliError::BadValue {
-                flag: "profile".to_string(),
-                value: profile,
-            }))
-        }
+        Some(on) => on,
+        None => !profile_json.is_empty(),
     };
     // --trace defaults to on as soon as an exporter (or the profiler,
-    // which attributes from the span telemetry) needs the data; an
-    // explicit `off` alongside any of them is contradictory.
-    let trace = inv.get_str("trace", "");
-    let telemetry_on = match trace.as_str() {
-        "on" => true,
-        "off" if trace_json.is_empty() && metrics.is_empty() && !profile_on => false,
-        "off" => {
-            return Err(Box::new(CliError::BadValue {
-                flag: "trace".to_string(),
-                value: "off (conflicts with --trace-json/--metrics/--profile)".to_string(),
-            }))
+    // which attributes from the span telemetry) needs the data.
+    let needs_trace = !trace_json.is_empty() || !metrics.is_empty() || profile;
+    let trace = match switch(inv, "trace")? {
+        Some(false) if needs_trace => {
+            return Err(bad_value(
+                "trace",
+                "off (conflicts with --trace-json/--metrics/--profile)",
+            ))
         }
-        "" => !trace_json.is_empty() || !metrics.is_empty() || profile_on,
-        _ => {
-            return Err(Box::new(CliError::BadValue {
-                flag: "trace".to_string(),
-                value: trace,
-            }))
-        }
+        Some(on) => on,
+        None => needs_trace,
     };
-    if !(drift_threshold.is_finite() && drift_threshold > 0.0) {
-        return Err(Box::new(CliError::BadValue {
-            flag: "drift-threshold".to_string(),
-            value: drift_threshold.to_string(),
-        }));
-    }
-    let recovery: RecoveryPolicy =
-        inv.get_str("recovery", "restart")
-            .parse()
-            .map_err(|_| CliError::BadValue {
-                flag: "recovery".to_string(),
-                value: inv.get_str("recovery", "restart"),
-            })?;
-    let fault_json = inv.get_str("fault-json", "");
-    // --transport picks the exchange fabric; a misspelling is a usage
-    // error (exit 2), matching the other enumerated flags.
-    let transport: TransportKind =
-        inv.get_str("transport", "shared")
-            .parse()
-            .map_err(|_| CliError::BadValue {
-                flag: "transport".to_string(),
-                value: inv.get_str("transport", "shared"),
-            })?;
+    let transport = inv.get_str("transport", "shared");
+    let transport: TransportKind = transport
+        .parse()
+        .map_err(|_| bad_value("transport", transport))?;
+    let recovery = inv.get_str("recovery", "restart");
+    let recovery: quake_core::fault::RecoveryPolicy = recovery
+        .parse()
+        .map_err(|_| bad_value("recovery", recovery))?;
+    let partitioner = inv.get_str("partitioner", "rib");
+    run::partitioner(&partitioner).map_err(|_| bad_value("partitioner", &partitioner))?;
     let shards: usize = inv.get("shards", 2usize)?;
-    // The proc fault-domain knobs. One deadline governs the bootstrap
-    // window, the heartbeat/staleness clock and the degraded-wait rounds;
-    // the wire-chaos plan is seeded so a failing matrix cell replays
-    // exactly; the restart budget bounds supervised shard respawns before
-    // the parent escalates to the one-shot ensemble retry.
-    let conn_timeout: f64 = inv.get("conn-timeout", 30.0f64)?;
-    let wire_fault_rate: f64 = inv.get("wire-fault-rate", 0.0f64)?;
-    let wire_fault_seed: u64 = inv.get("wire-fault-seed", 0u64)?;
-    let restart_budget: u64 = inv.get("restart-budget", 2u64)?;
-    // --nodes N arms the node-aware two-level exchange: the spec's shards
-    // chunk contiguously onto N nodes, PEs sharing a node gather boundary
-    // partials locally, and exactly one merged block per (node, node) pair
-    // crosses the slow link. Absent means flat; an explicit 0, a
-    // non-integer, or more nodes than shards cannot describe a topology
-    // (exit 2).
-    let nodes: usize = match inv.get_str("nodes", "").as_str() {
+    // --nodes N chunks the shards onto N nodes for the node-aware exchange.
+    // Absent means flat; 0, a non-integer, or more nodes than shards
+    // cannot describe a topology.
+    let nodes = match inv.get_str("nodes", "").as_str() {
         "" => 0,
         raw => match raw.parse::<usize>() {
-            Ok(n) if n >= 1 && n <= shards => n,
-            _ => {
-                return Err(Box::new(CliError::BadValue {
-                    flag: "nodes".to_string(),
-                    value: raw.to_string(),
-                }))
+            Ok(n) if n > shards => {
+                return Err(bad_value(
+                    "nodes",
+                    format!("{raw} (more nodes than --shards {shards})"),
+                ))
             }
+            Ok(n) if n >= 1 => n,
+            _ => return Err(bad_value("nodes", raw)),
         },
     };
-    // --aggregate off is the ablation arm: the node placement stays (so
-    // --wire-latency still prices the same topology) but the exchange
-    // runs flat — every boundary block crosses the emulated slow link
-    // individually. Only meaningful alongside --nodes.
-    let aggregate = match inv.get_str("aggregate", "").as_str() {
-        "on" | "" => true,
-        "off" => false,
-        other => {
-            return Err(Box::new(CliError::BadValue {
-                flag: "aggregate".to_string(),
-                value: other.to_string(),
-            }))
-        }
-    };
-    // --wire-latency S holds each ghost frame that crosses a node
-    // boundary on the sender for S seconds (netem-style), emulating a
-    // fabric whose inter-node leg is slower than its intra-node leg on a
-    // single host. Negative, non-finite, or unparsable is a usage error.
-    let wire_latency: f64 = inv.get("wire-latency", 0.0f64)?;
-    if !(wire_latency.is_finite() && wire_latency >= 0.0) {
-        return Err(Box::new(CliError::BadValue {
-            flag: "wire-latency".to_string(),
-            value: wire_latency.to_string(),
-        }));
-    }
-    for (flag, zero) in [
-        ("threads", threads == 0),
-        ("steps", steps == 0),
-        ("checkpoint-every", checkpoint_every == 0),
-        ("span-capacity", span_capacity == 0),
-        ("shards", shards == 0),
-    ] {
-        if zero {
-            return Err(Box::new(CliError::BadValue {
-                flag: flag.to_string(),
-                value: "0".to_string(),
-            }));
-        }
-    }
-    if !(0.0..=1.0).contains(&fault_rate) {
-        return Err(Box::new(CliError::BadValue {
-            flag: "fault-rate".to_string(),
-            value: fault_rate.to_string(),
-        }));
-    }
-    if !(0.0..=1.0).contains(&wire_fault_rate) {
-        return Err(Box::new(CliError::BadValue {
-            flag: "wire-fault-rate".to_string(),
-            value: wire_fault_rate.to_string(),
-        }));
-    }
-    if !(conn_timeout.is_finite() && conn_timeout > 0.0) {
-        return Err(Box::new(CliError::BadValue {
-            flag: "conn-timeout".to_string(),
-            value: conn_timeout.to_string(),
-        }));
-    }
-    let strat = partitioner(&inv.get_str("partitioner", "rib"))?;
-    let partition = setup.time("partition", || strat.partition(&app.mesh, parts))?;
-
-    // Characterization-side prediction and executable system share one
-    // partition, so the counter comparison is exact by construction.
-    let analyzed = AnalyzedInstance::from_partition(&app.config.name, &app.mesh, &partition);
-    let mat = Material {
-        vs: app.ground.vs_rock,
-        vp: 2.0 * app.ground.vs_rock,
-        rho: 2600.0,
-    };
-    let system = setup.time("system build", || {
-        quake_app::DistributedSystem::build(&app.mesh, &partition, &UniformMaterial(mat))
-    })?;
-
-    let x: Vec<Vec3> = (0..app.mesh.node_count())
-        .map(|i| {
-            let s = i as f64;
-            Vec3::new((0.1 * s).sin(), (0.2 * s).cos(), (0.3 * s).sin())
-        })
-        .collect();
-    let rcm: bool = inv.get("rcm", false)?;
-    // --overlap mirrors --trace's on/off grammar; anything else is a usage
-    // error (exit 2).
-    let overlap = match inv.get_str("overlap", "").as_str() {
-        "on" => true,
-        "off" | "" => false,
-        other => {
-            return Err(Box::new(CliError::BadValue {
-                flag: "overlap".to_string(),
-                value: other.to_string(),
-            }))
-        }
-    };
-    let spec = quake_app::transport::wire::RunSpec {
+    let spec = RunSpec {
         period: inv.get("period", 10.0)?,
         scale: inv.get("scale", 8.0)?,
         seed: inv.get("seed", 0x5eedu64)?,
-        parts,
-        threads,
-        steps,
-        partitioner: inv.get_str("partitioner", "rib"),
-        rcm,
-        overlap,
-        fault_rate,
-        fault_seed,
+        parts: inv.get("parts", 4usize)?,
+        threads: inv.get("threads", 4usize)?,
+        steps: inv.get("steps", 25u64)?,
+        partitioner,
+        rcm: inv.get("rcm", false)?,
+        overlap: switch(inv, "overlap")?.unwrap_or(false),
+        fault_rate: inv.get("fault-rate", 0.0)?,
+        fault_seed: inv.get("fault-seed", 0u64)?,
         recovery: recovery.to_string(),
-        checkpoint_every,
-        trace: telemetry_on,
-        drift_threshold,
-        span_capacity,
+        checkpoint_every: inv.get("checkpoint-every", 5u64)?,
+        trace,
+        drift_threshold: inv.get("drift-threshold", 2.0)?,
+        span_capacity: inv.get("span-capacity", 65_536usize)?,
         shards,
         x_kind: "trig".to_string(),
         x_seed: 0,
-        conn_timeout,
-        wire_fault_rate,
-        wire_fault_seed,
-        restart_budget,
+        conn_timeout: inv.get("conn-timeout", 30.0)?,
+        wire_fault_rate: inv.get("wire-fault-rate", 0.0)?,
+        wire_fault_seed: inv.get("wire-fault-seed", 0u64)?,
+        restart_budget: inv.get("restart-budget", 2u64)?,
         nodes,
-        aggregate,
-        wire_latency,
+        // --aggregate off is the ablation arm: the node placement stays
+        // (so --wire-latency still prices the same topology) but every
+        // boundary block crosses the emulated slow link individually.
+        aggregate: switch(inv, "aggregate")?.unwrap_or(true),
+        wire_latency: inv.get("wire-latency", 0.0)?,
     };
-    if transport == TransportKind::Proc {
-        // Each shard process plans its own executor.
-        if !quiet {
-            println!("{setup}");
+    let unit = 0.0..=1.0;
+    let finite = |x: f64| x.is_finite();
+    for (flag, ok) in [
+        ("threads", spec.threads > 0),
+        ("steps", spec.steps > 0),
+        ("checkpoint-every", spec.checkpoint_every > 0),
+        ("span-capacity", spec.span_capacity > 0),
+        ("shards", spec.shards > 0),
+        ("fault-rate", unit.contains(&spec.fault_rate)),
+        ("wire-fault-rate", unit.contains(&spec.wire_fault_rate)),
+        (
+            "drift-threshold",
+            finite(spec.drift_threshold) && spec.drift_threshold > 0.0,
+        ),
+        (
+            "conn-timeout",
+            finite(spec.conn_timeout) && spec.conn_timeout > 0.0,
+        ),
+        (
+            "wire-latency",
+            finite(spec.wire_latency) && spec.wire_latency >= 0.0,
+        ),
+    ] {
+        if !ok {
+            return Err(bad_value(flag, inv.get_str(flag, "")));
         }
-        let built = quake_app::transport::run::Built {
-            app,
-            partition,
-            system,
-            x,
-        };
-        return run_smvp_proc(
-            &spec,
-            &built,
-            &analyzed,
-            quiet,
-            &fault_json,
-            &metrics,
-            &trace_json,
-            profile_on,
-            &profile_json,
-        );
     }
-    // Node-aware runs swap in the aggregating fabrics; the executor's
-    // schedule never changes (aggregation is transport-level), so output
-    // and counters stay bitwise-identical to the flat run.
-    let node_map = (nodes >= 1 && aggregate)
-        .then(|| quake_app::transport::NodeMap::for_shards(parts, shards, nodes));
-    let mut netsim = None;
-    let mut exec = setup.time("plan", || match transport {
-        TransportKind::Shared => match &node_map {
-            Some(map) => {
-                let edges = ghost_edges(&system);
-                let t: Arc<dyn quake_app::transport::Transport> = Arc::new(
-                    quake_app::transport::SharedTransport::with_nodes(&edges, map),
-                );
-                BspExecutor::with_transport(&system, threads, rcm, overlap, 0..parts, t)
-            }
-            None => BspExecutor::with_options(&system, threads, rcm, overlap),
-        },
-        TransportKind::Netsim => {
-            let edges = ghost_edges(&system);
-            let t = Arc::new(match &node_map {
-                Some(map) => NetsimTransport::with_nodes(
-                    &edges,
-                    parts,
-                    Network::cray_t3e(),
-                    Network::node_local(),
-                    map,
-                ),
-                None => NetsimTransport::new(&edges, parts, Network::cray_t3e()),
-            });
-            netsim = Some(Arc::clone(&t));
-            BspExecutor::with_transport(&system, threads, rcm, overlap, 0..parts, t)
-        }
-        TransportKind::Proc => unreachable!("dispatched above"),
-    });
-    if !quiet {
+    Ok(SmvpArgs {
+        spec,
+        transport,
+        quiet: inv.get("quiet", false)?,
+        profile,
+        trace_json,
+        metrics,
+        profile_json,
+        fault_json: inv.get_str("fault-json", ""),
+    })
+}
+
+fn cmd_smvp_run(inv: &Invocation) -> Result<(), Box<dyn Error>> {
+    let args = smvp_args(inv)?;
+    let (built, mut setup) = run::build_timed(&args.spec)?;
+    let out = run::run_with(args.transport, &args.spec, &built)?;
+    setup.0.extend(out.plan_s.map(|s| ("plan", s)));
+    if !args.quiet {
         println!("{setup}");
     }
-    if let Some(map) = &node_map {
-        let of: Vec<usize> = (0..parts).map(|q| map.node_of(q)).collect();
-        exec.set_node_map(&of);
-        if !quiet {
-            let mr = quake_partition::comm::MaxRateAnalysis::new(&app.mesh, &partition, nodes);
-            let flat = ghost_edges(&system)
-                .iter()
-                .filter(|e| !map.same_node(e.from, e.to))
-                .count();
-            println!(
-                "node-aware exchange armed: {parts} PEs on {nodes} node(s), {} merged \
-                 (node, node) blocks per step replace {flat} flat cross-node edges",
-                mr.cross_blocks(),
-            );
-        }
-    }
-    if !quiet {
-        println!(
-            "local kernel: {} tiles, AVX dispatch {}",
-            if overlap {
-                "full (boundary-first rows)"
-            } else {
-                "half-storage symmetric"
-            },
-            if quake_spark::tile_kernels::simd_active() {
-                "active"
-            } else {
-                "unavailable (scalar fallback)"
-            }
-        );
-    }
-    if overlap && !quiet {
-        let split = exec.overlap_boundary_rows().unwrap_or(&[]);
-        let boundary: usize = split.iter().sum();
-        let total: usize = system.subdomains().iter().map(|sd| sd.node_count()).sum();
-        println!(
-            "overlap armed: {boundary} boundary rows posted ahead of {} interior rows \
-             ({:.1}% of local work hides the exchange)",
-            total - boundary,
-            100.0 * (total - boundary) as f64 / total.max(1) as f64
-        );
-    }
-    // --fault-rate 0 leaves the chaos layer unarmed entirely, so the clean
-    // step path (and its zero-overhead guarantee) is untouched.
-    if fault_rate > 0.0 {
-        let plan = FaultPlan::generate(fault_seed, steps, parts, &FaultRates::uniform(fault_rate));
-        if !quiet {
-            println!(
-                "chaos armed: {} scheduled events (seed {fault_seed}, rate {fault_rate}), \
-                 recovery {recovery}, checkpoint every {checkpoint_every} steps",
-                plan.len()
-            );
-        }
-        exec.enable_faults(plan, recovery, checkpoint_every);
-    }
-    if telemetry_on {
-        let mut config = TelemetryConfig {
-            span_capacity,
-            ..TelemetryConfig::default()
-        };
-        if let Some(d) = config.drift.as_mut() {
-            d.threshold = drift_threshold;
-        }
-        exec.enable_telemetry(config);
-    }
-    let y = exec.run(&x, steps);
-    let report = exec.report();
+    smvp_report(&args, &built, &out)
+}
 
-    if !quiet {
-        println!(
-            "{} on {} PEs — {} bulk-synchronous SMVPs over {} pooled worker threads{}",
-            app.config.name,
-            parts,
-            report.steps,
-            report.threads,
-            match (rcm, overlap) {
-                (true, true) => " (RCM-renumbered subdomains, latency-hiding overlap)",
-                (true, false) => " (RCM-renumbered subdomains)",
-                (false, true) => " (latency-hiding overlap)",
-                (false, false) => "",
-            }
-        );
-        println!(
-            "phase walls (s): assemble {:.3e}, compute {:.3e}, exchange {:.3e}, fold {:.3e}",
-            report.phases.assemble,
-            report.phases.compute,
-            report.phases.exchange,
-            report.phases.fold
-        );
-        println!("measured efficiency E = {:.4}\n", report.efficiency());
+fn yes_no(b: bool) -> &'static str {
+    if b {
+        "yes"
+    } else {
+        "NO"
     }
-    if let Some(t) = &netsim {
-        let net = t.network();
-        let busiest = t.modeled_exchange_s().iter().copied().fold(0.0, f64::max);
-        if !quiet {
-            println!(
-                "netsim postal model: busiest-PE modeled exchange {:.3e} s over {} steps \
-                 (preset T_l {:.3e} s, T_w {:.3e} s/word)\n",
-                busiest, steps, net.t_l, net.t_w
-            );
-        }
-    }
-    let validation = validate(&analyzed.instance, &report.measured());
-    if !quiet {
-        println!("{validation}");
-    }
-    if !validation.counters_match() {
-        return Err("measured counters diverge from characterization".into());
-    }
-    if overlap {
-        // Prove the latency-hiding claim on the spot: a barrier-schedule
-        // twin of the same product must be bitwise-identical. The twin
-        // runs the half-storage kernel, the overlap run full tiles.
-        let mut twin = BspExecutor::with_options(&system, threads, rcm, false);
-        let bitwise_equal = bits_equal(&y, &twin.run(&x, steps));
-        if !quiet {
-            println!(
-                "overlapped output bitwise-equal to barrier schedule: {}",
-                if bitwise_equal { "yes" } else { "NO" }
-            );
-        }
-        if !bitwise_equal {
-            return Err("overlapped output diverges from the barrier schedule".into());
-        }
-    }
-    prove_scalar_fallback(&y, quiet, || {
-        Ok(BspExecutor::with_options(&system, threads, rcm, overlap).run(&x, steps))
-    })?;
-    if let Some(telemetry) = exec.telemetry() {
-        if !quiet {
-            println!("{}", telemetry_summary(telemetry));
-            let ps = exec.pool_stats();
-            println!(
-                "worker pool: {} batches dispatched, {} targeted re-runs, {} thread respawns\n",
-                ps.broadcasts, ps.targeted, ps.respawns
-            );
-        }
-        if !trace_json.is_empty() {
-            std::fs::write(&trace_json, telemetry.to_chrome_trace(&app.config.name))?;
-            if !quiet {
-                println!("wrote {trace_json}");
-            }
-        }
-        if !metrics.is_empty() {
-            std::fs::write(&metrics, telemetry.to_prometheus())?;
-            if !quiet {
-                println!("wrote {metrics}");
-            }
-        }
-        if profile_on {
-            use quake_core::telemetry::profile::{ProfileOptions, ProfileReport};
-            use quake_core::telemetry::{ShardTrace, TelemetrySnapshot, TraceContext};
-            // One pseudo-shard on offset 0: the in-process run is its own
-            // clock domain, so the profiler sees exactly what a one-shard
-            // proc ensemble would report.
-            let shard = ShardTrace {
-                snap: TelemetrySnapshot::capture(
-                    telemetry,
-                    TraceContext {
-                        run_id: 0,
-                        shard: 0,
-                        generation: 0,
-                    },
-                    0,
-                    parts as u32,
-                    Vec::new(),
-                    0,
-                ),
-                clock_offset_ns: 0,
-            };
-            let link = netsim.as_ref().map(|t| {
-                let net = t.network();
-                (net.t_l, net.t_w)
-            });
-            let prof = ProfileReport::build(
-                std::slice::from_ref(&shard),
-                &ProfileOptions {
-                    loads: vec![(analyzed.instance.c_max, analyzed.instance.b_max)],
-                    link,
-                    overlap,
-                },
-            );
-            if !quiet {
-                println!("{}", prof.render_table());
-            }
-            if !profile_json.is_empty() {
-                std::fs::write(&profile_json, prof.to_json())?;
-                if !quiet {
-                    println!("wrote {profile_json}");
-                }
-            }
-        }
-    }
-    if let Some(fr) = report.fault {
-        // Prove the healing claim: a fault-free reference run of the same
-        // product must be bitwise-identical to the recovered output.
-        let mut reference = if rcm {
-            BspExecutor::with_rcm(&system, threads)
-        } else {
-            BspExecutor::new(&system, threads)
-        };
-        let bitwise_equal = bits_equal(&y, &reference.run(&x, steps));
-        if !quiet {
-            println!("\n{fr}");
-            println!(
-                "recovered output bitwise-equal to fault-free reference: {}",
-                if bitwise_equal { "yes" } else { "NO" }
-            );
-        }
-        if !fault_json.is_empty() {
-            std::fs::write(&fault_json, format!("{}\n", fr.to_json()))?;
-            if !quiet {
-                println!("wrote {fault_json}");
-            }
-        }
-        if !bitwise_equal {
-            return Err("recovered output diverges from fault-free reference".into());
-        }
-        if !fr.balanced() {
-            return Err("fault ledger is unbalanced (injected != detected != recovered)".into());
-        }
-    }
-    Ok(())
 }
 
 /// True if `a` and `b` hold the same bits, entry for entry.
@@ -736,248 +341,331 @@ fn bits_equal(a: &[Vec3], b: &[Vec3]) -> bool {
         })
 }
 
-/// Proves the kernel's safety on the spot: `rerun` repeats the product
-/// with the local kernels forced onto their scalar fallback, and its
-/// output must equal `y` bit for bit.
-fn prove_scalar_fallback(
-    y: &[Vec3],
-    quiet: bool,
-    rerun: impl FnOnce() -> Result<Vec<Vec3>, Box<dyn std::error::Error>>,
-) -> Result<(), Box<dyn std::error::Error>> {
-    quake_spark::tile_kernels::force_scalar(true);
-    let scalar = rerun();
-    quake_spark::tile_kernels::force_scalar(false);
-    let bitwise_equal = bits_equal(y, &scalar?);
-    if !quiet {
-        println!(
-            "vector output bitwise-equal to scalar fallback: {}",
-            if bitwise_equal { "yes" } else { "NO" }
-        );
-    }
-    if !bitwise_equal {
-        return Err("vector output diverges from the scalar fallback".into());
-    }
-    Ok(())
-}
-
-/// The `--transport proc` arm of `smvp-run`: forks shard processes over
-/// unix-domain sockets, re-derives Eq. (2)'s `(T_l, T_w)` from socket
-/// microbenchmarks, and proves the merged output bitwise-equal to an
-/// in-process shared-memory twin of the same spec.
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-fn run_smvp_proc(
-    spec: &quake_app::transport::wire::RunSpec,
-    built: &quake_app::transport::run::Built,
-    analyzed: &AnalyzedInstance,
-    quiet: bool,
-    fault_json: &str,
-    metrics: &str,
-    trace_json: &str,
-    profile_on: bool,
-    profile_json: &str,
-) -> Result<(), Box<dyn std::error::Error>> {
-    use quake_app::transport::{run, TransportKind};
+/// `smvp-run`'s one report, for every transport: what was armed, the
+/// phase walls and model lines, the validation table, the bitwise proofs,
+/// then telemetry, incidents, profile, the artifact files and the fault
+/// ledger. Fails on any diverging counter, proof or ledger.
+fn smvp_report(args: &SmvpArgs, built: &Built, out: &RunOutput) -> Result<(), Box<dyn Error>> {
+    use quake_app::transport::{ghost_edges, NodeMap};
+    use quake_core::fault::{FaultPlan, FaultRates};
     use quake_core::model::validate::validate;
     use quake_core::telemetry::profile::{ProfileOptions, ProfileReport};
     use quake_core::telemetry::{merged_chrome_trace, merged_telemetry, SupervisorInstant};
 
-    if spec.wire_fault_rate > 0.0 && !quiet {
-        println!(
+    let spec = &args.spec;
+    let proc = args.transport == TransportKind::Proc;
+    let name = &built.app.config.name;
+    let report = &out.report;
+    let say = |line: String| {
+        if !args.quiet {
+            println!("{line}");
+        }
+    };
+    let write = |path: &str, text: String, note: String| -> std::io::Result<()> {
+        std::fs::write(path, text)?;
+        say(format!("wrote {path}{note}"));
+        Ok(())
+    };
+
+    if proc && spec.wire_fault_rate > 0.0 {
+        say(format!(
             "wire chaos armed: per-frame rate {} (seed {}), conn deadline {} s, \
              restart budget {} shard respawns",
             spec.wire_fault_rate, spec.wire_fault_seed, spec.conn_timeout, spec.restart_budget
-        );
+        ));
     }
-    let out = run::run_with(TransportKind::Proc, spec, built)?;
-    let report = &out.report;
-    if !quiet {
-        println!(
-            "{} on {} PEs — {} bulk-synchronous SMVPs over {} shard processes × {} worker \
-             threads (unix-socket transport){}",
-            built.app.config.name,
+    if spec.nodes >= 1 && spec.aggregate {
+        let map = NodeMap::for_shards(spec.parts, spec.shards, spec.nodes);
+        let mr = quake_partition::comm::MaxRateAnalysis::new(
+            &built.app.mesh,
+            &built.partition,
+            spec.nodes,
+        );
+        let flat = ghost_edges(&built.system)
+            .iter()
+            .filter(|e| !map.same_node(e.from, e.to))
+            .count();
+        say(format!(
+            "node-aware exchange armed: {} PEs on {} node(s), {} merged \
+             (node, node) blocks per step replace {flat} flat cross-node edges",
             spec.parts,
-            report.steps,
-            spec.shards,
-            spec.threads,
-            match (spec.rcm, spec.overlap) {
-                (true, true) => " (RCM-renumbered subdomains, latency-hiding overlap)",
-                (true, false) => " (RCM-renumbered subdomains)",
-                (false, true) => " (latency-hiding overlap)",
-                (false, false) => "",
-            }
-        );
-        println!(
-            "phase walls (s): assemble {:.3e}, compute {:.3e}, exchange {:.3e}, fold {:.3e}",
-            report.phases.assemble,
-            report.phases.compute,
-            report.phases.exchange,
-            report.phases.fold
-        );
-        println!(
+            spec.nodes,
+            mr.cross_blocks(),
+        ));
+    }
+    say(format!(
+        "local kernel: {} tiles, AVX dispatch {}",
+        if spec.overlap {
+            "full (boundary-first rows)"
+        } else {
+            "half-storage symmetric"
+        },
+        if quake_spark::tile_kernels::simd_active() {
+            "active"
+        } else {
+            "unavailable (scalar fallback)"
+        }
+    ));
+    if let Some(split) = &out.boundary_rows {
+        let boundary: usize = split.iter().sum();
+        let total: usize = built
+            .system
+            .subdomains()
+            .iter()
+            .map(|sd| sd.node_count())
+            .sum();
+        say(format!(
+            "overlap armed: {boundary} boundary rows posted ahead of {} interior rows \
+             ({:.1}% of local work hides the exchange)",
+            total - boundary,
+            100.0 * (total - boundary) as f64 / total.max(1) as f64
+        ));
+    }
+    if spec.fault_rate > 0.0 {
+        let rates = FaultRates::uniform(spec.fault_rate);
+        let plan = FaultPlan::generate(spec.fault_seed, spec.steps, spec.parts, &rates);
+        say(format!(
+            "chaos armed: {} scheduled events (seed {}, rate {}), recovery {}, \
+             checkpoint every {} steps",
+            plan.len(),
+            spec.fault_seed,
+            spec.fault_rate,
+            spec.recovery,
+            spec.checkpoint_every
+        ));
+    }
+
+    let fabric = if proc {
+        format!(
+            "{} shard processes × {} worker threads (unix-socket transport)",
+            spec.shards, spec.threads
+        )
+    } else {
+        format!("{} pooled worker threads", report.threads)
+    };
+    say(format!(
+        "{name} on {} PEs — {} bulk-synchronous SMVPs over {fabric}{}",
+        spec.parts,
+        report.steps,
+        match (spec.rcm, spec.overlap) {
+            (true, true) => " (RCM-renumbered subdomains, latency-hiding overlap)",
+            (true, false) => " (RCM-renumbered subdomains)",
+            (false, true) => " (latency-hiding overlap)",
+            (false, false) => "",
+        }
+    ));
+    let walls = &report.phases;
+    say(format!(
+        "phase walls (s): assemble {:.3e}, compute {:.3e}, exchange {:.3e}, fold {:.3e}",
+        walls.assemble, walls.compute, walls.exchange, walls.fold
+    ));
+    say(format!(
+        "measured efficiency E = {:.4}\n",
+        report.efficiency()
+    ));
+    let link = out.link;
+    if proc {
+        say(format!(
             "measured socket link ({}): T_l = {:.3e} s, T_w = {:.3e} s/word",
-            if out.link.measured {
+            if link.measured {
                 "ping/throughput microbenchmark"
             } else {
                 "preset"
             },
-            out.link.t_l,
-            out.link.t_w
-        );
+            link.t_l,
+            link.t_w
+        ));
         // Eq. (2) under the measured parameters, against the measured
-        // exchange wall — the proc analogue of the netsim postal model.
-        let score = run::score_exchange(spec, built, &out);
-        println!(
+        // exchange wall; aggregating runs add the max-rate model (Bienz,
+        // Gropp & Olson) under the same link.
+        let score = run::score_exchange(spec, built, out);
+        say(format!(
             "Eq. (2) with measured link: B_max·T_l + C_max·T_w = {:.3e} s/step \
              vs measured exchange {:.3e} s/step (ratio {:.2})\n",
             score.eq2_s,
             score.measured_s,
             score.measured_s / score.eq2_s.max(f64::MIN_POSITIVE)
-        );
-        // Aggregating runs also price the exchange with the max-rate model
-        // (Bienz, Gropp & Olson): the busiest node's injection port plus
-        // the intra-node gather leg, under the same measured link.
+        ));
         if let (Some(mr_pred), Some(mr_err)) = (score.maxrate_s, score.maxrate_rel_err()) {
-            println!(
+            say(format!(
                 "max-rate model ({} nodes): max_N(B_N·T_l + C_N·T_w) + local gather = \
                  {:.3e} s/step (rel err {:.1}% vs Eq. (2) rel err {:.1}%)\n",
                 spec.nodes,
                 mr_pred,
                 100.0 * mr_err,
                 100.0 * score.eq2_rel_err(),
-            );
+            ));
         }
     }
-    let validation = validate(&analyzed.instance, &report.measured());
-    if !quiet {
-        println!("{validation}");
+    if let Some(modeled) = &out.modeled_exchange_s {
+        say(format!(
+            "netsim postal model: busiest-PE modeled exchange {:.3e} s over {} steps \
+             (preset T_l {:.3e} s, T_w {:.3e} s/word)\n",
+            modeled.iter().copied().fold(0.0, f64::max),
+            spec.steps,
+            link.t_l,
+            link.t_w
+        ));
     }
+
+    let analyzed = AnalyzedInstance::from_partition(name, &built.app.mesh, &built.partition);
+    let validation = validate(&analyzed.instance, &report.measured());
+    say(format!("{validation}"));
     if !validation.counters_match() {
         return Err("measured counters diverge from characterization".into());
     }
-    // Prove the transport claim on the spot: an in-process shared-memory
-    // run of the identical spec must be bitwise-identical.
-    let twin = run::run_with(TransportKind::Shared, spec, built)?;
-    let bitwise_equal = bits_equal(&out.y, &twin.y);
-    if !quiet {
-        println!(
-            "proc output bitwise-equal to shared transport: {}",
-            if bitwise_equal { "yes" } else { "NO" }
-        );
+    // One clean reference proves every claim the run makes: the same
+    // product on the shared transport, barrier schedule, flat exchange,
+    // fault-free and untraced.
+    let clean = RunSpec {
+        overlap: false,
+        fault_rate: 0.0,
+        wire_fault_rate: 0.0,
+        trace: false,
+        nodes: 0,
+        ..spec.clone()
+    };
+    if args.transport != TransportKind::Shared || *spec != clean {
+        let reference = run::run_with(TransportKind::Shared, &clean, built)?;
+        // A reference that kept a fault ledger proves nothing about healing.
+        let same = reference.report.fault.is_none() && bits_equal(&out.y, &reference.y);
+        for (claim, applies) in [
+            ("proc output bitwise-equal to shared transport", proc),
+            (
+                "netsim output bitwise-equal to shared transport",
+                args.transport == TransportKind::Netsim,
+            ),
+            (
+                "overlapped output bitwise-equal to barrier schedule",
+                spec.overlap,
+            ),
+            (
+                "recovered output bitwise-equal to fault-free reference",
+                report.fault.is_some(),
+            ),
+        ] {
+            if applies {
+                say(format!("{claim}: {}", yes_no(same)));
+            }
+        }
+        if !same {
+            return Err("output diverges from the clean shared-transport reference".into());
+        }
     }
-    if !bitwise_equal {
-        return Err("proc output diverges from the shared transport".into());
+    // The kernel's safety, on the spot: the clean product on the run's own
+    // schedule, with the local kernels forced onto their scalar fallback.
+    let scalar_spec = RunSpec {
+        overlap: spec.overlap,
+        ..clean
+    };
+    quake_spark::tile_kernels::force_scalar(true);
+    let scalar = run::run_with(TransportKind::Shared, &scalar_spec, built);
+    quake_spark::tile_kernels::force_scalar(false);
+    let same = bits_equal(&out.y, &scalar?.y);
+    say(format!(
+        "vector output bitwise-equal to scalar fallback: {}",
+        yes_no(same)
+    ));
+    if !same {
+        return Err("vector output diverges from the scalar fallback".into());
     }
-    prove_scalar_fallback(&out.y, quiet, || {
-        Ok(run::run_with(TransportKind::Shared, spec, built)?.y)
-    })?;
-    let traced = spec.trace && !out.shard_telemetry.is_empty();
-    if spec.trace && !quiet {
-        let spans: usize = out.shard_telemetry.iter().map(|t| t.snap.spans.len()).sum();
-        println!(
+
+    if let (Some(telemetry), Some(ps)) = (&out.telemetry, out.pool_stats) {
+        say(telemetry_summary(telemetry));
+        say(format!(
+            "worker pool: {} batches dispatched, {} targeted re-runs, {} thread respawns\n",
+            ps.broadcasts, ps.targeted, ps.respawns
+        ));
+    } else if spec.trace {
+        let offsets: Vec<String> = out
+            .shard_telemetry
+            .iter()
+            .map(|t| t.clock_offset_ns.to_string())
+            .collect();
+        say(format!(
             "telemetry: {} shard snapshot(s) collected ({} spans), handshake clock \
              offsets [{}] ns",
             out.shard_telemetry.len(),
-            spans,
             out.shard_telemetry
                 .iter()
-                .map(|t| t.clock_offset_ns.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
+                .map(|t| t.snap.spans.len())
+                .sum::<usize>(),
+            offsets.join(", ")
+        ));
     }
-    if !quiet {
-        for i in &out.incidents {
-            println!("incident t+{:.3}s shard {}: {}", i.t_s, i.shard, i.kind);
-        }
+    for i in &out.incidents {
+        say(format!(
+            "incident t+{:.3}s shard {}: {}",
+            i.t_s, i.shard, i.kind
+        ));
     }
     // The critical-path profiler: per-step rung attribution over the
-    // merged shard telemetry, with the Eq. (2) prediction under the
-    // measured link as the model baseline.
-    if profile_on {
+    // shard telemetry, with Eq. (2) under the run's link (none for the
+    // shared fabric) as the model baseline.
+    if args.profile {
         let prof = ProfileReport::build(
             &out.shard_telemetry,
             &ProfileOptions {
                 loads: vec![(analyzed.instance.c_max, analyzed.instance.b_max)],
-                link: Some((out.link.t_l, out.link.t_w)),
+                link: (args.transport != TransportKind::Shared).then_some((link.t_l, link.t_w)),
                 overlap: spec.overlap,
             },
         );
-        if !quiet {
-            println!("{}", prof.render_table());
-        }
-        if !profile_json.is_empty() {
-            std::fs::write(profile_json, prof.to_json())?;
-            if !quiet {
-                println!("wrote {profile_json}");
-            }
+        say(prof.render_table());
+        if !args.profile_json.is_empty() {
+            write(&args.profile_json, prof.to_json(), String::new())?;
         }
     }
-    // Trace runs merge every shard's span snapshot onto one clock-aligned
-    // timeline (one process track per shard, flow arrows pairing each
-    // ghost post with its acquire, the supervisor's incidents on their
-    // own track). Untraced proc runs keep the fault-domain-only trace.
-    if !trace_json.is_empty() {
-        if traced {
-            let supervisor: Vec<SupervisorInstant> = out
-                .incidents
-                .iter()
-                .map(|i| SupervisorInstant {
-                    name: i.kind.to_string(),
-                    shard: i.shard as u32,
-                    at_ns: (i.t_s.max(0.0) * 1e9) as u64,
-                })
-                .collect();
-            std::fs::write(
-                trace_json,
-                merged_chrome_trace(&built.app.config.name, &out.shard_telemetry, &supervisor),
-            )?;
-            if !quiet {
-                println!(
-                    "wrote {trace_json} ({} shard tracks, {} fault-domain incidents)",
-                    out.shard_telemetry.len(),
-                    out.incidents.len()
-                );
-            }
-        } else {
-            std::fs::write(
-                trace_json,
-                incidents_chrome_trace(&built.app.config.name, &out.incidents),
-            )?;
-            if !quiet {
-                println!(
-                    "wrote {trace_json} ({} fault-domain incidents)",
-                    out.incidents.len()
-                );
-            }
-        }
+    // One clock-aligned timeline: a process track per shard (one for an
+    // in-process run), flow arrows pairing each remote ghost post with its
+    // acquire, and the supervisor's incidents on their own track.
+    if !args.trace_json.is_empty() {
+        let supervisor: Vec<SupervisorInstant> = out
+            .incidents
+            .iter()
+            .map(|i| SupervisorInstant {
+                name: i.kind.to_string(),
+                shard: i.shard as u32,
+                at_ns: (i.t_s.max(0.0) * 1e9) as u64,
+            })
+            .collect();
+        write(
+            &args.trace_json,
+            merged_chrome_trace(name, &out.shard_telemetry, &supervisor),
+            format!(
+                " ({} shard track(s), {} fault-domain incident(s))",
+                out.shard_telemetry.len(),
+                out.incidents.len()
+            ),
+        )?;
     }
-    if !metrics.is_empty() {
-        let mut text = String::new();
-        if traced {
-            text.push_str(&merged_telemetry(&out.shard_telemetry).to_prometheus());
+    // Prometheus: the live telemetry in process (it keeps the drift
+    // monitor), the merged shard telemetry plus the wire ledger over proc.
+    if !args.metrics.is_empty() {
+        let mut text = match &out.telemetry {
+            Some(t) => t.to_prometheus(),
+            None if out.shard_telemetry.is_empty() => String::new(),
+            None => merged_telemetry(&out.shard_telemetry).to_prometheus(),
+        };
+        if proc {
+            text.push_str(&wire_prometheus(
+                &report.fault.unwrap_or_default(),
+                &out.shard_faults,
+            ));
         }
-        text.push_str(&wire_prometheus(
-            &report.fault.unwrap_or_default(),
-            &out.shard_faults,
-        ));
-        std::fs::write(metrics, text)?;
-        if !quiet {
-            println!("wrote {metrics}");
-        }
+        write(&args.metrics, text, String::new())?;
     }
     if let Some(fr) = &report.fault {
-        if !quiet {
-            println!("\n{fr}");
-            println!(
-                "wire ledger balanced: {}",
-                if fr.balanced() { "yes" } else { "NO" }
-            );
+        say(format!("\n{fr}"));
+        if proc {
+            say(format!("wire ledger balanced: {}", yes_no(fr.balanced())));
         }
-        if !fault_json.is_empty() {
-            std::fs::write(fault_json, format!("{}\n", fr.to_json()))?;
-            if !quiet {
-                println!("wrote {fault_json}");
-            }
+        if !args.fault_json.is_empty() {
+            write(
+                &args.fault_json,
+                format!("{}\n", fr.to_json()),
+                String::new(),
+            )?;
         }
         if !fr.balanced() {
             return Err("fault ledger is unbalanced (injected != detected != recovered)".into());
@@ -1115,30 +803,7 @@ fn wire_prometheus(
     s
 }
 
-/// Renders the supervisor's incident timeline as Chrome-trace JSON —
-/// instant events on one row per shard, loadable in `chrome://tracing` or
-/// Perfetto next to the in-process exporter's span traces.
-fn incidents_chrome_trace(name: &str, incidents: &[quake_app::transport::run::Incident]) -> String {
-    let events: Vec<String> = incidents
-        .iter()
-        .map(|i| {
-            format!(
-                "{{\"name\":\"{}\",\"cat\":\"fault-domain\",\"ph\":\"i\",\"s\":\"g\",\
-                 \"ts\":{:.0},\"pid\":0,\"tid\":{}}}",
-                i.kind,
-                i.t_s * 1e6,
-                i.shard
-            )
-        })
-        .collect();
-    format!(
-        "{{\"displayTimeUnit\":\"ms\",\"otherData\":{{\"app\":\"{name}\"}},\
-         \"traceEvents\":[{}]}}\n",
-        events.join(",")
-    )
-}
-
-fn cmd_simulate(inv: &Invocation) -> Result<(), Box<dyn std::error::Error>> {
+fn cmd_simulate(inv: &Invocation) -> Result<(), Box<dyn Error>> {
     let mut setup = SetupWalls::default();
     let app = setup.time("generate", || generate(inv))?;
     let steps: u64 = inv.get("steps", 300u64)?;
