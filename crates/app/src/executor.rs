@@ -111,30 +111,29 @@
 //! carries a sender-side checksum, and the receiver re-verifies every
 //! staged block. Recovery is built in — dropped blocks are re-fetched after
 //! a bounded exponential-backoff retry, checksum mismatches force a clean
-//! re-fetch, and a crashed PE is healed per [`RecoveryPolicy`]: `FailFast`
-//! re-raises (the pre-chaos behaviour), `Degrade` re-executes the dead
-//! shard on the caller thread, `Restart` replaces the worker thread,
-//! restores the last in-memory checkpoint, and replays the lost steps.
+//! re-fetch, and a crashed PE is healed inside its own step: each step is
+//! a pure function of `x`, so the caller thread re-runs the crashed
+//! worker's compute before the exchange begins.
 //!
 //! Chaos keeps exactly one barrier: it runs stages 1 and 2 without posting
-//! in one supervised dispatch, then posts, acquires, applies and folds in a
-//! second. In a single dispatch a crashed worker's PEs would never post, so
-//! the surviving workers would block in `acquire` until the transport
-//! deadline before any policy could heal the crash. Splitting before the
-//! first post also means a Degrade re-run never posts a block twice; it
-//! recomputes only the PEs whose compute had not finished.
+//! in one dispatch, then posts, acquires, applies and folds in a second. In
+//! a single dispatch a crashed worker's PEs would never post, so the
+//! surviving workers would block in `acquire` until the transport deadline.
+//! Splitting before the first post also means a re-run never posts a block
+//! twice; it recomputes only the PEs whose compute had not finished. The
+//! pool worker survives its panic, so no thread is replaced.
 //!
-//! Because every injected event is one-shot and every recovery path
-//! re-executes exactly the deterministic work the fault interrupted, a
-//! recovered run is **bitwise-equal** to a fault-free run (asserted by the
-//! chaos tests), and under `Restart` the checkpoint rollback keeps even the
-//! accumulated `F`/`C`/`B` counters exactly equal to the fault-free
+//! Because every injected event is one-shot and every recovery re-executes
+//! exactly the deterministic work the fault interrupted, a recovered run is
+//! **bitwise-equal** to a fault-free run (asserted by the chaos tests).
+//! A step is billed once, after it completes, so the accumulated
+//! `F`/`C`/`B` counters stay exactly equal to the fault-free
 //! characterization. With faults disabled the clean hooks run: zero
 //! overhead, identical counters.
 
 use crate::distributed::DistributedSystem;
 use crate::transport::{ghost_edges, SharedTransport, Transport};
-use quake_core::fault::{mix64, FaultKind, FaultPlan, FaultReport, RecoveryPolicy, RetryBackoff};
+use quake_core::fault::{mix64, FaultKind, FaultPlan, FaultReport, RetryBackoff};
 use quake_core::model::validate::MeasuredSmvp;
 use quake_core::telemetry::{PhaseId, Span, Telemetry, TelemetryConfig, TraceInstant};
 use quake_spark::pool::WorkerPool;
@@ -430,18 +429,6 @@ fn count_exchange(c: &mut PeCounters, inbound: &[Inbound]) {
     }
 }
 
-/// In-memory snapshot of the executor's accumulated measurement state,
-/// taken every K steps while chaos is armed. Restoring it and replaying the
-/// lost steps is [`RecoveryPolicy::Restart`]'s crash path; because each
-/// SMVP step is a pure function of `x`, replay heals the data buffers for
-/// free and the snapshot only needs the accumulators.
-#[derive(Debug, Clone)]
-struct Checkpoint {
-    step: u64,
-    counters: Vec<PeCounters>,
-    phases: PhaseWalls,
-}
-
 /// Per-PE chaos scratch, written by the chaos hooks through disjoint
 /// [`SendPtr`] slots and folded into the [`FaultReport`] on the caller
 /// thread after each step's dispatches (consumed by `std::mem::take`).
@@ -471,14 +458,16 @@ struct FaultState {
     /// re-executed during recovery skips everything that already fired,
     /// which is what makes every recovery loop converge.
     fired: Vec<AtomicBool>,
-    policy: RecoveryPolicy,
-    checkpoint_every: u64,
     report: FaultReport,
-    checkpoint: Checkpoint,
     scratch: Vec<PeFaultScratch>,
-    /// Crash events caught in the current failed attempt; credited as
-    /// recovered once the restart has restored state.
-    pending_crashes: u64,
+}
+
+/// One step's inline crash re-runs: how many chunk runs the caller made,
+/// and when they started and ended.
+struct Rerun {
+    runs: u64,
+    start: Instant,
+    end: Instant,
 }
 
 /// Fetch attempts per exchange block before the executor gives up. Injected
@@ -862,40 +851,16 @@ impl BspExecutor {
     }
 
     /// Arms the chaos layer: from the next step on, `plan`'s events fire at
-    /// their scheduled (step, PE) slots and the executor recovers per
-    /// `policy`, snapshotting its accumulators every `checkpoint_every`
-    /// steps. With an empty plan the chaos path still runs (useful for
-    /// invariance tests) but injects nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `checkpoint_every == 0`.
-    pub fn enable_faults(
-        &mut self,
-        plan: FaultPlan,
-        policy: RecoveryPolicy,
-        checkpoint_every: u64,
-    ) {
-        assert!(
-            checkpoint_every > 0,
-            "checkpoint interval must be at least 1 step"
-        );
+    /// their scheduled (step, PE) slots and the executor recovers from each
+    /// within the step it hits. With an empty plan the chaos path still
+    /// runs (useful for invariance tests) but injects nothing.
+    pub fn enable_faults(&mut self, plan: FaultPlan) {
         let p = self.pe.len();
         self.fault = Some(Box::new(FaultState {
             fired: (0..plan.len()).map(|_| AtomicBool::new(false)).collect(),
             plan,
-            policy,
-            checkpoint_every,
             report: FaultReport::default(),
-            // Seed the checkpoint with the armed-at state so a crash before
-            // the first periodic snapshot restores to something valid.
-            checkpoint: Checkpoint {
-                step: self.steps,
-                counters: self.counters.clone(),
-                phases: self.phases,
-            },
             scratch: vec![PeFaultScratch::default(); p],
-            pending_crashes: 0,
         }));
     }
 
@@ -954,8 +919,7 @@ impl BspExecutor {
         self.pool.threads()
     }
 
-    /// The worker pool's lifetime dispatch counters (batches, targeted
-    /// recovery re-runs, thread respawns).
+    /// The worker pool's lifetime dispatch counters.
     pub fn pool_stats(&self) -> quake_spark::PoolStats {
         self.pool.stats()
     }
@@ -1095,35 +1059,31 @@ impl BspExecutor {
         assert_eq!(y.len(), self.global_nodes, "y length must match mesh nodes");
         let step = self.steps;
         if let Some(fault) = self.fault.take() {
-            self.chaos_step(x, y, fault);
+            let mut chaos = Chaos::new(fault, self.telemetry.take());
+            self.run_step(x, y, step, &mut chaos);
+            self.fault = Some(chaos.fault);
+            self.telemetry = chaos.trace.map(|mut t| {
+                t.telem.data.steps += 1;
+                t.telem
+            });
         } else if let Some(telem) = self.telemetry.take() {
             let mut traced = Traced::new(telem);
-            self.run_step(x, y, step, &mut traced)
-                .expect("only chaos steps fail");
+            self.run_step(x, y, step, &mut traced);
             traced.telem.data.steps += 1;
             self.telemetry = Some(traced.telem);
         } else {
-            self.run_step(x, y, step, &mut Clean)
-                .expect("only chaos steps fail");
+            self.run_step(x, y, step, &mut Clean);
         }
         self.steps += 1;
     }
 
     /// The one step body (see the module docs): every worker runs stages 1
     /// and 2, then stage 3, for the PEs it owns, in one dispatch, or in two
-    /// when `H::SPLIT`. Returns `Err(panicked workers)` only for a crash
-    /// under [`RecoveryPolicy::Restart`]; the step is then neither billed
-    /// nor completed, and the caller restores and replays.
-    fn run_step<H: StepHooks>(
-        &mut self,
-        x: &[Vec3],
-        y: &mut [Vec3],
-        step: u64,
-        hooks: &mut H,
-    ) -> Result<(), Vec<usize>> {
+    /// when `H::SPLIT`, with any crashed worker's stages 1 and 2 re-run on
+    /// this thread in between.
+    fn run_step<H: StepHooks>(&mut self, x: &[Vec3], y: &mut [Vec3], step: u64, hooks: &mut H) {
         let t0 = Instant::now();
-        let mut crashed = None;
-        let mut degraded = 0u64;
+        let mut rerun = None;
         {
             let ctx = StepCtx {
                 hooks: &*hooks,
@@ -1153,40 +1113,35 @@ impl BspExecutor {
                 });
             } else {
                 if let Err(failure) = self.pool.try_broadcast(&|w| ctx.compute(w)) {
-                    match hooks.policy() {
-                        RecoveryPolicy::FailFast => failure.resume(),
-                        RecoveryPolicy::Restart => crashed = Some(failure.panicked),
-                        // Re-run each dead chunk inline on this thread. The
-                        // products fully overwrite their output, so the
-                        // re-run is bitwise what the worker would have
-                        // produced; remaining one-shot events may fire (and
-                        // panic) again, hence the loop.
-                        RecoveryPolicy::Degrade => {
-                            for &w in &failure.panicked {
-                                loop {
-                                    degraded += 1;
-                                    if catch_unwind(AssertUnwindSafe(|| ctx.compute(w))).is_ok() {
-                                        break;
-                                    }
-                                }
+                    // Re-run each crashed chunk inline on this thread. The
+                    // products fully overwrite their output, so the re-run
+                    // is bitwise what the worker would have produced;
+                    // remaining one-shot events may fire (and panic) again,
+                    // hence the loop.
+                    let start = Instant::now();
+                    let mut runs = 0;
+                    for &w in &failure.panicked {
+                        loop {
+                            runs += 1;
+                            if catch_unwind(AssertUnwindSafe(|| ctx.compute(w))).is_ok() {
+                                break;
                             }
                         }
                     }
+                    rerun = Some(Rerun {
+                        runs,
+                        start,
+                        end: Instant::now(),
+                    });
                 }
-                if crashed.is_none() {
-                    self.pool.broadcast(&|w| ctx.exchange(w));
-                }
+                self.pool.broadcast(&|w| ctx.exchange(w));
             }
         }
         let wall = t0.elapsed().as_secs_f64();
-        hooks.after_dispatch(self, step, degraded);
-        if let Some(panicked) = crashed {
-            return Err(panicked);
-        }
+        hooks.after_dispatch(self, step, rerun);
         let bill = self.bill(wall);
         hooks.after_step(self, step, wall, &bill);
         self.link.barrier(step).expect("transport barrier");
-        Ok(())
     }
 
     /// Bills one finished step from the stage clocks: every owned PE's own
@@ -1334,73 +1289,6 @@ impl BspExecutor {
         }
     }
 
-    /// The chaos driver around [`BspExecutor::run_step`]: checkpoints on
-    /// schedule, executes the logical step, and on a crashed attempt
-    /// (Restart policy) respawns the dead workers, restores the last
-    /// checkpoint, and replays forward until the target step completes.
-    fn chaos_step(&mut self, x: &[Vec3], y: &mut [Vec3], fault: Box<FaultState>) {
-        let mut chaos = Chaos::new(fault, self.telemetry.take());
-        let target = self.steps;
-        if target.is_multiple_of(chaos.fault.checkpoint_every) {
-            chaos.fault.checkpoint = Checkpoint {
-                step: target,
-                counters: self.counters.clone(),
-                phases: self.phases,
-            };
-            chaos.fault.report.checkpoints += 1;
-        }
-        // Replay cursor: normally just `target`; after a restore it walks
-        // back up from the checkpoint. Each replayed step re-runs clean
-        // (its events are already consumed), so the loop always converges.
-        let mut s = target;
-        loop {
-            match self.run_step(x, y, s, &mut chaos) {
-                Ok(()) if s == target => break,
-                Ok(()) => s += 1,
-                Err(panicked) => {
-                    let t_rec = Instant::now();
-                    for &w in &panicked {
-                        self.pool.respawn(w);
-                    }
-                    let fault = &mut *chaos.fault;
-                    fault.report.respawned_workers += panicked.len() as u64;
-                    fault.report.restores += 1;
-                    fault.report.recovered.crash += fault.pending_crashes;
-                    fault.pending_crashes = 0;
-                    fault.report.replayed_steps += s - fault.checkpoint.step;
-                    self.counters = fault.checkpoint.counters.clone();
-                    self.phases = fault.checkpoint.phases;
-                    s = fault.checkpoint.step;
-                    if let Some(t) = chaos.trace.as_mut().map(|t| &mut t.telem) {
-                        let driver = self.pe.len() as u32;
-                        let start = ns_since(t.epoch, t_rec);
-                        let dur = secs_to_ns(t_rec.elapsed().as_secs_f64());
-                        t.data.span(Span {
-                            phase: PhaseId::Recover,
-                            pe: driver,
-                            step: s,
-                            start_ns: start,
-                            dur_ns: dur,
-                        });
-                        t.data.add_phase_wall(PhaseId::Recover, dur);
-                        t.data.instant(TraceInstant {
-                            name: "recover:restore",
-                            pe: driver,
-                            step: s,
-                            at_ns: start,
-                        });
-                    }
-                }
-            }
-        }
-        // One logical step regardless of how many attempts it took.
-        self.fault = Some(chaos.fault);
-        self.telemetry = chaos.trace.map(|mut t| {
-            t.telem.data.steps += 1;
-            t.telem
-        });
-    }
-
     /// Executes one bulk-synchronous SMVP `y = Kx`, allocating the result.
     ///
     /// # Panics
@@ -1517,11 +1405,11 @@ impl StageClock {
 
 /// What varies between a clean, a traced and a chaos step; the step body
 /// itself is [`BspExecutor::run_step`]. `before_compute` and `fetch` run on
-/// the thread running a PE's stages (its pool worker, or the caller when
-/// Degrade re-runs a dead worker's chunk); the rest run on the caller.
+/// the thread running a PE's stages (its pool worker, or the caller when it
+/// re-runs a crashed worker's chunk); the rest run on the caller.
 trait StepHooks: Sync {
-    /// Run stages 1 and 2 without posting in one supervised dispatch, then
-    /// post, acquire, apply and fold in a second (see the module docs).
+    /// Run stages 1 and 2 without posting in one dispatch, then post,
+    /// acquire, apply and fold in a second (see the module docs).
     const SPLIT: bool = false;
 
     /// Runs before PE `q`'s compute, inside its compute stamp.
@@ -1554,15 +1442,10 @@ trait StepHooks: Sync {
             .waited_s
     }
 
-    /// How a panicked compute dispatch is healed (split hooks only).
-    fn policy(&self) -> RecoveryPolicy {
-        RecoveryPolicy::FailFast
-    }
-
-    /// After the dispatches, before billing; `degraded` counts the inline
-    /// re-runs Degrade made.
+    /// After the dispatches, before billing; `rerun` is the step's inline
+    /// crash re-runs, if a worker crashed.
     #[inline]
-    fn after_dispatch(&mut self, _exec: &BspExecutor, _step: u64, _degraded: u64) {}
+    fn after_dispatch(&mut self, _exec: &BspExecutor, _step: u64, _rerun: Option<Rerun>) {}
 
     /// After the step was billed; `bill` is its phase walls.
     #[inline]
@@ -1673,7 +1556,7 @@ impl Chaos {
         let (msg, n_msgs) = (&inbound[mi], inbound.len());
         let mut waited = 0.0;
         // Deterministic decorrelated jitter for re-fetch retries, seeded per
-        // (step, PE, message) so a replayed step sleeps the same schedule.
+        // (step, PE, message) so every run sleeps the same schedule.
         let mut retry = RetryBackoff::new(mix64(step ^ ((q as u64) << 40) ^ ((mi as u64) << 20)));
         for attempt in 1.. {
             assert!(
@@ -1789,18 +1672,36 @@ impl StepHooks for Chaos {
         }
     }
 
-    fn policy(&self) -> RecoveryPolicy {
-        self.fault.policy
-    }
-
     /// Drains the per-PE ledger into the fault report and, when traced,
-    /// into fault instants and Stage/Verify spans nested in each exchange.
-    /// Straggle detection is observational: the PE's compute stamp must
-    /// show the injected delay.
-    fn after_dispatch(&mut self, exec: &BspExecutor, step: u64, degraded: u64) {
+    /// into fault instants and Stage/Verify spans nested in each exchange,
+    /// plus a Recover span and a `recover:rerun` instant on the driver lane
+    /// for the crash re-runs. Straggle detection is observational: the PE's
+    /// compute stamp must show the injected delay.
+    fn after_dispatch(&mut self, exec: &BspExecutor, step: u64, rerun: Option<Rerun>) {
         let (fault, mut telem) = (&mut *self.fault, self.trace.as_mut().map(|t| &mut t.telem));
         let report = &mut fault.report;
-        report.degraded_shards += degraded;
+        if let Some(r) = rerun {
+            report.degraded_shards += r.runs;
+            if let Some(t) = telem.as_deref_mut() {
+                let driver = exec.pe.len() as u32;
+                let start_ns = ns_since(t.epoch, r.start);
+                let dur_ns = ns_since(r.start, r.end);
+                t.data.span(Span {
+                    phase: PhaseId::Recover,
+                    pe: driver,
+                    step,
+                    start_ns,
+                    dur_ns,
+                });
+                t.data.add_phase_wall(PhaseId::Recover, dur_ns);
+                t.data.instant(TraceInstant {
+                    name: "recover:rerun",
+                    pe: driver,
+                    step,
+                    at_ns: start_ns,
+                });
+            }
+        }
         let mut crashes = 0u64;
         for (q, slot) in fault.scratch.iter_mut().enumerate() {
             let sc = std::mem::take(slot);
@@ -1866,17 +1767,11 @@ impl StepHooks for Chaos {
                 }
             }
         }
-        if crashes > 0 {
-            report.injected.crash += crashes;
-            // Detection = the supervisor caught the panic.
-            report.detected.crash += crashes;
-            match fault.policy {
-                RecoveryPolicy::Degrade => report.recovered.crash += crashes,
-                // Credited as recovered once the restart actually restores.
-                RecoveryPolicy::Restart => fault.pending_crashes += crashes,
-                RecoveryPolicy::FailFast => {}
-            }
-        }
+        // Detection = the pool caught the panic; the inline re-run healed
+        // it before the exchange began.
+        report.injected.crash += crashes;
+        report.detected.crash += crashes;
+        report.recovered.crash += crashes;
     }
 
     fn after_step(&mut self, exec: &mut BspExecutor, step: u64, wall: f64, bill: &PeSecs) {
@@ -1942,8 +1837,8 @@ impl<H: StepHooks> StepCtx<'_, H> {
         }
     }
 
-    /// Stages 1 and 2 for worker `w`'s PEs. Under `H::SPLIT` a Degrade
-    /// re-run skips the PEs whose stage 1 already finished this step.
+    /// Stages 1 and 2 for worker `w`'s PEs. Under `H::SPLIT` a crash re-run
+    /// skips the PEs whose stage 1 already finished this step.
     fn compute(&self, w: usize) {
         let chunk = owned_chunk(&self.owned, self.threads, w);
         for q in chunk.clone() {
@@ -2361,7 +2256,7 @@ mod tests {
                 let mut exec = BspExecutor::with_options(&sys, 2, false, use_overlap);
                 match mode {
                     "traced" => exec.enable_telemetry(TelemetryConfig::default()),
-                    "chaos" => exec.enable_faults(FaultPlan::none(), RecoveryPolicy::Restart, 4),
+                    "chaos" => exec.enable_faults(FaultPlan::none()),
                     _ => {}
                 }
                 let before = exec.pool_stats().broadcasts;
@@ -2605,7 +2500,7 @@ mod tests {
         }
 
         let mut armed = BspExecutor::new(&sys, 4);
-        armed.enable_faults(FaultPlan::none(), RecoveryPolicy::Restart, 4);
+        armed.enable_faults(FaultPlan::none());
         let mut y_armed = vec![Vec3::ZERO; mesh.node_count()];
         for _ in 0..steps {
             armed.step_into(&x, &mut y_armed);
@@ -2619,12 +2514,11 @@ mod tests {
         let fr = report.fault.expect("armed executor reports faults");
         assert!(fr.balanced());
         assert_eq!(fr.injected.total(), 0);
-        assert_eq!(fr.retries + fr.refetches + fr.restores, 0);
-        assert_eq!(fr.checkpoints, 1, "one checkpoint at step 0");
+        assert_eq!(fr.retries + fr.refetches + fr.degraded_shards, 0);
     }
 
     #[test]
-    fn chaos_run_recovers_bitwise_equal_with_restart() {
+    fn chaos_run_recovers_bitwise_equal() {
         let (mesh, partition, sys) = setup(6);
         let analysis = CommAnalysis::new(&mesh, &partition);
         let x = random_x(mesh.node_count(), 29);
@@ -2637,16 +2531,16 @@ mod tests {
         }
 
         let mut chaos = BspExecutor::new(&sys, 4);
-        chaos.enable_faults(all_kinds_plan(), RecoveryPolicy::Restart, 2);
+        chaos.enable_faults(all_kinds_plan());
         let mut y_chaos = vec![Vec3::ZERO; mesh.node_count()];
         for _ in 0..steps {
             chaos.step_into(&x, &mut y_chaos);
         }
 
-        assert_bitwise_equal(&y_clean, &y_chaos, "all kinds, restart");
+        assert_bitwise_equal(&y_clean, &y_chaos, "all kinds");
         let report = chaos.report();
         assert_eq!(report.steps, steps as u64);
-        // Even with a crash + restore in the middle, the measured
+        // Even with a crash and its re-run in the middle, the measured
         // characterization stays exact.
         assert_eq!(report.f_max(), analysis.f_max(), "F under chaos");
         assert_eq!(report.c_max(), analysis.c_max(), "C_max under chaos");
@@ -2659,56 +2553,11 @@ mod tests {
         assert_eq!(fr.injected.crash, 1);
         assert!(fr.retries >= 1, "drop recovery retried");
         assert!(fr.refetches >= 2, "corruption recovery re-fetched");
-        assert_eq!(fr.restores, 1, "one checkpoint restore");
-        assert_eq!(fr.respawned_workers, 1, "one worker replaced");
-        assert_eq!(fr.replayed_steps, 0, "crash at a checkpoint step");
-        assert_eq!(fr.degraded_shards, 0);
+        assert_eq!(fr.degraded_shards, 1, "one inline re-run");
     }
 
     #[test]
-    fn crash_mid_interval_replays_lost_steps() {
-        let (mesh, partition, sys) = setup(4);
-        let analysis = CommAnalysis::new(&mesh, &partition);
-        let x = random_x(mesh.node_count(), 31);
-        let steps = 4;
-        let plan = FaultPlan::from_events(vec![FaultEvent {
-            step: 2,
-            pe: 1,
-            kind: FaultKind::Crash,
-        }]);
-
-        let mut clean = BspExecutor::new(&sys, 2);
-        let mut y_clean = vec![Vec3::ZERO; mesh.node_count()];
-        for _ in 0..steps {
-            clean.step_into(&x, &mut y_clean);
-        }
-
-        let mut chaos = BspExecutor::new(&sys, 2);
-        // Checkpoint interval 3: the crash at step 2 rolls back to the
-        // step-0 snapshot and replays steps 0 and 1.
-        chaos.enable_faults(plan, RecoveryPolicy::Restart, 3);
-        let mut y_chaos = vec![Vec3::ZERO; mesh.node_count()];
-        for _ in 0..steps {
-            chaos.step_into(&x, &mut y_chaos);
-        }
-
-        assert_bitwise_equal(&y_clean, &y_chaos, "mid-interval crash");
-        let report = chaos.report();
-        assert_eq!(report.f_max(), analysis.f_max());
-        assert_eq!(report.c_max(), analysis.c_max());
-        let fr = report.fault.unwrap();
-        assert!(fr.balanced(), "unbalanced ledger: {fr}");
-        assert_eq!(fr.replayed_steps, 2, "steps 0 and 1 replayed");
-        assert_eq!(fr.restores, 1);
-        // Per-PE counters must not double-count the replays.
-        for (q, (c, predicted)) in report.pe.iter().zip(analysis.per_pe()).enumerate() {
-            assert_eq!(c.flops / steps as u64, predicted.flops, "PE {q} flops");
-            assert_eq!(c.words() / steps as u64, predicted.words, "PE {q} words");
-        }
-    }
-
-    #[test]
-    fn degrade_policy_heals_crashes_inline() {
+    fn crash_heals_inline() {
         let (mesh, _, sys) = setup(4);
         let x = random_x(mesh.node_count(), 37);
         let plan = FaultPlan::from_events(vec![FaultEvent {
@@ -2724,38 +2573,21 @@ mod tests {
         }
 
         let mut chaos = BspExecutor::new(&sys, 2);
-        chaos.enable_faults(plan, RecoveryPolicy::Degrade, 4);
+        chaos.enable_faults(plan);
         let mut y_chaos = vec![Vec3::ZERO; mesh.node_count()];
         for _ in 0..3 {
             chaos.step_into(&x, &mut y_chaos);
         }
 
-        assert_bitwise_equal(&y_clean, &y_chaos, "degrade");
+        assert_bitwise_equal(&y_clean, &y_chaos, "inline re-run");
         let fr = chaos.fault_report().unwrap();
         assert!(fr.balanced(), "unbalanced ledger: {fr}");
         assert_eq!(fr.injected.crash, 1);
         assert!(fr.degraded_shards >= 1, "shard re-executed inline");
-        assert_eq!(fr.restores, 0, "degrade never restores");
-        assert_eq!(fr.respawned_workers, 0, "degrade never respawns");
     }
 
     #[test]
-    #[should_panic(expected = "injected fault")]
-    fn failfast_policy_propagates_the_crash() {
-        let (mesh, _, sys) = setup(4);
-        let x = random_x(mesh.node_count(), 41);
-        let plan = FaultPlan::from_events(vec![FaultEvent {
-            step: 0,
-            pe: 0,
-            kind: FaultKind::Crash,
-        }]);
-        let mut chaos = BspExecutor::new(&sys, 2);
-        chaos.enable_faults(plan, RecoveryPolicy::FailFast, 4);
-        let _ = chaos.step(&x);
-    }
-
-    #[test]
-    fn checkpoint_restart_round_trip_under_rcm() {
+    fn crash_recovery_round_trip_under_rcm() {
         let (mesh, partition, sys) = setup(4);
         let analysis = CommAnalysis::new(&mesh, &partition);
         let x = random_x(mesh.node_count(), 43);
@@ -2780,20 +2612,20 @@ mod tests {
         }
 
         let mut chaos = BspExecutor::with_rcm(&sys, 3);
-        chaos.enable_faults(plan, RecoveryPolicy::Restart, 2);
+        chaos.enable_faults(plan);
         let mut y_chaos = vec![Vec3::ZERO; mesh.node_count()];
         for _ in 0..steps {
             chaos.step_into(&x, &mut y_chaos);
         }
 
-        assert_bitwise_equal(&y_clean, &y_chaos, "rcm + restart");
+        assert_bitwise_equal(&y_clean, &y_chaos, "rcm + crash");
         let report = chaos.report();
         assert_eq!(report.f_max(), analysis.f_max(), "F under RCM chaos");
         assert_eq!(report.c_max(), analysis.c_max(), "C_max under RCM chaos");
         assert_eq!(report.b_max(), analysis.b_max(), "B_max under RCM chaos");
         let fr = report.fault.unwrap();
         assert!(fr.balanced(), "unbalanced ledger: {fr}");
-        assert_eq!(fr.restores, 1);
+        assert_eq!(fr.degraded_shards, 1);
     }
 
     #[test]
@@ -2811,7 +2643,7 @@ mod tests {
         }
 
         let mut chaos = BspExecutor::new(&sys, 4);
-        chaos.enable_faults(plan, RecoveryPolicy::Restart, 2);
+        chaos.enable_faults(plan);
         let mut y_chaos = vec![Vec3::ZERO; mesh.node_count()];
         for _ in 0..steps {
             chaos.step_into(&x, &mut y_chaos);
@@ -2821,14 +2653,6 @@ mod tests {
         let fr = chaos.fault_report().unwrap();
         assert!(fr.balanced(), "unbalanced ledger: {fr}");
         assert!(fr.injected.total() > 0, "something actually fired");
-    }
-
-    #[test]
-    #[should_panic(expected = "checkpoint interval")]
-    fn zero_checkpoint_interval_is_rejected() {
-        let (_, _, sys) = setup(2);
-        let mut exec = BspExecutor::new(&sys, 2);
-        exec.enable_faults(FaultPlan::none(), RecoveryPolicy::Restart, 0);
     }
 
     // --- Telemetry layer ---
@@ -2930,7 +2754,7 @@ mod tests {
         }
 
         let mut chaos = BspExecutor::new(&sys, 4);
-        chaos.enable_faults(all_kinds_plan(), RecoveryPolicy::Restart, 2);
+        chaos.enable_faults(all_kinds_plan());
         chaos.enable_telemetry(TelemetryConfig::default());
         let mut y_chaos = vec![Vec3::ZERO; mesh.node_count()];
         for _ in 0..steps {
@@ -2940,8 +2764,8 @@ mod tests {
         assert_bitwise_equal(&y_clean, &y_chaos, "chaos + telemetry");
         let t = chaos.telemetry().expect("telemetry armed");
         assert_eq!(t.steps, steps as u64);
-        // The chaos path stages and verifies every block, restores once, and
-        // every injected fault leaves an instant in the trace.
+        // The chaos path stages and verifies every block, re-runs the crash
+        // once, and every injected fault leaves an instant in the trace.
         for phase in [PhaseId::Stage, PhaseId::Verify, PhaseId::Recover] {
             assert!(
                 t.spans.iter().any(|s| s.phase == phase),
@@ -2949,13 +2773,18 @@ mod tests {
                 phase.name()
             );
         }
+        // The re-run is booked on the driver lane, one past the last PE.
+        assert!(t
+            .spans
+            .iter()
+            .any(|s| s.phase == PhaseId::Recover && s.pe == 6));
         let names: Vec<&str> = t.instants().iter().map(|i| i.name).collect();
         for expected in [
             "fault:straggle",
             "fault:drop",
             "fault:corrupt",
             "fault:crash",
-            "recover:restore",
+            "recover:rerun",
         ] {
             assert!(names.contains(&expected), "missing instant {expected}");
         }

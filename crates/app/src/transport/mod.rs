@@ -40,10 +40,11 @@
 //! slot `s % 2`. A sender is never more than one step ahead of a receiver
 //! on the same edge (its own acquire of step `s` gates its post of
 //! `s + 2`), so a slot is never overwritten before its reader is done.
-//! Posted flags advance monotonically (`fetch_max`), which makes the
-//! chaos layer's checkpoint/replay loop safe: a replayed step re-posts
-//! bitwise-identical blocks (each SMVP step is a pure function of the
-//! run's constant `x`) and never regresses a flag a remote reader already
+//! Posted flags advance monotonically (`fetch_max`), which makes proc shard
+//! respawn safe: the respawned child replays to the current step from the
+//! spec, and its peers replay their resend caches to it. A replayed step
+//! re-posts bitwise-identical blocks (each SMVP step is a pure function of
+//! the run's constant `x`) and never regresses a flag a reader already
 //! observed.
 
 use quake_core::fault::BlockChecksum;
@@ -1000,7 +1001,7 @@ mod tests {
         let mb = Mailbox::new(&edges2(), Duration::from_secs(1));
         let b = [Vec3::new(5.0, 5.0, 5.0), Vec3::ZERO];
         mb.post(4, 0, 1, &b).unwrap();
-        // A checkpoint-replay re-post of step 2 (same parity) must not make
+        // A late replayed re-post of step 2 (same parity) must not make
         // step 4 unacquirable.
         mb.post(2, 0, 1, &b).unwrap();
         let mut out = [Vec3::ZERO; 2];

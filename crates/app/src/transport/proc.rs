@@ -1225,7 +1225,7 @@ fn child_main() -> Result<(), TransportError> {
     let shards = spec.shards;
     let conn_timeout = Duration::from_secs_f64(spec.conn_timeout.max(0.001));
     let attempt = attempt_from_env();
-    let respawn = spec.recovery == "restart" && spec.restart_budget > 0 && shards > 1;
+    let respawn = spec.restart_budget > 0 && shards > 1;
     // Wire chaos arms only on a shard's first launch: a respawned or
     // retried generation must not re-injure the recovery it exists for.
     let plan = if attempt == 0 && spec.wire_fault_rate > 0.0 {
@@ -1382,7 +1382,7 @@ fn child_main() -> Result<(), TransportError> {
         owned.clone(),
         Arc::clone(&link) as Arc<dyn Transport>,
     );
-    super::run::arm_at(&mut exec, &spec, Some(clock_origin)).map_err(TransportError::Protocol)?;
+    super::run::arm_at(&mut exec, &spec, Some(clock_origin));
     let ran = catch_unwind(AssertUnwindSafe(|| exec.run(&built.x, spec.steps)));
     if let Err(panic) = ran {
         let msg = panic
@@ -1912,9 +1912,8 @@ impl Supervisor<'_> {
 
 /// Launches the shard ensemble for a spec and merges its results. Inside
 /// an attempt the supervisor recovers per shard (respawn within
-/// `--restart-budget`); with the `restart` recovery policy a failed
-/// attempt is then retried once whole — the run is a pure function of
-/// the spec, so the retry is exact.
+/// `--restart-budget`); a failed attempt is then retried once whole — the
+/// run is a pure function of the spec, so the retry is exact.
 ///
 /// # Errors
 ///
@@ -1923,7 +1922,7 @@ pub fn run_parent(spec: &RunSpec, built: &Built) -> Result<RunOutput, TransportE
     if spec.shards == 0 {
         return Err(TransportError::Protocol("shards must be at least 1".into()));
     }
-    let attempts = if spec.recovery == "restart" { 2 } else { 1 };
+    let attempts = 2;
     // The run id stamped into every shard's trace context. Uniqueness
     // per invocation is all that matters; it survives ensemble retries.
     let run_id = SystemTime::now()
@@ -1964,7 +1963,7 @@ fn run_ensemble(
     run_id: u64,
 ) -> Result<RunOutput, TransportError> {
     let conn_timeout = Duration::from_secs_f64(spec.conn_timeout.max(0.001));
-    let respawn_mode = spec.recovery == "restart" && spec.restart_budget > 0 && spec.shards > 1;
+    let respawn_mode = spec.restart_budget > 0 && spec.shards > 1;
     let dir = rendezvous_dir()?;
     std::fs::write(dir.join("spec.txt"), spec.serialize()).map_err(io_err)?;
     let listener = UnixListener::bind(dir.join("parent.sock")).map_err(io_err)?;

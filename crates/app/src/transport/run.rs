@@ -24,7 +24,7 @@ use crate::distributed::DistributedSystem;
 use crate::executor::{BspExecutor, ExecutionReport};
 use crate::family::{AppConfig, QuakeApp};
 use crate::report::SetupWalls;
-use quake_core::fault::{FaultPlan, FaultRates, RecoveryPolicy};
+use quake_core::fault::{FaultPlan, FaultRates};
 use quake_core::machine::Network;
 use quake_core::telemetry::{ShardTrace, Telemetry, TelemetryConfig};
 use quake_fem::assembly::UniformMaterial;
@@ -194,34 +194,22 @@ pub fn build_timed(spec: &RunSpec) -> Result<(Built, SetupWalls), String> {
 /// Arms the fault and telemetry layers on an executor per the spec —
 /// shared by the in-process runner and the proc shard children so every
 /// backend runs the same chaos plan and the same telemetry config.
-///
-/// # Errors
-///
-/// Returns a message on an unknown recovery policy.
-pub(crate) fn arm(exec: &mut BspExecutor, spec: &RunSpec) -> Result<(), String> {
-    arm_at(exec, spec, None)
+pub(crate) fn arm(exec: &mut BspExecutor, spec: &RunSpec) {
+    arm_at(exec, spec, None);
 }
 
 /// [`arm`] with an explicit telemetry epoch: a proc shard child passes its
 /// fabric origin so its span clock is the one the parent's handshake offset
 /// measurement refers to.
-pub(crate) fn arm_at(
-    exec: &mut BspExecutor,
-    spec: &RunSpec,
-    epoch: Option<std::time::Instant>,
-) -> Result<(), String> {
+pub(crate) fn arm_at(exec: &mut BspExecutor, spec: &RunSpec, epoch: Option<std::time::Instant>) {
     if spec.fault_rate > 0.0 {
-        let policy: RecoveryPolicy = spec
-            .recovery
-            .parse()
-            .map_err(|_| format!("unknown recovery policy '{}'", spec.recovery))?;
         let plan = FaultPlan::generate(
             spec.fault_seed,
             spec.steps,
             spec.parts,
             &FaultRates::uniform(spec.fault_rate),
         );
-        exec.enable_faults(plan, policy, spec.checkpoint_every);
+        exec.enable_faults(plan);
     }
     if spec.trace {
         let mut config = TelemetryConfig {
@@ -243,7 +231,6 @@ pub(crate) fn arm_at(
         let of: Vec<usize> = (0..spec.parts).map(|q| map.node_of(q)).collect();
         exec.set_node_map(&of);
     }
-    Ok(())
 }
 
 /// Runs the spec over the chosen transport and returns the folded product
@@ -302,7 +289,7 @@ pub fn run_with(kind: TransportKind, spec: &RunSpec, built: &Built) -> Result<Ru
         link,
     );
     let plan_s = plan.elapsed().as_secs_f64();
-    arm(&mut exec, spec)?;
+    arm(&mut exec, spec);
     let y = exec.run(&built.x, spec.steps);
     let telemetry = exec.telemetry().cloned();
     let shard_telemetry = telemetry.iter().map(ShardTrace::local).collect();

@@ -276,15 +276,7 @@ fn encode_fault(w: &mut ByteWriter, fr: &FaultReport) {
         w.u64(c.corrupt);
         w.u64(c.crash);
     }
-    for v in [
-        fr.retries,
-        fr.refetches,
-        fr.replayed_steps,
-        fr.checkpoints,
-        fr.restores,
-        fr.degraded_shards,
-        fr.respawned_workers,
-    ] {
+    for v in [fr.retries, fr.refetches, fr.degraded_shards] {
         w.u64(v);
     }
     for c in [&fr.wire_injected, &fr.wire_detected, &fr.wire_recovered] {
@@ -323,11 +315,7 @@ fn decode_fault(r: &mut ByteReader<'_>) -> Result<FaultReport, TransportError> {
         recovered: counts[2],
         retries: r.u64()?,
         refetches: r.u64()?,
-        replayed_steps: r.u64()?,
-        checkpoints: r.u64()?,
-        restores: r.u64()?,
         degraded_shards: r.u64()?,
-        respawned_workers: r.u64()?,
         ..FaultReport::default()
     };
     for c in [
@@ -496,10 +484,6 @@ pub struct RunSpec {
     pub fault_rate: f64,
     /// Fault plan seed.
     pub fault_seed: u64,
-    /// Recovery policy (CLI spelling).
-    pub recovery: String,
-    /// Checkpoint interval for Restart recovery.
-    pub checkpoint_every: u64,
     /// Arm the telemetry layer in each shard.
     pub trace: bool,
     /// Drift monitor threshold.
@@ -556,8 +540,6 @@ impl Default for RunSpec {
             overlap: false,
             fault_rate: 0.0,
             fault_seed: 0,
-            recovery: "restart".into(),
-            checkpoint_every: 5,
             trace: false,
             drift_threshold: 2.0,
             span_capacity: 65_536,
@@ -582,7 +564,7 @@ impl RunSpec {
         format!(
             "period {:?}\nscale {:?}\nseed {}\nparts {}\nthreads {}\nsteps {}\n\
              partitioner {}\nrcm {}\noverlap {}\nfault_rate {:?}\nfault_seed {}\n\
-             recovery {}\ncheckpoint_every {}\ntrace {}\ndrift_threshold {:?}\n\
+             trace {}\ndrift_threshold {:?}\n\
              span_capacity {}\nshards {}\nx_kind {}\nx_seed {}\n\
              conn_timeout {:?}\nwire_fault_rate {:?}\nwire_fault_seed {}\n\
              restart_budget {}\nnodes {}\naggregate {}\nwire_latency {:?}\n",
@@ -597,8 +579,6 @@ impl RunSpec {
             self.overlap,
             self.fault_rate,
             self.fault_seed,
-            self.recovery,
-            self.checkpoint_every,
             self.trace,
             self.drift_threshold,
             self.span_capacity,
@@ -648,8 +628,6 @@ impl RunSpec {
                 "overlap" => set(&mut spec.overlap, key, val)?,
                 "fault_rate" => set(&mut spec.fault_rate, key, val)?,
                 "fault_seed" => set(&mut spec.fault_seed, key, val)?,
-                "recovery" => spec.recovery = val.to_string(),
-                "checkpoint_every" => set(&mut spec.checkpoint_every, key, val)?,
                 "trace" => set(&mut spec.trace, key, val)?,
                 "drift_threshold" => set(&mut spec.drift_threshold, key, val)?,
                 "span_capacity" => set(&mut spec.span_capacity, key, val)?,

@@ -6,21 +6,21 @@
 //! fault-free run, its fault ledger must balance (injected == detected ==
 //! recovered), and its accumulated `F`/`C_max`/`B_max` counters must still
 //! match the fault-free characterization exactly. A second property drives
-//! the checkpoint/restart path specifically: a crash at an arbitrary
-//! (step, PE) with an arbitrary checkpoint interval — including over
-//! RCM-renumbered subdomains — restores and replays to the uninterrupted
-//! result.
+//! the crash path specifically: a crash at an arbitrary (step, PE) — over
+//! natural or RCM-renumbered subdomains, under the barrier or the overlap
+//! schedule — is healed by re-running the crashed worker's compute inside
+//! its step, at no extra dispatch and no replayed step.
 //!
 //! The mesh/partition fixture is built once (it is expensive) and shared;
-//! each proptest case varies only the cheap knobs (fault seed, thread
-//! count, policy, checkpoint interval), so failures replay from the
-//! printed inputs alone.
+//! each proptest case varies only the cheap knobs (fault seed, crash
+//! point, thread count, schedule), so failures replay from the printed
+//! inputs alone.
 
 use proptest::prelude::*;
 use quake_app::executor::BspExecutor;
 use quake_app::family::{AppConfig, QuakeApp};
 use quake_app::DistributedSystem;
-use quake_core::fault::{FaultEvent, FaultKind, FaultPlan, FaultRates, RecoveryPolicy};
+use quake_core::fault::{FaultEvent, FaultKind, FaultPlan, FaultRates};
 use quake_fem::assembly::UniformMaterial;
 use quake_mesh::ground::Material;
 use quake_partition::comm::CommAnalysis;
@@ -93,29 +93,21 @@ proptest! {
     fn any_seeded_plan_recovers_bitwise_equal_and_balanced(
         seed in 0u64..1_000_000,
         threads in 1usize..=8,
-        checkpoint_every in 1u64..=4,
-        degrade in 0u8..2,
     ) {
         let fx = fixture();
         let plan = FaultPlan::generate(seed, STEPS, PARTS, &FaultRates::uniform(0.25));
-        let policy = if degrade == 1 {
-            RecoveryPolicy::Degrade
-        } else {
-            RecoveryPolicy::Restart
-        };
         let mut exec = BspExecutor::new(&fx.system, threads);
-        exec.enable_faults(plan, policy, checkpoint_every);
+        exec.enable_faults(plan);
         let y = exec.run(&fx.x, STEPS);
         prop_assert!(
             bitwise_eq(&fx.reference, &y),
-            "seed {seed}, {threads} threads, {policy}: recovered run diverged"
+            "seed {seed}, {threads} threads: recovered run diverged"
         );
         let report = exec.report();
         let fr = report.fault.expect("armed executor reports faults");
         prop_assert!(fr.balanced(), "seed {seed}: unbalanced ledger: {fr}");
         prop_assert_eq!(report.steps, STEPS);
-        // Recovery (including checkpoint rollback + replay) must not smear
-        // the measured characterization.
+        // Recovery must not smear the measured characterization.
         prop_assert_eq!(
             (report.f_max(), report.c_max(), report.b_max()),
             fx.predicted
@@ -123,46 +115,70 @@ proptest! {
     }
 
     #[test]
-    fn checkpoint_restart_round_trips_from_any_crash_point(
+    fn a_crash_anywhere_reruns_inside_its_step(
         crash_step in 0..STEPS,
         crash_pe in 0usize..PARTS,
-        checkpoint_every in 1u64..=5,
         threads in 1usize..=8,
         rcm in 0u8..2,
+        overlap in 0u8..2,
     ) {
-        let rcm = rcm == 1;
+        let (rcm, overlap) = (rcm == 1, overlap == 1);
         let fx = fixture();
         let plan = FaultPlan::from_events(vec![FaultEvent {
             step: crash_step,
             pe: crash_pe,
             kind: FaultKind::Crash,
         }]);
-        let mut exec = if rcm {
-            BspExecutor::with_rcm(&fx.system, threads)
-        } else {
-            BspExecutor::new(&fx.system, threads)
-        };
-        exec.enable_faults(plan, RecoveryPolicy::Restart, checkpoint_every);
+        let mut exec = BspExecutor::with_options(&fx.system, threads, rcm, overlap);
+        exec.enable_faults(plan);
+        let before = exec.pool_stats().broadcasts;
         let y = exec.run(&fx.x, STEPS);
+        // The overlapped product is bitwise the barrier product.
         let reference = if rcm { &fx.reference_rcm } else { &fx.reference };
         prop_assert!(
             bitwise_eq(reference, &y),
-            "crash at ({crash_step}, {crash_pe}), K={checkpoint_every}, rcm={rcm}: \
-             restored run diverged"
+            "crash at ({crash_step}, {crash_pe}), {threads} threads, rcm={rcm}, \
+             overlap={overlap}: recovered run diverged"
         );
         let report = exec.report();
         let fr = report.fault.expect("armed executor reports faults");
         prop_assert!(fr.balanced(), "unbalanced ledger: {fr}");
         prop_assert_eq!(fr.injected.crash, 1);
-        // Exactly one restore for the single crash.
-        prop_assert_eq!(fr.restores, 1);
-        prop_assert_eq!(fr.respawned_workers, 1);
-        // The restore rewinds to the last checkpoint at or before the crash
-        // step, so the replay distance is bounded by the interval.
-        prop_assert!(fr.replayed_steps < checkpoint_every);
+        prop_assert!(fr.degraded_shards >= 1, "no inline re-run: {fr}");
+        // Two dispatches per chaos step, crash or not: the re-run runs on
+        // the caller and no step is replayed.
+        prop_assert_eq!(exec.pool_stats().broadcasts - before, 2 * STEPS);
+        prop_assert_eq!(report.steps, STEPS);
         prop_assert_eq!(
             (report.f_max(), report.c_max(), report.b_max()),
             fx.predicted
         );
     }
+}
+
+/// A straggle and a crash in the same worker chunk and step: the inline
+/// re-run skips the straggled PE, whose compute already finished, so its
+/// stamp keeps the delay and straggle detection still balances the ledger.
+#[test]
+fn straggle_before_crash_in_one_chunk_stays_balanced() {
+    let fx = fixture();
+    // One worker thread: every PE shares one chunk. PE 0 straggles and PE 1
+    // crashes in the same step.
+    let plan = FaultPlan::from_events(vec![
+        FaultEvent {
+            step: 0,
+            pe: 0,
+            kind: FaultKind::Straggle { delay_us: 300 },
+        },
+        FaultEvent {
+            step: 0,
+            pe: 1,
+            kind: FaultKind::Crash,
+        },
+    ]);
+    let mut exec = BspExecutor::new(&fx.system, 1);
+    exec.enable_faults(plan);
+    let _ = exec.run(&fx.x, 2);
+    let fr = exec.fault_report().unwrap();
+    assert!(fr.balanced(), "ledger unbalanced: {fr}");
 }

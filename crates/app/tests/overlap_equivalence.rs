@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use quake_app::executor::BspExecutor;
 use quake_app::family::{AppConfig, QuakeApp};
 use quake_app::DistributedSystem;
-use quake_core::fault::{FaultPlan, FaultRates, RecoveryPolicy};
+use quake_core::fault::{FaultPlan, FaultRates};
 use quake_core::telemetry::{DriftConfig, PhaseId, TelemetryConfig};
 use quake_fem::assembly::UniformMaterial;
 use quake_mesh::ground::Material;
@@ -209,7 +209,6 @@ proptest! {
     fn overlapped_chaos_runs_stay_bitwise_equal_and_balanced(
         seed in 0u64..1_000_000,
         threads in 1usize..=8,
-        checkpoint_every in 1u64..=4,
         rcm in 0u8..2,
         trace in 0u8..2,
     ) {
@@ -220,7 +219,7 @@ proptest! {
         if trace == 1 {
             exec.enable_telemetry(TelemetryConfig::default());
         }
-        exec.enable_faults(plan, RecoveryPolicy::Restart, checkpoint_every);
+        exec.enable_faults(plan);
         let y = exec.run(&fx.x, STEPS);
         let reference = if rcm { &fx.reference_rcm } else { &fx.reference };
         prop_assert!(

@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use quake_app::executor::BspExecutor;
 use quake_app::family::{AppConfig, QuakeApp};
 use quake_app::DistributedSystem;
-use quake_core::fault::{FaultPlan, FaultRates, RecoveryPolicy};
+use quake_core::fault::{FaultPlan, FaultRates};
 use quake_core::telemetry::{DriftConfig, PhaseId, TelemetryConfig};
 use quake_fem::assembly::UniformMaterial;
 use quake_mesh::ground::Material;
@@ -173,26 +173,19 @@ proptest! {
     fn traced_chaos_runs_stay_bitwise_equal_and_balanced(
         seed in 0u64..1_000_000,
         threads in 1usize..=8,
-        checkpoint_every in 1u64..=4,
-        degrade in 0u8..2,
         rcm in 0u8..2,
     ) {
         let rcm = rcm == 1;
         let fx = fixture();
         let plan = FaultPlan::generate(seed, STEPS, PARTS, &FaultRates::uniform(0.25));
         let injected_any = !plan.is_empty();
-        let policy = if degrade == 1 {
-            RecoveryPolicy::Degrade
-        } else {
-            RecoveryPolicy::Restart
-        };
         let mut exec = traced_executor(fx, threads, rcm);
-        exec.enable_faults(plan, policy, checkpoint_every);
+        exec.enable_faults(plan);
         let y = exec.run(&fx.x, STEPS);
         let reference = if rcm { &fx.reference_rcm } else { &fx.reference };
         prop_assert!(
             bitwise_eq(reference, &y),
-            "seed {seed}, {threads} threads, {policy}, rcm={rcm}: traced chaos run diverged"
+            "seed {seed}, {threads} threads, rcm={rcm}: traced chaos run diverged"
         );
         let report = exec.report();
         let fr = report.fault.expect("armed executor reports faults");

@@ -26,7 +26,6 @@ fn base_spec(case: u64) -> RunSpec {
     RunSpec {
         parts: PARTS,
         steps: STEPS,
-        checkpoint_every: 3,
         span_capacity: 4096,
         x_kind: "rng".to_string(),
         x_seed: 40 + case,
@@ -401,7 +400,6 @@ fn wire_chaos_matrix(quick: bool) {
         spec.rcm = rcm;
         spec.overlap = overlap;
         spec.trace = trace;
-        spec.recovery = "restart".to_string();
         // Deadline and budget sized for the worst chaos cell: every
         // shard may stall once (each costs one respawn) and a slow
         // respawn may draw one extra suspect, so the budget needs
@@ -474,33 +472,7 @@ fn wire_chaos_matrix(quick: bool) {
     );
 }
 
-/// A shard killed mid-step under a non-restart policy must surface as a
-/// clean typed error from the parent — no panic, no hang.
-fn peer_kill_is_a_clean_error(tmp: &std::path::Path) {
-    let mut spec = base_spec(900);
-    spec.threads = 2;
-    spec.shards = 2;
-    spec.conn_timeout = 2.0;
-    spec.recovery = "degrade".to_string();
-    let marker = tmp.join("kill-once-degrade");
-    let built = run::build(&spec).expect("kill fixture builds");
-    std::env::set_var("QUAKE_PROC_KILL", "1:3");
-    std::env::set_var("QUAKE_PROC_KILL_ONCE", &marker);
-    let result = run::run_with(TransportKind::Proc, &spec, &built);
-    std::env::remove_var("QUAKE_PROC_KILL");
-    std::env::remove_var("QUAKE_PROC_KILL_ONCE");
-    let err = match result {
-        Ok(_) => panic!("a killed shard must fail the run"),
-        Err(e) => e,
-    };
-    assert!(
-        err.contains("disconnected") || err.contains("shard"),
-        "error must name the dead peer, got: {err}"
-    );
-    println!("peer-kill failfast: clean typed error ({err})");
-}
-
-/// The same mid-step kill under `restart` recovery: the supervisor must
+/// A shard killed mid-step: the supervisor must
 /// respawn ONLY the dead shard — the survivors hold in degraded wait, the
 /// child rebuilds from the spec and replays — and the recovered output is
 /// bitwise-identical to the shared-memory transport. An ensemble restart
@@ -510,7 +482,6 @@ fn peer_kill_restart_recovers(tmp: &std::path::Path) {
     spec.threads = 2;
     spec.shards = 2;
     spec.conn_timeout = 2.0;
-    spec.recovery = "restart".to_string();
     let marker = tmp.join("kill-once-restart");
     let built = run::build(&spec).expect("restart fixture builds");
     let reference = run::run_with(TransportKind::Shared, &spec, &built).expect("shared reference");
@@ -523,7 +494,7 @@ fn peer_kill_restart_recovers(tmp: &std::path::Path) {
         marker.exists(),
         "the kill plan must have armed (marker missing)"
     );
-    let out = result.expect("restart recovery must revive the shard");
+    let out = result.expect("shard respawn must revive the shard");
     assert!(
         bitwise_eq(&reference.y, &out.y),
         "recovered proc output diverged from shared"
@@ -556,7 +527,6 @@ fn budget_zero_falls_back_to_ensemble_retry(tmp: &std::path::Path) {
     spec.threads = 2;
     spec.shards = 2;
     spec.conn_timeout = 2.0;
-    spec.recovery = "restart".to_string();
     spec.restart_budget = 0;
     let marker = tmp.join("kill-once-no-budget");
     let built = run::build(&spec).expect("budget fixture builds");
@@ -589,7 +559,6 @@ fn persistent_kill_exhausts_the_ladder() {
     spec.steps = 3;
     spec.shards = 2;
     spec.conn_timeout = 1.0;
-    spec.recovery = "restart".to_string();
     spec.restart_budget = 1;
     let built = run::build(&spec).expect("ladder fixture builds");
     std::env::set_var("QUAKE_PROC_KILL", "1:1");
@@ -618,7 +587,6 @@ fn main() {
     node_matrix(quick);
     node_exchange_gates();
     wire_chaos_matrix(quick);
-    peer_kill_is_a_clean_error(&tmp);
     peer_kill_restart_recovers(&tmp);
     budget_zero_falls_back_to_ensemble_retry(&tmp);
     persistent_kill_exhausts_the_ladder();

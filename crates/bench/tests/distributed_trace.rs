@@ -211,7 +211,6 @@ fn stall_chaos_blames_the_stalled_shard() {
     for seed in 0..8u64 {
         let mut spec = base_spec(40 + seed, 3);
         spec.steps = 5;
-        spec.recovery = "restart".to_string();
         spec.conn_timeout = 1.0;
         spec.restart_budget = 5;
         spec.wire_fault_rate = 0.3;

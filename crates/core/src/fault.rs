@@ -23,20 +23,17 @@
 //!   re-fetched after a timeout (bounded retry with exponential backoff);
 //! * [`FaultKind::Corrupt`] — ghost words arrive bit-flipped; per-block
 //!   checksums detect the damage and force a clean re-fetch;
-//! * [`FaultKind::Crash`] — the PE dies mid-step; recovery is re-execution
-//!   of its shard ([`RecoveryPolicy::Degrade`]) or checkpoint/restart
-//!   ([`RecoveryPolicy::Restart`]).
+//! * [`FaultKind::Crash`] — the PE dies mid-step; recovery re-runs its
+//!   compute inside the same step (the step is a pure function of `x`).
 //!
 //! [`FaultReport`] accounts for every event three ways — injected,
 //! detected, recovered — plus the recovery work performed (retries,
-//! re-fetches, replayed steps, restores). Under a healing policy the three
-//! counts must balance; [`FaultReport::balanced`] is the invariant the
-//! chaos tests assert.
+//! re-fetches, inline crash re-runs). The three counts must balance;
+//! [`FaultReport::balanced`] is the invariant the chaos tests assert.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
-use std::str::FromStr;
 use std::time::Duration;
 
 /// SplitMix64 finalizer — the stateless mixer behind [`WireFaultPlan`]
@@ -472,46 +469,6 @@ impl FaultPlan {
     }
 }
 
-/// What an executor does when a PE crashes (and how a supervising worker
-/// pool treats a panicking worker).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RecoveryPolicy {
-    /// Re-raise the failure and abort the run (the pre-chaos behaviour).
-    FailFast,
-    /// Keep going on the survivors: the dead PE's shard is re-executed on a
-    /// surviving thread, the run continues degraded.
-    Degrade,
-    /// Heal fully: replace the dead worker, restore the last checkpoint,
-    /// and replay the lost steps.
-    #[default]
-    Restart,
-}
-
-impl fmt::Display for RecoveryPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            RecoveryPolicy::FailFast => "failfast",
-            RecoveryPolicy::Degrade => "degrade",
-            RecoveryPolicy::Restart => "restart",
-        })
-    }
-}
-
-impl FromStr for RecoveryPolicy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "failfast" => Ok(RecoveryPolicy::FailFast),
-            "degrade" => Ok(RecoveryPolicy::Degrade),
-            "restart" => Ok(RecoveryPolicy::Restart),
-            other => Err(format!(
-                "unknown recovery policy '{other}' (expected failfast|degrade|restart)"
-            )),
-        }
-    }
-}
-
 /// Per-kind event counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultCounts {
@@ -571,16 +528,9 @@ pub struct FaultReport {
     pub retries: u64,
     /// Clean re-fetches after a checksum mismatch (corruption recovery).
     pub refetches: u64,
-    /// Steps re-executed after a checkpoint restore.
-    pub replayed_steps: u64,
-    /// Checkpoints taken.
-    pub checkpoints: u64,
-    /// Checkpoint restores performed.
-    pub restores: u64,
-    /// Crashed shards re-executed on a surviving thread (Degrade policy).
+    /// Inline crash re-runs: a crashed worker's compute re-executed on the
+    /// calling thread within the same step.
     pub degraded_shards: u64,
-    /// Worker threads replaced after a crash (Restart policy).
-    pub respawned_workers: u64,
     /// Wire faults injected on the socket byte stream (proc transport).
     pub wire_injected: WireFaultCounts,
     /// Wire faults the receiving side (or the supervisor) noticed.
@@ -623,8 +573,7 @@ pub fn record_delay_us(fr: &mut FaultReport, us: u64) {
 impl FaultReport {
     /// The healing invariant: every injected fault was detected, and every
     /// detected fault was recovered — in-process *and* on the wire. Holds
-    /// for any run that completes under [`RecoveryPolicy::Restart`] or
-    /// [`RecoveryPolicy::Degrade`].
+    /// for any run that completes.
     pub fn balanced(&self) -> bool {
         self.injected == self.detected
             && self.detected == self.recovered
@@ -646,11 +595,7 @@ impl FaultReport {
         }
         self.retries += other.retries;
         self.refetches += other.refetches;
-        self.replayed_steps += other.replayed_steps;
-        self.checkpoints += other.checkpoints;
-        self.restores += other.restores;
         self.degraded_shards += other.degraded_shards;
-        self.respawned_workers += other.respawned_workers;
         for (mine, theirs) in [
             (&mut self.wire_injected, &other.wire_injected),
             (&mut self.wire_detected, &other.wire_detected),
@@ -685,9 +630,7 @@ impl FaultReport {
             concat!(
                 "{{\"injected\":{},\"detected\":{},\"recovered\":{},",
                 "\"injected_by_kind\":{{\"straggle\":{},\"drop\":{},\"corrupt\":{},\"crash\":{}}},",
-                "\"retries\":{},\"refetches\":{},\"replayed_steps\":{},",
-                "\"checkpoints\":{},\"restores\":{},\"degraded_shards\":{},",
-                "\"respawned_workers\":{},",
+                "\"retries\":{},\"refetches\":{},\"degraded_shards\":{},",
                 "\"wire_injected\":{},\"wire_detected\":{},\"wire_recovered\":{},",
                 "\"wire_injected_by_kind\":{{\"corrupt\":{},\"truncate\":{},\"delay\":{},",
                 "\"reset\":{},\"stall\":{}}},",
@@ -703,11 +646,7 @@ impl FaultReport {
             self.injected.crash,
             self.retries,
             self.refetches,
-            self.replayed_steps,
-            self.checkpoints,
-            self.restores,
             self.degraded_shards,
-            self.respawned_workers,
             self.wire_injected.total(),
             self.wire_detected.total(),
             self.wire_recovered.total(),
@@ -734,15 +673,8 @@ impl fmt::Display for FaultReport {
         writeln!(f, "  recovered: {}", self.recovered)?;
         writeln!(
             f,
-            "  recovery work: {} retries, {} re-fetches, {} replayed steps, \
-             {} restores ({} checkpoints), {} degraded shards, {} respawned workers",
-            self.retries,
-            self.refetches,
-            self.replayed_steps,
-            self.restores,
-            self.checkpoints,
-            self.degraded_shards,
-            self.respawned_workers
+            "  recovery work: {} retries, {} re-fetches, {} degraded shards",
+            self.retries, self.refetches, self.degraded_shards
         )?;
         if self.wire_injected.total() > 0
             || self.wire_resends > 0
@@ -957,23 +889,11 @@ mod tests {
             "\"detected\":",
             "\"recovered\":",
             "\"retries\":",
-            "\"replayed_steps\":",
+            "\"degraded_shards\":",
             "\"balanced\":true",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
-    }
-
-    #[test]
-    fn recovery_policy_round_trips() {
-        for p in [
-            RecoveryPolicy::FailFast,
-            RecoveryPolicy::Degrade,
-            RecoveryPolicy::Restart,
-        ] {
-            assert_eq!(p.to_string().parse::<RecoveryPolicy>().unwrap(), p);
-        }
-        assert!("chaos".parse::<RecoveryPolicy>().is_err());
     }
 
     #[test]

@@ -84,7 +84,7 @@ pub struct FlowRec {
 /// process boundary has no static home, so snapshots carry owned names.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InstantRec {
-    /// Event name (e.g. `wire:stall`, `recover:restore`).
+    /// Event name (e.g. `wire:stall`, `recover:rerun`).
     pub name: String,
     /// PE the event is attributed to.
     pub pe: u32,

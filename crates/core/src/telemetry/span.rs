@@ -26,7 +26,7 @@ pub enum PhaseId {
     Barrier,
     /// Replicated results folded into the global vector.
     Fold,
-    /// Fault recovery: checkpoint restore, replay, inline re-execution.
+    /// Fault recovery: a crashed worker's compute re-run inline.
     Recover,
     /// Overlapped step only: computing and publishing the boundary-row
     /// partials that neighbors consume (the "post outgoing blocks" window).
@@ -103,7 +103,7 @@ pub struct Span {
 /// A point event (zero duration): injected faults, detections, restores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceInstant {
-    /// Stable event name (e.g. `fault:drop`, `recover:restore`).
+    /// Stable event name (e.g. `fault:drop`, `recover:rerun`).
     pub name: &'static str,
     /// PE the event is attributed to.
     pub pe: u32,

@@ -13,7 +13,7 @@
 //! Stragglers are modeled in the *workload* ([`Workload::with_stragglers`])
 //! rather than the machine: a PE that must redo or slow its shard presents
 //! more flops to the same barrier, which is exactly how the BSP executor's
-//! Degrade policy behaves.
+//! inline crash re-run behaves.
 
 use crate::simulate::{simulate_smvp, SimOptions};
 use crate::workload::Workload;

@@ -35,6 +35,6 @@ pub use kernels::{
     pmv_into, pmv_pooled, pmv_pooled_into, rmv, rmv_into, rmv_pooled, rmv_pooled_into, smv,
     smv_into,
 };
-pub use pool::{BatchFailure, PoolStats, SupervisionPolicy, WorkerPool};
+pub use pool::{BatchFailure, PoolStats, WorkerPool};
 pub use tile_kernels::{bmv_sym_into, bmv_tiles_range_into, force_scalar, simd_active};
 pub use workspace::KernelWorkspace;

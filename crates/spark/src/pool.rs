@@ -21,19 +21,14 @@
 //! caught, counted, and re-raised on the calling thread after the batch
 //! drains.
 //!
-//! # Supervision
+//! # Crash reporting
 //!
-//! The pool can also act as a *supervisor* instead of a mere conduit for
-//! panics: [`WorkerPool::try_broadcast`] reports which workers panicked (as
-//! a [`BatchFailure`]) rather than re-raising, and
-//! [`WorkerPool::supervised_broadcast`] applies a [`SupervisionPolicy`] —
-//! fail fast (the classic behaviour), degrade (re-run the failed shard on
-//! the calling thread), or restart (replace the dead worker thread via
-//! [`WorkerPool::respawn`] and re-run its shard there). This is the
-//! substrate the fault-injected BSP executor builds its PE-crash recovery
-//! on: a crashed shard is never silently lost, and the barrier semantics
-//! are preserved because every recovery path completes before the batch
-//! call returns.
+//! [`WorkerPool::try_broadcast`] reports which workers panicked (as a
+//! [`BatchFailure`]) rather than re-raising. A worker thread survives its
+//! closure's panic (`worker_loop` catches it), so the pool stays whole and
+//! the caller decides what to do: the fault-injected BSP executor re-runs
+//! each crashed worker's shard on the calling thread before its next
+//! dispatch, so a crashed shard is never silently lost.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -44,26 +39,11 @@ use std::thread::JoinHandle;
 /// A shared batch closure, called once per worker with the worker index.
 pub type BatchFn<'scope> = dyn Fn(usize) + Sync + 'scope;
 
-/// What a supervising batch call does about panicking workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SupervisionPolicy {
-    /// Re-raise the first panic on the caller after the batch drains (the
-    /// classic [`WorkerPool::broadcast`] behaviour).
-    #[default]
-    FailFast,
-    /// Log nothing, lose nothing: re-run each failed worker's shard on the
-    /// calling thread, then return normally.
-    Degrade,
-    /// Replace each failed worker with a freshly spawned thread and re-run
-    /// its shard on the replacement.
-    Restart,
-}
-
 /// A batch in which one or more workers panicked.
 ///
 /// Returned by [`WorkerPool::try_broadcast`]; the batch itself has fully
 /// drained (barrier semantics hold), so the caller may recover — re-run the
-/// failed shards, respawn workers — or [`BatchFailure::resume`] the panic.
+/// failed shards — or [`BatchFailure::resume`] the panic.
 pub struct BatchFailure {
     /// Indices of the workers whose shard panicked, ascending.
     pub panicked: Vec<usize>,
@@ -95,7 +75,7 @@ impl std::fmt::Debug for BatchFailure {
     }
 }
 
-/// Completion latch for one `broadcast` or `run_on` batch.
+/// Completion latch for one `broadcast` batch.
 struct Latch {
     state: Mutex<LatchState>,
     cv: Condvar,
@@ -163,15 +143,9 @@ impl Latch {
     }
 }
 
-/// One queued command for a specific worker.
-enum Cmd {
-    /// A lifetime-erased shared closure from `broadcast`; the worker calls
-    /// it with its own index.
-    Batch(&'static BatchFn<'static>, Arc<Latch>),
-    /// Terminate this worker's loop (used by `respawn` to retire one
-    /// worker without closing its queue).
-    Exit,
-}
+/// One queued command for a specific worker: a lifetime-erased shared
+/// closure from `broadcast`, which the worker calls with its own index.
+struct Cmd(&'static BatchFn<'static>, Arc<Latch>);
 
 struct QueueState {
     cmds: VecDeque<Cmd>,
@@ -227,9 +201,7 @@ impl WorkerQueue {
 /// batches with barrier semantics.
 pub struct WorkerPool {
     queues: Arc<Vec<WorkerQueue>>,
-    /// One handle per worker slot; `None` only transiently inside
-    /// [`WorkerPool::respawn`].
-    workers: Vec<Option<JoinHandle<()>>>,
+    workers: Vec<JoinHandle<()>>,
     threads: usize,
     /// Reusable latch for `broadcast` batches (serialized by `submit`).
     batch_latch: Arc<Latch>,
@@ -244,20 +216,13 @@ pub struct WorkerPool {
 #[derive(Debug, Default)]
 struct PoolCounters {
     broadcasts: AtomicU64,
-    targeted: AtomicU64,
-    respawns: AtomicU64,
 }
 
 /// A snapshot of the pool's lifetime dispatch counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolStats {
-    /// Full-pool batches dispatched (`broadcast`, `try_broadcast`,
-    /// `supervised_broadcast`).
+    /// Full-pool batches dispatched (`broadcast`, `try_broadcast`).
     pub broadcasts: u64,
-    /// Single-worker re-runs dispatched via [`WorkerPool::run_on`].
-    pub targeted: u64,
-    /// Worker threads replaced via [`WorkerPool::respawn`].
-    pub respawns: u64,
 }
 
 impl WorkerPool {
@@ -273,12 +238,10 @@ impl WorkerPool {
         let workers = (0..threads)
             .map(|i| {
                 let queues = Arc::clone(&queues);
-                Some(
-                    std::thread::Builder::new()
-                        .name(format!("smvp-worker-{i}"))
-                        .spawn(move || worker_loop(&queues[i], i))
-                        .expect("spawn worker thread"),
-                )
+                std::thread::Builder::new()
+                    .name(format!("smvp-worker-{i}"))
+                    .spawn(move || worker_loop(&queues[i], i))
+                    .expect("spawn worker thread")
             })
             .collect();
         WorkerPool {
@@ -296,12 +259,10 @@ impl WorkerPool {
         self.threads
     }
 
-    /// Lifetime dispatch counters: batches, targeted re-runs, respawns.
+    /// Lifetime dispatch counters.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
             broadcasts: self.stats.broadcasts.load(Ordering::Relaxed),
-            targeted: self.stats.targeted.load(Ordering::Relaxed),
-            respawns: self.stats.respawns.load(Ordering::Relaxed),
         }
     }
 
@@ -329,7 +290,7 @@ impl WorkerPool {
     /// rather than re-raised: the returned [`BatchFailure`] names every
     /// worker whose `f(w)` call panicked. The batch has fully drained
     /// either way, so the pool (and any data `f` borrowed) is safe to
-    /// touch — this is the supervision primitive crash-recovery builds on.
+    /// touch — this is the primitive crash recovery builds on.
     ///
     /// # Errors
     ///
@@ -350,100 +311,9 @@ impl WorkerPool {
         let f: &'static BatchFn<'static> =
             unsafe { std::mem::transmute::<&BatchFn<'_>, &'static BatchFn<'static>>(f) };
         for queue in self.queues.iter() {
-            queue.push(Cmd::Batch(f, Arc::clone(&self.batch_latch)));
+            queue.push(Cmd(f, Arc::clone(&self.batch_latch)));
         }
         self.batch_latch.wait_outcome()
-    }
-
-    /// Runs `f(w)` once on worker `w` only and waits for it — the targeted
-    /// re-run primitive used after a [`WorkerPool::respawn`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`BatchFailure`] if the shard panicked again.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` is not a valid worker index.
-    pub fn run_on(&self, w: usize, f: &BatchFn<'_>) -> Result<(), BatchFailure> {
-        assert!(w < self.threads, "worker {w} out of range");
-        self.stats.targeted.fetch_add(1, Ordering::Relaxed);
-        let latch = Arc::new(Latch::new(1));
-        // SAFETY: as in `try_broadcast` — the wait below outlives the
-        // erased borrow.
-        let f: &'static BatchFn<'static> =
-            unsafe { std::mem::transmute::<&BatchFn<'_>, &'static BatchFn<'static>>(f) };
-        self.queues[w].push(Cmd::Batch(f, Arc::clone(&latch)));
-        latch.wait_outcome()
-    }
-
-    /// Retires worker `w`'s thread and spawns a replacement on the same
-    /// queue — the "replace the dead PE" half of crash recovery. Any
-    /// commands already queued for `w` are handed to the replacement (the
-    /// queue is never closed), so no work is lost.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` is not a valid worker index or the replacement thread
-    /// cannot be spawned.
-    pub fn respawn(&mut self, w: usize) {
-        assert!(w < self.threads, "worker {w} out of range");
-        self.stats.respawns.fetch_add(1, Ordering::Relaxed);
-        // Retire the old worker *before* spawning its replacement: both
-        // read the same queue, so a replacement spawned early could eat
-        // the Exit command itself and leave the old thread (and this
-        // join) waiting forever.
-        self.queues[w].push(Cmd::Exit);
-        if let Some(old) = self.workers[w].take() {
-            let _ = old.join();
-        }
-        let queues = Arc::clone(&self.queues);
-        let replacement = std::thread::Builder::new()
-            .name(format!("smvp-worker-{w}r"))
-            .spawn(move || worker_loop(&queues[w], w))
-            .expect("spawn replacement worker thread");
-        self.workers[w] = Some(replacement);
-    }
-
-    /// A broadcast that *supervises* its workers: on panic, applies
-    /// `policy` — [`SupervisionPolicy::FailFast`] re-raises,
-    /// [`SupervisionPolicy::Degrade`] re-runs each failed shard on the
-    /// calling thread, and [`SupervisionPolicy::Restart`] replaces each
-    /// failed worker thread and re-runs the shard on the replacement.
-    /// Returns which workers panicked (empty on a clean batch) so callers
-    /// can log and account.
-    ///
-    /// A shard that fails again during its recovery re-run is considered
-    /// genuinely broken (not a transient fault) and its panic is re-raised
-    /// regardless of policy.
-    pub fn supervised_broadcast(
-        &mut self,
-        f: &BatchFn<'_>,
-        policy: SupervisionPolicy,
-    ) -> Vec<usize> {
-        match self.try_broadcast(f) {
-            Ok(()) => Vec::new(),
-            Err(failure) => match policy {
-                SupervisionPolicy::FailFast => failure.resume(),
-                SupervisionPolicy::Degrade => {
-                    for &w in &failure.panicked {
-                        if let Err(again) = catch_unwind(AssertUnwindSafe(|| f(w))) {
-                            resume_unwind(again);
-                        }
-                    }
-                    failure.panicked
-                }
-                SupervisionPolicy::Restart => {
-                    for &w in &failure.panicked {
-                        self.respawn(w);
-                        if let Err(again) = self.run_on(w, f) {
-                            again.resume();
-                        }
-                    }
-                    failure.panicked
-                }
-            },
-        }
     }
 }
 
@@ -452,21 +322,16 @@ impl Drop for WorkerPool {
         for queue in self.queues.iter() {
             queue.close();
         }
-        for handle in self.workers.drain(..).flatten() {
+        for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
     }
 }
 
 fn worker_loop(queue: &WorkerQueue, index: usize) {
-    while let Some(cmd) = queue.pop() {
-        match cmd {
-            Cmd::Batch(f, latch) => {
-                let outcome = catch_unwind(AssertUnwindSafe(|| f(index)));
-                latch.complete(index, outcome.err());
-            }
-            Cmd::Exit => return,
-        }
+    while let Some(Cmd(f, latch)) = queue.pop() {
+        let outcome = catch_unwind(AssertUnwindSafe(|| f(index)));
+        latch.complete(index, outcome.err());
     }
 }
 
@@ -577,124 +442,11 @@ mod tests {
     }
 
     #[test]
-    fn run_on_targets_a_single_worker() {
-        let pool = WorkerPool::new(3);
-        let hits: Vec<AtomicUsize> = (0..3).map(|_| AtomicUsize::new(0)).collect();
-        pool.run_on(2, &|w| {
-            hits[w].fetch_add(1, Ordering::Relaxed);
-        })
-        .expect("clean run");
-        let got: Vec<usize> = hits.iter().map(|h| h.load(Ordering::Relaxed)).collect();
-        assert_eq!(got, vec![0, 0, 1]);
-        assert!(pool.run_on(0, &|_| panic!("again")).is_err());
-    }
-
-    #[test]
-    fn stats_count_broadcasts_targeted_runs_and_respawns() {
-        let mut pool = WorkerPool::new(2);
+    fn stats_count_broadcasts() {
+        let pool = WorkerPool::new(2);
         assert_eq!(pool.stats(), PoolStats::default());
         pool.broadcast(&|_| {});
         pool.broadcast(&|_| {});
-        pool.run_on(1, &|_| {}).expect("targeted run");
-        pool.respawn(0);
-        let s = pool.stats();
-        assert_eq!(s.broadcasts, 2);
-        assert_eq!(s.targeted, 1);
-        assert_eq!(s.respawns, 1);
-    }
-
-    #[test]
-    fn respawn_replaces_a_worker_and_keeps_the_pool_whole() {
-        let mut pool = WorkerPool::new(2);
-        pool.respawn(0);
-        assert_eq!(pool.threads(), 2);
-        // Both queues are still consumed: every broadcast still runs once
-        // per worker index.
-        let hits: Vec<AtomicUsize> = (0..2).map(|_| AtomicUsize::new(0)).collect();
-        for _ in 0..10 {
-            pool.broadcast(&|w| {
-                hits[w].fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        assert_eq!(hits[0].load(Ordering::Relaxed), 10);
-        assert_eq!(hits[1].load(Ordering::Relaxed), 10);
-    }
-
-    #[test]
-    fn supervised_degrade_reruns_failed_shard_inline() {
-        let mut pool = WorkerPool::new(3);
-        // Worker 1's shard fails once, then succeeds on the re-run.
-        let attempts = AtomicUsize::new(0);
-        let done: Vec<AtomicUsize> = (0..3).map(|_| AtomicUsize::new(0)).collect();
-        let panicked = pool.supervised_broadcast(
-            &|w| {
-                if w == 1 && attempts.fetch_add(1, Ordering::SeqCst) == 0 {
-                    panic!("transient fault");
-                }
-                done[w].fetch_add(1, Ordering::SeqCst);
-            },
-            SupervisionPolicy::Degrade,
-        );
-        assert_eq!(panicked, vec![1]);
-        for (w, d) in done.iter().enumerate() {
-            assert_eq!(d.load(Ordering::SeqCst), 1, "worker {w} shard ran once");
-        }
-    }
-
-    #[test]
-    fn supervised_restart_respawns_and_reruns_on_replacement() {
-        let mut pool = WorkerPool::new(2);
-        let attempts = AtomicUsize::new(0);
-        let done: Vec<AtomicUsize> = (0..2).map(|_| AtomicUsize::new(0)).collect();
-        let panicked = pool.supervised_broadcast(
-            &|w| {
-                if w == 0 && attempts.fetch_add(1, Ordering::SeqCst) == 0 {
-                    panic!("PE crash");
-                }
-                done[w].fetch_add(1, Ordering::SeqCst);
-            },
-            SupervisionPolicy::Restart,
-        );
-        assert_eq!(panicked, vec![0]);
-        assert_eq!(done[0].load(Ordering::SeqCst), 1);
-        assert_eq!(done[1].load(Ordering::SeqCst), 1);
-        // The replacement worker participates in later batches.
-        let counter = AtomicUsize::new(0);
-        pool.broadcast(&|_| {
-            counter.fetch_add(1, Ordering::SeqCst);
-        });
-        assert_eq!(counter.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn supervised_failfast_reraises() {
-        let mut pool = WorkerPool::new(2);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.supervised_broadcast(
-                &|w| {
-                    if w == 0 {
-                        panic!("fatal");
-                    }
-                },
-                SupervisionPolicy::FailFast,
-            );
-        }));
-        assert!(result.is_err());
-    }
-
-    #[test]
-    fn persistently_failing_shard_reraises_even_under_supervision() {
-        let mut pool = WorkerPool::new(2);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.supervised_broadcast(
-                &|w| {
-                    if w == 1 {
-                        panic!("hard fault");
-                    }
-                },
-                SupervisionPolicy::Degrade,
-            );
-        }));
-        assert!(result.is_err(), "a shard that fails its re-run is fatal");
+        assert_eq!(pool.stats().broadcasts, 2);
     }
 }

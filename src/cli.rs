@@ -101,8 +101,6 @@ pub fn flags(command: &str) -> &'static [&'static str] {
             "overlap",
             "fault-rate",
             "fault-seed",
-            "recovery",
-            "checkpoint-every",
             "fault-json",
             "trace",
             "trace-json",
@@ -280,11 +278,11 @@ COMMANDS:
                   unaffected; composes with --rcm, --trace and --fault-rate
                   --fault-rate <r: 0>  arm the chaos layer: per-(step, PE)
                   probability of injected stragglers/drops/corruption (PE
-                  crashes at r/10, at most one); 0 leaves the clean path
-                  untouched
+                  crashes at r/10, at most one); a crashed PE's compute is
+                  re-run within its step, so the output stays bitwise-equal
+                  to the fault-free run (proved every run); 0 leaves the
+                  clean path untouched
                   --fault-seed <n: 0>  seed for the deterministic fault plan
-                  --recovery <failfast|degrade|restart: restart>
-                  --checkpoint-every <k: 5>  snapshot interval for restart
                   --fault-json <file>  write the FaultReport as JSON
                   --trace <on|off>  arm the telemetry layer: per-phase span
                   ring, latency/size histograms, live Eq. (2) drift monitor
@@ -420,14 +418,12 @@ mod tests {
 
     #[test]
     fn help_documents_the_chaos_flags_and_exit_codes() {
-        for flag in [
-            "--fault-rate",
-            "--fault-seed",
-            "--recovery",
-            "--checkpoint-every",
-            "--fault-json",
-        ] {
+        for flag in ["--fault-rate", "--fault-seed", "--fault-json"] {
             assert!(help().contains(flag), "help must mention '{flag}'");
+        }
+        // One crash recovery: no policy or checkpoint knob is offered.
+        for gone in ["--recovery", "--checkpoint-every"] {
+            assert!(!help().contains(gone), "help still mentions '{gone}'");
         }
         assert!(help().contains("EXIT STATUS"));
     }

@@ -106,6 +106,9 @@ fn cmd_mesh(inv: &Invocation) -> Result<(), Box<dyn Error>> {
 
 fn cmd_characterize(inv: &Invocation) -> Result<(), Box<dyn Error>> {
     let parts = inv.get_usize_list("parts", &[4, 8, 16])?;
+    if parts.contains(&0) {
+        return Err(bad_value("parts", inv.get_str("parts", "")).into());
+    }
     let name = inv.get_str("partitioner", "rib");
     let strat = run::partitioner(&name).map_err(|_| bad_value("partitioner", &name))?;
     let app = generate(inv)?;
@@ -220,10 +223,6 @@ fn smvp_args(inv: &Invocation) -> Result<SmvpArgs, CliError> {
     let transport: TransportKind = transport
         .parse()
         .map_err(|_| bad_value("transport", transport))?;
-    let recovery = inv.get_str("recovery", "restart");
-    let recovery: quake_core::fault::RecoveryPolicy = recovery
-        .parse()
-        .map_err(|_| bad_value("recovery", recovery))?;
     let partitioner = inv.get_str("partitioner", "rib");
     run::partitioner(&partitioner).map_err(|_| bad_value("partitioner", &partitioner))?;
     let shards: usize = inv.get("shards", 2usize)?;
@@ -255,8 +254,6 @@ fn smvp_args(inv: &Invocation) -> Result<SmvpArgs, CliError> {
         overlap: switch(inv, "overlap")?.unwrap_or(false),
         fault_rate: inv.get("fault-rate", 0.0)?,
         fault_seed: inv.get("fault-seed", 0u64)?,
-        recovery: recovery.to_string(),
-        checkpoint_every: inv.get("checkpoint-every", 5u64)?,
         trace,
         drift_threshold: inv.get("drift-threshold", 2.0)?,
         span_capacity: inv.get("span-capacity", 65_536usize)?,
@@ -277,9 +274,9 @@ fn smvp_args(inv: &Invocation) -> Result<SmvpArgs, CliError> {
     let unit = 0.0..=1.0;
     let finite = |x: f64| x.is_finite();
     for (flag, ok) in [
+        ("parts", spec.parts > 0),
         ("threads", spec.threads > 0),
         ("steps", spec.steps > 0),
-        ("checkpoint-every", spec.checkpoint_every > 0),
         ("span-capacity", spec.span_capacity > 0),
         ("shards", spec.shards > 0),
         ("fault-rate", unit.contains(&spec.fault_rate)),
@@ -425,13 +422,11 @@ fn smvp_report(args: &SmvpArgs, built: &Built, out: &RunOutput) -> Result<(), Bo
         let rates = FaultRates::uniform(spec.fault_rate);
         let plan = FaultPlan::generate(spec.fault_seed, spec.steps, spec.parts, &rates);
         say(format!(
-            "chaos armed: {} scheduled events (seed {}, rate {}), recovery {}, \
-             checkpoint every {} steps",
+            "chaos armed: {} scheduled events (seed {}, rate {}), \
+             crashes re-run within their step",
             plan.len(),
             spec.fault_seed,
-            spec.fault_rate,
-            spec.recovery,
-            spec.checkpoint_every
+            spec.fault_rate
         ));
     }
 
@@ -573,8 +568,8 @@ fn smvp_report(args: &SmvpArgs, built: &Built, out: &RunOutput) -> Result<(), Bo
     if let (Some(telemetry), Some(ps)) = (&out.telemetry, out.pool_stats) {
         say(telemetry_summary(telemetry));
         say(format!(
-            "worker pool: {} batches dispatched, {} targeted re-runs, {} thread respawns\n",
-            ps.broadcasts, ps.targeted, ps.respawns
+            "worker pool: {} batches dispatched\n",
+            ps.broadcasts
         ));
     } else if spec.trace {
         let offsets: Vec<String> = out

@@ -7,8 +7,12 @@ use std::path::PathBuf;
 use std::process::{Command, Output};
 
 fn smvp_run(args: &[&str]) -> Output {
+    quake("smvp-run", args)
+}
+
+fn quake(command: &str, args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_quake"))
-        .arg("smvp-run")
+        .arg(command)
         .args(args)
         .output()
         .expect("quake runs")
@@ -149,9 +153,13 @@ fn proc_chaos_run_proves_against_a_fault_free_reference() {
 
 /// A usage error exits 2 and returns stderr.
 fn usage_error(args: &[&str]) -> String {
-    let out = smvp_run(args);
+    command_usage_error("smvp-run", args)
+}
+
+fn command_usage_error(command: &str, args: &[&str]) -> String {
+    let out = quake(command, args);
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-    assert_eq!(out.status.code(), Some(2), "smvp-run {args:?}: {stderr}");
+    assert_eq!(out.status.code(), Some(2), "{command} {args:?}: {stderr}");
     stderr
 }
 
@@ -168,4 +176,20 @@ fn more_nodes_than_shards_names_the_bound() {
         stderr.contains("'3 (more nodes than --shards 2)' for --nodes"),
         "{stderr}"
     );
+}
+
+#[test]
+fn zero_parts_is_a_usage_error() {
+    let stderr = usage_error(&["--parts", "0"]);
+    assert!(stderr.contains("'0' for --parts"), "{stderr}");
+    let stderr = command_usage_error("characterize", &["--parts", "4,0"]);
+    assert!(stderr.contains("'4,0' for --parts"), "{stderr}");
+}
+
+#[test]
+fn retired_recovery_flags_are_usage_errors() {
+    for args in [["--recovery", "restart"], ["--checkpoint-every", "4"]] {
+        let stderr = usage_error(&args);
+        assert!(stderr.contains(args[0]), "{stderr}");
+    }
 }
