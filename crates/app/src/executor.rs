@@ -443,7 +443,8 @@ struct PeFaultScratch {
     corrupts: u64,
     corrupts_detected: u64,
     refetches: u64,
-    /// Backoff slept before retrying dropped fetches, ns (telemetry).
+    /// Backoff slept before retrying dropped fetches, as measured, ns
+    /// (telemetry).
     backoff_ns: u64,
     /// Time staging inbound blocks through the NI buffer, ns (telemetry).
     stage_ns: u64,
@@ -462,10 +463,10 @@ struct FaultState {
     scratch: Vec<PeFaultScratch>,
 }
 
-/// One step's inline crash re-runs: how many chunk runs the caller made,
-/// and when they started and ended.
+/// One inline crash re-run of a crashed worker's chunk: the PE it crashed
+/// on, which the re-run starts from, and when the re-run started and ended.
 struct Rerun {
-    runs: u64,
+    pe: usize,
     start: Instant,
     end: Instant,
 }
@@ -484,6 +485,18 @@ struct TelemetryState {
     /// Per-PE, per-inbound-message fetch latency scratch (ns), sized to the
     /// exchange schedule at arm time so recording never allocates.
     msg_ns: Vec<Vec<u64>>,
+    /// Per-PE chaos time of the current step, written by the chaos hooks
+    /// and drained by `record_trace`; all zero on clean traced steps.
+    chaos_ns: Vec<ChaosNs>,
+}
+
+/// Time the chaos layer put into one PE's step itself, ns.
+#[derive(Clone, Copy, Default)]
+struct ChaosNs {
+    /// Backoff slept before re-fetching dropped blocks, inside the exchange.
+    backoff: u64,
+    /// Inline re-runs that started from this PE after it crashed.
+    rerun: u64,
 }
 
 /// Node-placement view of a two-level (node-aware) run, used by the traced
@@ -550,9 +563,10 @@ pub struct BspExecutor {
     stage: Vec<Vec<Vec3>>,
     /// Per-PE stage stamps of the current step.
     clock: Vec<StageClock>,
-    /// Per-PE exchange seconds net of transport waits, the drift monitor's
-    /// feed on traced steps: blocking in `acquire` tracks the sender's
-    /// progress, so it must never read as per-PE load skew.
+    /// Per-PE exchange seconds net of transport waits and chaos backoff
+    /// sleeps, the drift monitor's feed on traced steps: blocking in
+    /// `acquire` tracks the sender's progress and a backoff is injected by
+    /// the executor itself, so neither may read as per-PE load skew.
     wait_scratch: Vec<f64>,
     counters: Vec<PeCounters>,
     phases: PhaseWalls,
@@ -905,6 +919,7 @@ impl BspExecutor {
             epoch,
             data: Telemetry::new(self.owned.len(), loads, config),
             msg_ns,
+            chaos_ns: vec![ChaosNs::default(); self.pe.len()],
         }));
     }
 
@@ -1083,7 +1098,7 @@ impl BspExecutor {
     /// this thread in between.
     fn run_step<H: StepHooks>(&mut self, x: &[Vec3], y: &mut [Vec3], step: u64, hooks: &mut H) {
         let t0 = Instant::now();
-        let mut rerun = None;
+        let mut reruns = Vec::new();
         {
             let ctx = StepCtx {
                 hooks: &*hooks,
@@ -1118,27 +1133,27 @@ impl BspExecutor {
                     // is bitwise what the worker would have produced;
                     // remaining one-shot events may fire (and panic) again,
                     // hence the loop.
-                    let start = Instant::now();
-                    let mut runs = 0;
                     for &w in &failure.panicked {
                         loop {
-                            runs += 1;
-                            if catch_unwind(AssertUnwindSafe(|| ctx.compute(w))).is_ok() {
+                            let pe = ctx.crashed(w);
+                            let start = Instant::now();
+                            let ok = catch_unwind(AssertUnwindSafe(|| ctx.compute(w))).is_ok();
+                            reruns.push(Rerun {
+                                pe,
+                                start,
+                                end: Instant::now(),
+                            });
+                            if ok {
                                 break;
                             }
                         }
                     }
-                    rerun = Some(Rerun {
-                        runs,
-                        start,
-                        end: Instant::now(),
-                    });
                 }
                 self.pool.broadcast(&|w| ctx.exchange(w));
             }
         }
         let wall = t0.elapsed().as_secs_f64();
-        hooks.after_dispatch(self, step, rerun);
+        hooks.after_dispatch(self, step, &reruns);
         let bill = self.bill(wall);
         hooks.after_step(self, step, wall, &bill);
         self.link.barrier(step).expect("transport barrier");
@@ -1189,8 +1204,12 @@ impl BspExecutor {
     /// and a Barrier span for the rest of `wall`. On node-aware runs each
     /// exchange also nests a Gather span: the share of its fetch time
     /// spent on same-node neighbors, the intra-node leg of the two-level
-    /// exchange. The drift monitor sees exchange time net of transport
-    /// waits: blocking in `acquire` tracks the sender's progress, not this
+    /// exchange. A PE that crashed carries its re-runs as Recover spans
+    /// (recorded by the chaos hooks), which its own re-run stages nest in;
+    /// the rest of each re-run leaves its barrier residual. The drift
+    /// monitor sees exchange time net of transport waits and of the chaos
+    /// layer's backoff sleeps: blocking in `acquire` tracks the sender's
+    /// progress and a backoff is delay the executor injected, neither this
     /// PE's load.
     fn record_trace(&mut self, telem: &mut TelemetryState, step: u64, wall: f64, bill: &PeSecs) {
         let overlap = self.boundary_rows.is_some();
@@ -1213,6 +1232,15 @@ impl BspExecutor {
             let clk = &self.clock[q];
             let s = clk.secs(overlap);
             let at = |t: Instant| ns_since(epoch, t);
+            let chaos = std::mem::take(&mut telem.chaos_ns[q]);
+            let mut idle = wall - s.busy();
+            if chaos.rerun > 0 {
+                let mut own = (clk.computed - clk.gather).as_secs_f64();
+                if overlap {
+                    own += s.compute;
+                }
+                idle -= (chaos.rerun as f64 * 1e-9 - own).max(0.0);
+            }
             let exchange_ns = secs_to_ns(s.exchange);
             let wait_ns = secs_to_ns(clk.wait.clamp(0.0, s.exchange));
             let gather_ns = self.node_view.as_ref().map_or(0, |nv| {
@@ -1238,11 +1266,7 @@ impl BspExecutor {
                     at(clk.exchange) + exchange_ns - wait_ns,
                     wait_ns,
                 ),
-                (
-                    PhaseId::Barrier,
-                    at(clk.done),
-                    secs_to_ns((wall - s.busy()).max(0.0)),
-                ),
+                (PhaseId::Barrier, at(clk.done), secs_to_ns(idle.max(0.0))),
                 (PhaseId::Gather, at(clk.exchange), gather_ns),
             ] {
                 match phase {
@@ -1268,7 +1292,7 @@ impl BspExecutor {
                 data.block_latency_ns.record(ns);
                 data.block_words.record(3 * msg.pairs.len() as u64);
             }
-            self.wait_scratch[q] = (s.exchange - clk.wait).max(0.0);
+            self.wait_scratch[q] = (s.exchange - clk.wait - chaos.backoff as f64 * 1e-9).max(0.0);
         }
         if let Some(nv) = &self.node_view {
             for &w in &nv.pair_words {
@@ -1442,10 +1466,10 @@ trait StepHooks: Sync {
             .waited_s
     }
 
-    /// After the dispatches, before billing; `rerun` is the step's inline
-    /// crash re-runs, if a worker crashed.
+    /// After the dispatches, before billing; `reruns` are the step's
+    /// inline crash re-runs, empty unless a worker crashed.
     #[inline]
-    fn after_dispatch(&mut self, _exec: &BspExecutor, _step: u64, _rerun: Option<Rerun>) {}
+    fn after_dispatch(&mut self, _exec: &BspExecutor, _step: u64, _reruns: &[Rerun]) {}
 
     /// After the step was billed; `bill` is its phase walls.
     #[inline]
@@ -1576,9 +1600,11 @@ impl Chaos {
                 sc.drops += 1;
                 sc.drops_detected += 1;
                 sc.retries += 1;
-                let backoff = retry.next_delay();
-                sc.backoff_ns += backoff.as_nanos() as u64;
-                std::thread::sleep(backoff);
+                // Bill the sleep as measured: on a busy host its wake-up
+                // can overshoot a microsecond backoff by a scheduler slice.
+                let slept = Instant::now();
+                std::thread::sleep(retry.next_delay());
+                sc.backoff_ns += slept.elapsed().as_nanos() as u64;
                 continue;
             }
             // Stage the block through the transport, which carries the
@@ -1674,21 +1700,20 @@ impl StepHooks for Chaos {
 
     /// Drains the per-PE ledger into the fault report and, when traced,
     /// into fault instants and Stage/Verify spans nested in each exchange,
-    /// plus a Recover span and a `recover:rerun` instant on the driver lane
-    /// for the crash re-runs. Straggle detection is observational: the PE's
-    /// compute stamp must show the injected delay.
-    fn after_dispatch(&mut self, exec: &BspExecutor, step: u64, rerun: Option<Rerun>) {
+    /// plus a Recover span and a `recover:rerun` instant on the crashed
+    /// PE's lane for each crash re-run. Straggle detection is
+    /// observational: the PE's compute stamp must show the injected delay.
+    fn after_dispatch(&mut self, exec: &BspExecutor, step: u64, reruns: &[Rerun]) {
         let (fault, mut telem) = (&mut *self.fault, self.trace.as_mut().map(|t| &mut t.telem));
         let report = &mut fault.report;
-        if let Some(r) = rerun {
-            report.degraded_shards += r.runs;
-            if let Some(t) = telem.as_deref_mut() {
-                let driver = exec.pe.len() as u32;
+        report.degraded_shards += reruns.len() as u64;
+        if let Some(t) = telem.as_deref_mut() {
+            for r in reruns {
                 let start_ns = ns_since(t.epoch, r.start);
                 let dur_ns = ns_since(r.start, r.end);
                 t.data.span(Span {
                     phase: PhaseId::Recover,
-                    pe: driver,
+                    pe: r.pe as u32,
                     step,
                     start_ns,
                     dur_ns,
@@ -1696,10 +1721,11 @@ impl StepHooks for Chaos {
                 t.data.add_phase_wall(PhaseId::Recover, dur_ns);
                 t.data.instant(TraceInstant {
                     name: "recover:rerun",
-                    pe: driver,
+                    pe: r.pe as u32,
                     step,
                     at_ns: start_ns,
                 });
+                t.chaos_ns[r.pe].rerun += dur_ns;
             }
         }
         let mut crashes = 0u64;
@@ -1745,6 +1771,7 @@ impl StepHooks for Chaos {
                     });
                 }
             }
+            t.chaos_ns[q].backoff = sc.backoff_ns;
             // Only the total backoff survives the hot path; record the mean
             // once per retry.
             if let Some(mean_ns) = sc.backoff_ns.checked_div(sc.retries) {
@@ -1835,6 +1862,17 @@ impl<H: StepHooks> StepCtx<'_, H> {
             pack: &mut *self.pack.get().add(q),
             stage: &mut *self.stage.get().add(q),
         }
+    }
+
+    /// The PE worker `w` crashed on: the first in its chunk whose compute
+    /// has not finished this step (the chunk's first PE if all have).
+    fn crashed(&self, w: usize) -> usize {
+        let chunk = owned_chunk(&self.owned, self.threads, w);
+        chunk
+            .clone()
+            // SAFETY: only this thread runs chunk `w` (its worker is dead).
+            .find(|&q| unsafe { (*self.clock.get().add(q)).computed < self.t0 })
+            .unwrap_or(chunk.start)
     }
 
     /// Stages 1 and 2 for worker `w`'s PEs. Under `H::SPLIT` a crash re-run
@@ -2773,11 +2811,19 @@ mod tests {
                 phase.name()
             );
         }
-        // The re-run is booked on the driver lane, one past the last PE.
-        assert!(t
+        // The re-run is booked on the crashed PE's lane (PE 3, step 2),
+        // and nowhere else.
+        let recovers: Vec<(u32, u64)> = t
             .spans
             .iter()
-            .any(|s| s.phase == PhaseId::Recover && s.pe == 6));
+            .filter(|s| s.phase == PhaseId::Recover)
+            .map(|s| (s.pe, s.step))
+            .collect();
+        assert_eq!(recovers, [(3, 2)], "one re-run, on the crashed PE");
+        assert!(t
+            .instants()
+            .iter()
+            .any(|i| i.name == "recover:rerun" && i.pe == 3 && i.step == 2));
         let names: Vec<&str> = t.instants().iter().map(|i| i.name).collect();
         for expected in [
             "fault:straggle",

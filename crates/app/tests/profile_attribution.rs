@@ -9,6 +9,9 @@
 //! triples, the barrier schedule compute/exchange pairs, and wait/barrier
 //! spans appear only when time was actually lost there).
 //!
+//! A crash re-run is billed to the crashed PE: its lane carries the
+//! re-run as a Recover span, so the profiler's `recover` rung sees it.
+//!
 //! The mesh/partition fixture is built once (it is expensive) and shared;
 //! each proptest case varies only the cheap knobs.
 
@@ -16,9 +19,10 @@ use proptest::prelude::*;
 use quake_app::executor::BspExecutor;
 use quake_app::family::{AppConfig, QuakeApp};
 use quake_app::DistributedSystem;
+use quake_core::fault::{FaultEvent, FaultKind, FaultPlan};
 use quake_core::telemetry::profile::{ProfileOptions, ProfileReport};
 use quake_core::telemetry::{
-    DriftConfig, ShardTrace, TelemetryConfig, TelemetrySnapshot, TraceContext,
+    DriftConfig, PhaseId, ShardTrace, Telemetry, TelemetryConfig, TelemetrySnapshot, TraceContext,
 };
 use quake_fem::assembly::UniformMaterial;
 use quake_mesh::ground::Material;
@@ -72,6 +76,40 @@ fn quiet_telemetry() -> TelemetryConfig {
     }
 }
 
+/// Captures `telemetry` as one shard owning PEs `pe_lo..pe_hi` (the
+/// profiler attributes only those lanes) and profiles it.
+fn profile(
+    telemetry: &Telemetry,
+    pe_lo: u32,
+    pe_hi: u32,
+    overlap: bool,
+) -> (ShardTrace, ProfileReport) {
+    let shard = ShardTrace {
+        snap: TelemetrySnapshot::capture(
+            telemetry,
+            TraceContext {
+                run_id: 0,
+                shard: 0,
+                generation: 0,
+            },
+            pe_lo,
+            pe_hi,
+            Vec::new(),
+            0,
+        ),
+        clock_offset_ns: 0,
+    };
+    let report = ProfileReport::build(
+        std::slice::from_ref(&shard),
+        &ProfileOptions {
+            loads: Vec::new(),
+            link: None,
+            overlap,
+        },
+    );
+    (shard, report)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -90,21 +128,7 @@ proptest! {
         exec.run(&fx.x, STEPS);
         let telemetry = exec.telemetry().expect("telemetry armed");
         prop_assert!(telemetry.spans.dropped() == 0, "ring sized for the run");
-        let shard = ShardTrace {
-            snap: TelemetrySnapshot::capture(
-                telemetry,
-                TraceContext { run_id: 0, shard: 0, generation: 0 },
-                0,
-                PARTS as u32,
-                Vec::new(),
-                0,
-            ),
-            clock_offset_ns: 0,
-        };
-        let report = ProfileReport::build(
-            std::slice::from_ref(&shard),
-            &ProfileOptions { loads: Vec::new(), link: None, overlap },
-        );
+        let (shard, report) = profile(telemetry, 0, PARTS as u32, overlap);
         prop_assert_eq!(report.steps.len(), STEPS as usize);
         let mut total_wall = 0u64;
         for (i, row) in report.steps.iter().enumerate() {
@@ -137,5 +161,64 @@ proptest! {
             prop_assert_eq!(a.rungs, b.rungs);
             prop_assert_eq!(a.straggler_pe, b.straggler_pe);
         }
+    }
+}
+
+/// A crash re-run is billed to the crashed PE: the re-run is a Recover
+/// span on that PE's lane only, the PE's `recover` rung on the crash step
+/// holds at least the whole span, and every row still sums to its step
+/// wall, for every PE and for the crashed PE's lane alone.
+#[test]
+fn crash_rerun_is_billed_to_the_crashed_pe() {
+    const CRASHED: usize = 4;
+    const AT: u64 = 2;
+    let fx = fixture();
+    for overlap in [false, true] {
+        let mut exec = BspExecutor::with_options(&fx.system, 3, false, overlap);
+        exec.enable_faults(FaultPlan::from_events(vec![FaultEvent {
+            step: AT,
+            pe: CRASHED,
+            kind: FaultKind::Crash,
+        }]));
+        exec.enable_telemetry(quiet_telemetry());
+        exec.run(&fx.x, STEPS);
+        let telemetry = exec.telemetry().expect("telemetry armed");
+        assert_eq!(telemetry.spans.dropped(), 0, "ring sized for the run");
+        let reruns: Vec<_> = telemetry
+            .spans
+            .iter()
+            .filter(|s| s.phase == PhaseId::Recover)
+            .collect();
+        assert!(
+            !reruns.is_empty(),
+            "overlap {overlap}: the crash was re-run"
+        );
+        assert!(
+            reruns
+                .iter()
+                .all(|s| s.pe == CRASHED as u32 && s.step == AT),
+            "overlap {overlap}: re-runs belong to the crashed PE's lane: {reruns:?}"
+        );
+        let rerun_ns: u64 = reruns.iter().map(|s| s.dur_ns).sum();
+        for (lo, hi) in [(0, PARTS as u32), (CRASHED as u32, CRASHED as u32 + 1)] {
+            let (_, report) = profile(telemetry, lo, hi, overlap);
+            assert_eq!(report.steps.len(), STEPS as usize);
+            for row in &report.steps {
+                assert_eq!(
+                    row.rungs.total_ns(),
+                    row.wall_ns,
+                    "overlap {overlap} lanes {lo}..{hi} step {}",
+                    row.step
+                );
+            }
+        }
+        let (_, lane) = profile(telemetry, CRASHED as u32, CRASHED as u32 + 1, overlap);
+        let row = &lane.steps[AT as usize];
+        assert_eq!(row.crit_pe, CRASHED as u32);
+        assert!(
+            row.rungs.recover_ns >= rerun_ns,
+            "overlap {overlap}: recover rung {} < re-run {rerun_ns} ns",
+            row.rungs.recover_ns
+        );
     }
 }

@@ -30,15 +30,14 @@
 //! own row and its transposed product to the mirror row, so each symmetric
 //! pair of blocks is streamed once. Rows are visited in ascending order,
 //! which delivers every row's terms in its full-storage column order, so
-//! this path too is bitwise-equal to [`bmv_range_into`] on the full matrix.
+//! this path too is bitwise-equal to
+//! [`bmv_range_into`](crate::kernels::bmv_range_into) on the full matrix.
 //!
 //! **Prefetch.** The irregular `x[col]` gather is the stream the hardware
 //! prefetcher cannot predict; the AVX path issues a software prefetch for
 //! the gather target a few tiles ahead (plus the tile stream itself, cheap
 //! insurance when the hardware stride prefetcher lags).
 
-use crate::kernels::bmv_range_into;
-use quake_sparse::bcsr::Bcsr3;
 use quake_sparse::dense::Vec3;
 use quake_sparse::tiles::{Bcsr3Tiles, LaneBlock, SymTiles, TILE_LANES};
 use std::ops::Range;
@@ -69,12 +68,14 @@ pub fn simd_active() -> bool {
 }
 
 /// SMVP over the contiguous block-row range `rows` of the tiled layout —
-/// the SIMD twin of [`bmv_range_into`], with the same calling convention:
-/// `out[i - rows.start]` receives row `i`, `x` spans the full matrix.
+/// the SIMD twin of [`bmv_range_into`](crate::kernels::bmv_range_into),
+/// with the same calling convention: `out[i - rows.start]` receives row
+/// `i`, `x` spans the full matrix.
 ///
-/// Output is bitwise-equal to [`bmv_range_into`] on the source [`Bcsr3`]
-/// (and therefore to [`Bcsr3::spmv`]) regardless of which path dispatch
-/// selects.
+/// Output is bitwise-equal to `bmv_range_into` on the source
+/// [`Bcsr3`](quake_sparse::bcsr::Bcsr3) (and therefore to
+/// [`Bcsr3::spmv`](quake_sparse::bcsr::Bcsr3::spmv)) regardless of which
+/// path dispatch selects.
 ///
 /// # Panics
 ///
@@ -95,7 +96,8 @@ pub fn bmv_tiles_range_into(tiles: &Bcsr3Tiles, x: &[Vec3], rows: Range<usize>, 
 }
 
 /// Full SMVP `out = K x` from the half-storage layout: bitwise-equal to
-/// [`bmv_range_into`] over every row of the full matrix `sym` was built
+/// [`bmv_range_into`](crate::kernels::bmv_range_into) over every row of
+/// the full matrix `sym` was built
 /// from, on whichever path dispatch selects.
 ///
 /// Row `i` starts from `acc[i]`, which by then holds its lower-triangle
@@ -341,17 +343,11 @@ mod avx {
     }
 }
 
-/// Reference product for tests and bench twins: the scalar microkernel
-/// over the *source* matrix, which the tile kernels must match bitwise.
-#[doc(hidden)]
-pub fn reference_bmv(matrix: &Bcsr3, x: &[Vec3], y: &mut [Vec3]) {
-    bmv_range_into(matrix, x, 0..matrix.block_rows(), y);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quake_sparse::bcsr::Bcsr3Builder;
+    use crate::kernels::bmv_range_into;
+    use quake_sparse::bcsr::{Bcsr3, Bcsr3Builder};
     use quake_sparse::dense::Mat3;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -412,7 +408,7 @@ mod tests {
             let tiles = Bcsr3Tiles::from_bcsr(&matrix);
             let x = random_x(n, seed);
             let mut want = vec![Vec3::ZERO; n];
-            reference_bmv(&matrix, &x, &mut want);
+            bmv_range_into(&matrix, &x, 0..n, &mut want);
             let mut got = vec![Vec3::ZERO; n];
             bmv_tiles_range_into(&tiles, &x, 0..n, &mut got);
             assert_vec3_bits_eq(&got, &want, &format!("dispatched, seed {seed}"));
@@ -437,7 +433,7 @@ mod tests {
             let tiles = Bcsr3Tiles::from_bcsr(&matrix);
             let x = random_x(n, seed);
             let mut want = vec![Vec3::ZERO; n];
-            reference_bmv(&matrix, &x, &mut want);
+            bmv_range_into(&matrix, &x, 0..n, &mut want);
             let mut got = vec![Vec3::ZERO; n];
             // SAFETY: AVX verified above; ranges are in bounds.
             unsafe { avx::rows_range(&tiles, &x, 0..n, &mut got) };
@@ -452,7 +448,7 @@ mod tests {
         let tiles = Bcsr3Tiles::from_bcsr(&matrix);
         let x = random_x(n, 99);
         let mut want = vec![Vec3::ZERO; n];
-        reference_bmv(&matrix, &x, &mut want);
+        bmv_range_into(&matrix, &x, 0..n, &mut want);
         for (lo, hi) in [(0, 0), (0, 1), (7, 7), (3, 50), (50, 120), (119, 120)] {
             let mut got = vec![Vec3::ZERO; hi - lo];
             bmv_tiles_range_into(&tiles, &x, lo..hi, &mut got);
@@ -480,7 +476,7 @@ mod tests {
             let tiles = Bcsr3Tiles::from_bcsr(&matrix);
             let x = random_x(n, extra as u64);
             let mut want = vec![Vec3::ZERO; n];
-            reference_bmv(&matrix, &x, &mut want);
+            bmv_range_into(&matrix, &x, 0..n, &mut want);
             let mut got = vec![Vec3::ZERO; n];
             bmv_tiles_range_into(&tiles, &x, 0..n, &mut got);
             assert_vec3_bits_eq(&got, &want, &format!("tail residue {extra}"));
@@ -495,7 +491,7 @@ mod tests {
         let tiles = Bcsr3Tiles::from_bcsr(&matrix);
         let x = random_x(n, 3);
         let mut want = vec![Vec3::ZERO; n];
-        reference_bmv(&matrix, &x, &mut want);
+        bmv_range_into(&matrix, &x, 0..n, &mut want);
 
         let hardware = simd_active();
         force_scalar(true);
@@ -583,7 +579,7 @@ mod tests {
                 *v = if i % 2 == 0 { Vec3::ZERO } else { -Vec3::ZERO };
             }
             let mut want = vec![Vec3::ZERO; n];
-            reference_bmv(&full, &x, &mut want);
+            bmv_range_into(&full, &x, 0..n, &mut want);
             let mut acc = vec![LaneBlock([7.0; 4]); n];
             for forced in [false, true] {
                 force_scalar(forced);

@@ -1,10 +1,18 @@
-//! Property tests: every Spark98-style kernel computes the same product.
+//! Property tests: every kernel the program runs computes the oracle's
+//! product, bit for bit.
 //!
-//! The sequential baseline `smv` is the reference; the lock-based (`lmv`),
-//! reduction-buffer (`rmv`), row-parallel (`pmv`), and pooled
-//! (`rmv_pooled`/`pmv_pooled`) kernels must agree with it to within
-//! 1e-12 relative error on random symmetric matrices at every thread
-//! count the paper's shared-memory study sweeps (1, 2, 4, 8).
+//! The oracle is the scalar 3×3 kernel `bmv_range_into` over the full row
+//! range. Against it, on random block-symmetric matrices:
+//!
+//! * the tile kernel as `Simulation::advance` runs it: `broadcast_rows`
+//!   over a `WorkerPool` of 1–8 threads, each worker's rows in fixed-size
+//!   pieces through `bmv_tiles_range_into`;
+//! * the half-storage kernel `bmv_sym_into` on `SymTiles`, as the
+//!   executor's barrier schedule runs it;
+//! * `bmv_pooled_into` at 1–8 threads;
+//! * the first two again with `force_scalar(true)`, which is how the
+//!   scalar fallback is reached on AVX hardware (and what runs everywhere
+//!   when the crate is built without `simd`).
 //!
 //! Matrices are built from a proptest-chosen `(size, seed)` pair and a
 //! `StdRng::seed_from_u64(seed)` fill (the repository's deterministic
@@ -12,280 +20,251 @@
 //! every failure is replayable from the printed inputs.
 
 use proptest::prelude::*;
-use quake_spark::kernels::{
-    bmv, bmv_into, bmv_pooled, bmv_pooled_into, lmv, lmv_into, pmv, pmv_into, pmv_pooled,
-    pmv_pooled_into, rmv, rmv_into, rmv_pooled, rmv_pooled_into, smv, smv_into,
+use quake_spark::{
+    bmv_pooled_into, bmv_range_into, bmv_sym_into, bmv_tiles_range_into, broadcast_rows,
+    force_scalar, simd_active, WorkerPool,
 };
-use quake_spark::{KernelWorkspace, WorkerPool};
 use quake_sparse::bcsr::{Bcsr3, Bcsr3Builder};
-use quake_sparse::coo::Coo;
-use quake_sparse::csr::Csr;
 use quake_sparse::dense::{Mat3, Vec3};
-use quake_sparse::sym::SymCsr;
+use quake_sparse::tiles::{Bcsr3Tiles, LaneBlock, SymTiles};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-const REL_TOL: f64 = 1e-12;
+/// Serializes every test that runs a tile kernel: the scalar switch is
+/// process-global, so a dispatched run must never overlap a forced one.
+static DISPATCH_LOCK: Mutex<()> = Mutex::new(());
 
-/// Builds a random symmetric matrix with a guaranteed-nonzero diagonal and
-/// ~`fill` off-diagonal density, plus a matching x vector.
-fn random_symmetric(n: usize, seed: u64) -> (Csr, Vec<f64>) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut coo = Coo::new(n, n);
-    for i in 0..n {
-        let d: f64 = rng.gen_range(1.0..10.0);
-        coo.push(i, i, d).expect("in range");
-        for j in (i + 1)..n {
-            if rng.gen_bool(0.2) {
-                let v: f64 = rng.gen_range(-5.0..5.0);
-                coo.push(i, j, v).expect("in range");
-                coo.push(j, i, v).expect("in range");
-            }
-        }
-    }
-    let x = (0..n).map(|_| rng.gen_range(-100.0..100.0)).collect();
-    (coo.to_csr(), x)
+/// Holds [`DISPATCH_LOCK`] with the scalar path forced or not, and
+/// restores runtime detection when dropped.
+struct Dispatch {
+    _lock: MutexGuard<'static, ()>,
 }
 
-/// Asserts `got` matches the reference product within `REL_TOL`, scaled by
-/// the largest reference magnitude.
-fn assert_matches(reference: &[f64], got: &[f64], kernel: &str, threads: usize) {
-    assert_eq!(
-        reference.len(),
-        got.len(),
-        "{kernel}/{threads}: length mismatch"
-    );
-    let scale = reference.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-    for (i, (r, g)) in reference.iter().zip(got).enumerate() {
-        assert!(
-            (r - g).abs() <= REL_TOL * (1.0 + scale),
-            "{kernel} at {threads} threads, row {i}: reference {r} vs {g}"
-        );
+impl Dispatch {
+    fn pin(scalar: bool) -> Self {
+        let lock = DISPATCH_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        force_scalar(scalar);
+        Dispatch { _lock: lock }
     }
 }
 
-/// Runs every kernel variant against the sequential baseline.
-fn check_all_kernels(full: &Csr, x: &[f64]) {
-    let sym = SymCsr::from_csr(full, 1e-12).expect("matrix is symmetric by construction");
-    let reference = smv(&sym, x);
-    for &threads in &THREAD_COUNTS {
-        assert_matches(&reference, &lmv(&sym, x, threads), "lmv", threads);
-        assert_matches(&reference, &rmv(&sym, x, threads), "rmv", threads);
-        assert_matches(&reference, &pmv(full, x, threads), "pmv", threads);
-        let pool = WorkerPool::new(threads);
-        assert_matches(
-            &reference,
-            &rmv_pooled(&sym, x, &pool),
-            "rmv_pooled",
-            threads,
-        );
-        assert_matches(
-            &reference,
-            &pmv_pooled(full, x, &pool),
-            "pmv_pooled",
-            threads,
-        );
+impl Drop for Dispatch {
+    fn drop(&mut self) {
+        force_scalar(false);
     }
 }
 
-/// Runs every `_into` kernel against its allocating twin, reusing one dirty
-/// workspace and NaN-prefilled output buffers across every call: results
-/// must not depend on workspace or output history.
-fn check_into_kernels(full: &Csr, x: &[f64], ws: &mut KernelWorkspace) {
-    let sym = SymCsr::from_csr(full, 1e-12).expect("matrix is symmetric by construction");
-    let n = sym.dim();
-    let mut y = vec![f64::NAN; n];
-    smv_into(&sym, x, &mut y);
-    assert_matches(&smv(&sym, x), &y, "smv_into", 1);
-    for &threads in &THREAD_COUNTS {
-        y.fill(f64::NAN);
-        lmv_into(&sym, x, threads, &mut y, ws);
-        assert_matches(&lmv(&sym, x, threads), &y, "lmv_into", threads);
-
-        y.fill(f64::NAN);
-        rmv_into(&sym, x, threads, &mut y, ws);
-        assert_matches(&rmv(&sym, x, threads), &y, "rmv_into", threads);
-
-        y.fill(f64::NAN);
-        pmv_into(full, x, threads, &mut y);
-        assert_matches(&pmv(full, x, threads), &y, "pmv_into", threads);
-
-        let pool = WorkerPool::new(threads);
-        y.fill(f64::NAN);
-        rmv_pooled_into(&sym, x, &pool, &mut y, ws);
-        assert_matches(&rmv_pooled(&sym, x, &pool), &y, "rmv_pooled_into", threads);
-
-        y.fill(f64::NAN);
-        pmv_pooled_into(full, x, &pool, &mut y);
-        assert_matches(&pmv_pooled(full, x, &pool), &y, "pmv_pooled_into", threads);
-    }
-}
-
-/// Builds a random symmetric 3×3-block matrix and a matching block vector.
+/// A random block-symmetric matrix and a matching block vector: each row
+/// holds its diagonal block with probability 3/4 (so some rows are
+/// empty), each upper block `(i, j)` appears with probability 1/5 next to
+/// its bitwise transpose at `(j, i)`, and about one entry in twelve is
+/// `+0.0` or `-0.0`.
 fn random_block_symmetric(n: usize, seed: u64) -> (Bcsr3, Vec<Vec3>) {
     let mut rng = StdRng::seed_from_u64(seed);
+    let entry = |rng: &mut StdRng| match rng.gen_range(0..24) {
+        0 => 0.0,
+        1 => -0.0,
+        _ => rng.gen_range(-5.0..5.0),
+    };
+    let block = |rng: &mut StdRng| {
+        let mut m = [[0.0; 3]; 3];
+        for row in &mut m {
+            for v in row.iter_mut() {
+                *v = entry(rng);
+            }
+        }
+        Mat3::new(m)
+    };
     let mut b = Bcsr3Builder::new(n);
     for i in 0..n {
-        b.add_block(i, i, Mat3::identity() * rng.gen_range(1.0..10.0));
+        if rng.gen_bool(0.75) {
+            b.add_block(i, i, block(&mut rng));
+        }
         for j in (i + 1)..n {
             if rng.gen_bool(0.2) {
-                let m = Mat3::outer(
-                    Vec3::new(rng.gen(), rng.gen(), rng.gen()),
-                    Vec3::new(rng.gen(), rng.gen(), rng.gen()),
-                );
+                let m = block(&mut rng);
                 b.add_block(i, j, m);
                 b.add_block(j, i, m.transpose());
             }
         }
     }
     let x = (0..n)
-        .map(|_| Vec3::new(rng.gen_range(-5.0..5.0), rng.gen(), rng.gen()))
+        .map(|_| Vec3::new(entry(&mut rng), entry(&mut rng), entry(&mut rng)))
         .collect();
     (b.build(), x)
 }
 
-fn assert_blocks_match(reference: &[Vec3], got: &[Vec3], kernel: &str, threads: usize) {
-    assert_eq!(reference.len(), got.len(), "{kernel}/{threads}: length");
-    for (i, (r, g)) in reference.iter().zip(got).enumerate() {
-        for a in 0..3 {
-            assert!(
-                (r.to_array()[a] - g.to_array()[a]).abs() <= 1e-10,
-                "{kernel} at {threads} threads, block row {i}: {r:?} vs {g:?}"
-            );
+/// A vector no kernel may leave behind: every row must be overwritten.
+fn poisoned(n: usize) -> Vec<Vec3> {
+    vec![Vec3::new(f64::NAN, f64::NAN, f64::NAN); n]
+}
+
+/// The oracle: the scalar kernel over every row.
+fn oracle(matrix: &Bcsr3, x: &[Vec3]) -> Vec<Vec3> {
+    let mut y = poisoned(matrix.block_rows());
+    bmv_range_into(matrix, x, 0..matrix.block_rows(), &mut y);
+    y
+}
+
+fn assert_bits_eq(want: &[Vec3], got: &[Vec3], what: &str) {
+    assert_eq!(want.len(), got.len(), "{what}: length mismatch");
+    for (i, (w, g)) in want.iter().zip(got).enumerate() {
+        assert_eq!(
+            w.to_array().map(f64::to_bits),
+            g.to_array().map(f64::to_bits),
+            "{what}: row {i} differs: {w:?} vs {g:?}"
+        );
+    }
+}
+
+/// The product `Simulation::advance` computes: `broadcast_rows` over
+/// `pool`, each worker walking its rows in `block`-row pieces through the
+/// tile kernel.
+fn tiles_pooled(tiles: &Bcsr3Tiles, x: &[Vec3], pool: &WorkerPool, block: usize) -> Vec<Vec3> {
+    let mut y = poisoned(tiles.block_rows());
+    broadcast_rows(pool, &mut y, |rows, out| {
+        for lo in rows.clone().step_by(block) {
+            let hi = (lo + block).min(rows.end);
+            bmv_tiles_range_into(tiles, x, lo..hi, &mut out[lo - rows.start..hi - rows.start]);
+        }
+    });
+    y
+}
+
+/// The barrier schedule's product, from scratch left dirty on purpose.
+fn sym_product(sym: &SymTiles, x: &[Vec3]) -> Vec<Vec3> {
+    let n = sym.block_rows();
+    let mut acc = vec![LaneBlock([7.0; 4]); n];
+    let mut y = poisoned(n);
+    bmv_sym_into(sym, x, &mut acc, &mut y);
+    y
+}
+
+fn pooled_scalar(matrix: &Bcsr3, x: &[Vec3], pool: &WorkerPool) -> Vec<Vec3> {
+    let mut y = poisoned(matrix.block_rows());
+    bmv_pooled_into(matrix, x, pool, &mut y);
+    y
+}
+
+/// Checks the tile composition (at each pool in `pools`), the half-storage
+/// kernel and, unless `scalar`, the pooled scalar kernel against the
+/// oracle; `scalar` pins the tile kernels to their fallback path.
+fn check_kernels(matrix: &Bcsr3, x: &[Vec3], pools: &[WorkerPool], block: usize, scalar: bool) {
+    let _dispatch = Dispatch::pin(scalar);
+    if scalar {
+        assert!(
+            !simd_active(),
+            "force_scalar(true) must disable the vector path"
+        );
+    }
+    let path = if simd_active() { "avx" } else { "scalar" };
+    let want = oracle(matrix, x);
+    let tiles = Bcsr3Tiles::from_bcsr(matrix);
+    let sym = SymTiles::from_bcsr(matrix).expect("generated matrix is bitwise symmetric");
+    assert_bits_eq(
+        &want,
+        &sym_product(&sym, x),
+        &format!("bmv_sym_into ({path})"),
+    );
+    for pool in pools {
+        let t = pool.threads();
+        let got = tiles_pooled(&tiles, x, pool, block);
+        assert_bits_eq(
+            &want,
+            &got,
+            &format!("tiles ({path}) at {t} threads, block {block}"),
+        );
+        if !scalar {
+            let got = pooled_scalar(matrix, x, pool);
+            assert_bits_eq(&want, &got, &format!("bmv_pooled_into at {t} threads"));
         }
     }
+}
+
+/// One pool of each width 1–8.
+fn pools() -> Vec<WorkerPool> {
+    (1..=8).map(WorkerPool::new).collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn all_kernels_agree_on_random_symmetric_matrices(
-        n in 2usize..48,
+    fn every_kernel_matches_the_oracle_bitwise(
+        n in 1usize..64,
         seed in 0u64..1_000_000,
+        block_pow in 0u32..9,
     ) {
-        let (full, x) = random_symmetric(n, seed);
-        check_all_kernels(&full, &x);
+        let (matrix, x) = random_block_symmetric(n, seed);
+        check_kernels(&matrix, &x, &pools(), 1 << block_pow, false);
     }
 
     #[test]
-    fn all_kernels_agree_when_threads_exceed_rows(
+    fn scalar_fallback_matches_the_oracle_bitwise(
+        n in 1usize..64,
+        seed in 0u64..1_000_000,
+        block_pow in 0u32..9,
+    ) {
+        let (matrix, x) = random_block_symmetric(n, seed);
+        check_kernels(&matrix, &x, &pools(), 1 << block_pow, true);
+    }
+
+    #[test]
+    fn kernels_match_the_oracle_when_threads_exceed_rows(
         n in 1usize..4,
         seed in 0u64..1_000_000,
     ) {
-        // More workers than rows: chunking must not drop or repeat rows.
-        let (full, x) = random_symmetric(n, seed);
-        check_all_kernels(&full, &x);
-    }
-
-    #[test]
-    fn into_kernels_match_allocating_twins(
-        n in 1usize..48,
-        seed in 0u64..1_000_000,
-    ) {
-        let (full, x) = random_symmetric(n, seed);
-        let mut ws = KernelWorkspace::new();
-        check_into_kernels(&full, &x, &mut ws);
-        // Same workspace, different matrix: history must not leak through.
-        let (full2, x2) = random_symmetric((n + 7) % 48 + 1, seed ^ 0xABCD);
-        check_into_kernels(&full2, &x2, &mut ws);
-    }
-
-    #[test]
-    fn block_into_kernels_match_allocating_twins(
-        n in 1usize..32,
-        seed in 0u64..1_000_000,
-    ) {
-        let (bcsr, x) = random_block_symmetric(n, seed);
-        let mut reference = vec![Vec3::ZERO; n];
-        bcsr.spmv(&x, &mut reference).expect("dims");
-        for &threads in &THREAD_COUNTS {
-            assert_blocks_match(&reference, &bmv(&bcsr, &x, threads), "bmv", threads);
-            let mut y = vec![Vec3::new(f64::NAN, 0.0, 0.0); n];
-            bmv_into(&bcsr, &x, threads, &mut y);
-            assert_blocks_match(&reference, &y, "bmv_into", threads);
-
-            let pool = WorkerPool::new(threads);
-            assert_blocks_match(&reference, &bmv_pooled(&bcsr, &x, &pool), "bmv_pooled", threads);
-            y.fill(Vec3::new(f64::NAN, 0.0, 0.0));
-            bmv_pooled_into(&bcsr, &x, &pool, &mut y);
-            assert_blocks_match(&reference, &y, "bmv_pooled_into", threads);
+        // More workers than rows: the split must not drop or repeat rows.
+        let (matrix, x) = random_block_symmetric(n, seed);
+        for scalar in [false, true] {
+            check_kernels(&matrix, &x, &pools(), 256, scalar);
         }
-    }
-}
-
-#[test]
-fn workspace_reaches_steady_state_across_mixed_calls() {
-    // After one warmup call at the widest configuration, 100 further calls
-    // across every workspace-using kernel must never reallocate: the
-    // fingerprint (pointer + capacity of both workspace arenas) is frozen.
-    let (full, x) = random_symmetric(40, 7);
-    let sym = SymCsr::from_csr(&full, 1e-12).expect("symmetric");
-    let reference = smv(&sym, &x);
-    let mut ws = KernelWorkspace::new();
-    let mut y = vec![0.0; sym.dim()];
-    let pool = WorkerPool::new(8);
-    // Warmup at the high-water mark: 8 reduction buffers + lock cells.
-    rmv_into(&sym, &x, 8, &mut y, &mut ws);
-    lmv_into(&sym, &x, 8, &mut y, &mut ws);
-    let frozen = ws.fingerprint();
-    let y_ptr = (y.as_ptr() as usize, y.capacity());
-    for round in 0..100 {
-        match round % 4 {
-            0 => rmv_into(&sym, &x, 1 + round % 8, &mut y, &mut ws),
-            1 => lmv_into(&sym, &x, 1 + round % 8, &mut y, &mut ws),
-            2 => rmv_pooled_into(&sym, &x, &pool, &mut y, &mut ws),
-            _ => smv_into(&sym, &x, &mut y),
-        }
-        assert_matches(&reference, &y, "steady-state", round);
-        assert_eq!(
-            ws.fingerprint(),
-            frozen,
-            "workspace reallocated at round {round}"
-        );
-        assert_eq!((y.as_ptr() as usize, y.capacity()), y_ptr);
     }
 }
 
 #[test]
 fn kernels_handle_the_empty_matrix() {
-    let (full, x) = random_symmetric(0, 1);
-    let sym = SymCsr::from_csr(&full, 1e-12).expect("empty is symmetric");
-    assert!(smv(&sym, &x).is_empty());
-    for &threads in &THREAD_COUNTS {
-        assert!(lmv(&sym, &x, threads).is_empty());
-        assert!(rmv(&sym, &x, threads).is_empty());
-        assert!(pmv(&full, &x, threads).is_empty());
-        let pool = WorkerPool::new(threads);
-        assert!(rmv_pooled(&sym, &x, &pool).is_empty());
-        assert!(pmv_pooled(&full, &x, &pool).is_empty());
+    let (matrix, x) = random_block_symmetric(0, 1);
+    assert!(oracle(&matrix, &x).is_empty());
+    for scalar in [false, true] {
+        check_kernels(&matrix, &x, &pools(), 1, scalar);
     }
 }
 
 #[test]
 fn kernels_handle_a_single_row() {
-    let mut coo = Coo::new(1, 1);
-    coo.push(0, 0, 2.5).expect("in range");
-    let full = coo.to_csr();
-    let x = vec![4.0];
-    check_all_kernels(&full, &x);
-    let sym = SymCsr::from_csr(&full, 1e-12).expect("symmetric");
-    assert_eq!(smv(&sym, &x), vec![10.0]);
+    let mut b = Bcsr3Builder::new(1);
+    b.add_block(0, 0, Mat3::identity() * 2.5);
+    let matrix = b.build();
+    let x = vec![Vec3::new(4.0, 4.0, 4.0)];
+    assert_bits_eq(
+        &oracle(&matrix, &x),
+        &[Vec3::new(10.0, 10.0, 10.0)],
+        "oracle",
+    );
+    for scalar in [false, true] {
+        check_kernels(&matrix, &x, &pools(), 1, scalar);
+    }
 }
 
 #[test]
 fn pooled_kernels_are_reusable_across_products() {
-    // One pool serving many products (the paper's 6000-step loop shape):
-    // results must stay bit-identical to a fresh computation every time.
-    let (full, x) = random_symmetric(32, 99);
-    let sym = SymCsr::from_csr(&full, 1e-12).expect("symmetric");
-    let reference = smv(&sym, &x);
+    // One pool and one scratch serving many products (the paper's
+    // 6000-step loop shape): every round must reproduce the oracle.
+    let (matrix, x) = random_block_symmetric(32, 99);
+    let want = oracle(&matrix, &x);
+    let tiles = Bcsr3Tiles::from_bcsr(&matrix);
+    let sym = SymTiles::from_bcsr(&matrix).expect("bitwise symmetric");
     let pool = WorkerPool::new(4);
+    let mut acc = vec![LaneBlock::default(); 32];
+    let _dispatch = Dispatch::pin(false);
     for round in 0..5 {
-        let got = rmv_pooled(&sym, &x, &pool);
-        assert_matches(&reference, &got, "rmv_pooled", round);
-        let got = pmv_pooled(&full, &x, &pool);
-        assert_matches(&reference, &got, "pmv_pooled", round);
+        let what = format!("round {round}");
+        assert_bits_eq(&want, &tiles_pooled(&tiles, &x, &pool, 8), &what);
+        assert_bits_eq(&want, &pooled_scalar(&matrix, &x, &pool), &what);
+        let mut y = poisoned(32);
+        bmv_sym_into(&sym, &x, &mut acc, &mut y);
+        assert_bits_eq(&want, &y, &what);
     }
 }

@@ -8,8 +8,6 @@
 //! * [`csr::Csr`] — scalar compressed sparse rows with the SMVP kernel;
 //! * [`bcsr::Bcsr3`] — 3×3-block CSR matching the `3n × 3n` stiffness
 //!   matrix (three degrees of freedom per mesh node);
-//! * [`sym::SymCsr`] — symmetric (upper-triangle) storage as used by the
-//!   Spark98 kernels;
 //! * [`pattern::Pattern`] — symbolic node-adjacency structure;
 //! * [`reorder`] — reverse Cuthill–McKee bandwidth reduction;
 //! * [`tiles`] — SIMD-friendly flat tile layout over [`bcsr::Bcsr3`] and
@@ -44,7 +42,6 @@ pub mod dense;
 pub mod error;
 pub mod pattern;
 pub mod reorder;
-pub mod sym;
 pub mod tiles;
 
 pub use bcsr::{Bcsr3, Bcsr3Builder, ElementAssembler};
@@ -53,5 +50,4 @@ pub use csr::Csr;
 pub use dense::{Mat3, Vec3};
 pub use error::SparseError;
 pub use pattern::Pattern;
-pub use sym::SymCsr;
 pub use tiles::{Bcsr3Tiles, SymTiles};

@@ -4,7 +4,7 @@
 //! "irregular memory reference patterns". RCM reduces the bandwidth of the
 //! stiffness matrix so that the gather of `x[col]` during the SMVP touches a
 //! compact window of the vector. The `quake-memsim` crate quantifies the
-//! effect; the `bench_reorder` ablation benchmarks it.
+//! effect.
 
 use crate::pattern::Pattern;
 use std::collections::VecDeque;

@@ -5,11 +5,14 @@ use quake_core::model::beta::{beta_bound, exact_comm_time, modeled_comm_time};
 use quake_mesh::geometry::{insphere, orient3d, Tetra};
 use quake_netsim::simulate::{simulate_comm_phase, SimOptions};
 use quake_netsim::workload::Workload;
+use quake_spark::bmv_sym_into;
+use quake_sparse::bcsr::Bcsr3Builder;
 use quake_sparse::coo::Coo;
-use quake_sparse::dense::Vec3;
+use quake_sparse::dense::{Mat3, Vec3};
 use quake_sparse::pattern::Pattern;
 use quake_sparse::reorder::{permuted_bandwidth, rcm};
-use quake_sparse::sym::SymCsr;
+use quake_sparse::tiles::{LaneBlock, SymTiles};
+use std::collections::BTreeSet;
 
 fn vec3_strategy() -> impl Strategy<Value = Vec3> {
     (-10.0..10.0f64, -10.0..10.0f64, -10.0..10.0f64).prop_map(|(x, y, z)| Vec3::new(x, y, z))
@@ -39,26 +42,42 @@ proptest! {
         }
     }
 
-    /// Symmetric storage computes the same product as full storage.
+    /// Half storage computes the same product as full storage, bit for bit:
+    /// `SymTiles` accepts a bitwise-symmetric `Bcsr3` and `bmv_sym_into`
+    /// reproduces `Bcsr3::spmv` on it.
     #[test]
     fn symmetric_storage_agrees(
-        pairs in prop::collection::vec((0usize..10, 0usize..10, -4.0..4.0f64), 0..40),
-        x in prop::collection::vec(-3.0..3.0f64, 10),
+        pairs in prop::collection::vec(
+            (0usize..10, 0usize..10, prop::collection::vec(-4.0..4.0f64, 9)),
+            0..40,
+        ),
+        x in prop::collection::vec(-3.0..3.0f64, 30),
     ) {
         let n = 10;
-        let mut coo = Coo::new(n, n);
-        for (a, b, v) in pairs {
-            coo.push(a, b, v).expect("bounded");
-            if a != b {
-                coo.push(b, a, v).expect("bounded");
+        let mut b = Bcsr3Builder::new(n);
+        // One block per unordered position: a repeat would sum twice on
+        // each side, and the two sums need not stay transposes bit for bit.
+        let mut seen = BTreeSet::new();
+        for (a, c, v) in pairs {
+            if !seen.insert((a.min(c), a.max(c))) {
+                continue;
+            }
+            let m = Mat3::new([[v[0], v[1], v[2]], [v[3], v[4], v[5]], [v[6], v[7], v[8]]]);
+            b.add_block(a, c, m);
+            if a != c {
+                b.add_block(c, a, m.transpose());
             }
         }
-        let full = coo.to_csr();
-        let sym = SymCsr::from_csr(&full, 1e-9).expect("built symmetric");
-        let yf = full.spmv_alloc(&x).expect("dims");
-        let ys = sym.spmv_alloc(&x).expect("dims");
+        let full = b.build();
+        let sym = SymTiles::from_bcsr(&full).expect("built bitwise symmetric");
+        let x: Vec<Vec3> = x.chunks(3).map(|c| Vec3::new(c[0], c[1], c[2])).collect();
+        let mut yf = vec![Vec3::ZERO; n];
+        full.spmv(&x, &mut yf).expect("dims");
+        let mut acc = vec![LaneBlock::default(); n];
+        let mut ys = vec![Vec3::ZERO; n];
+        bmv_sym_into(&sym, &x, &mut acc, &mut ys);
         for (a, b) in yf.iter().zip(&ys) {
-            prop_assert!((a - b).abs() < 1e-9);
+            prop_assert_eq!(a.to_array().map(f64::to_bits), b.to_array().map(f64::to_bits));
         }
     }
 
