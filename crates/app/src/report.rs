@@ -202,11 +202,10 @@ pub fn telemetry_summary(t: &Telemetry) -> String {
         let _ = writeln!(out, "phase walls: {}", walls.join(", "));
     }
     let mut table = Table::new(vec!["channel", "count", "p50", "p90", "p99", "max"]);
-    let channels: [(&str, HistSummary, bool); 4] = [
+    let channels: [(&str, HistSummary, bool); 3] = [
         ("block latency", t.block_latency_ns.summary(), true),
         ("block size (words)", t.block_words.summary(), false),
         ("PE compute", t.compute_ns.summary(), true),
-        ("retry delay", t.retry_ns.summary(), true),
     ];
     for (name, s, is_time) in channels {
         let cell = |v: u64| if is_time { ns(v) } else { v.to_string() };
@@ -339,12 +338,7 @@ mod tests {
         let text = telemetry_summary(&t);
         assert!(text.contains("telemetry: 3 steps"));
         assert!(text.contains("phase walls: compute 1.50 us"));
-        for channel in [
-            "block latency",
-            "block size (words)",
-            "PE compute",
-            "retry delay",
-        ] {
+        for channel in ["block latency", "block size (words)", "PE compute"] {
             assert!(text.contains(channel), "summary must list '{channel}'");
         }
         for header in ["p50", "p90", "p99", "max"] {

@@ -67,10 +67,7 @@ use super::wire::{
     decode_ghost, decode_ghost_batch, decode_result, encode_ghost, encode_ghost_batch,
     encode_result, ByteReader, ByteWriter, PeResult, RunSpec, ShardResult,
 };
-use super::{
-    block_checksum_vec3, ghost_edges, AcquireInfo, LinkParams, Mailbox, Transport, TransportError,
-    TransportKind,
-};
+use super::{ghost_edges, LinkParams, Mailbox, Transport, TransportError, TransportKind};
 use crate::executor::{BspExecutor, ExecutionReport, PeCounters, PhaseWalls};
 use crate::transport::run::{Built, Incident, RunOutput};
 use quake_core::fault::{
@@ -828,10 +825,7 @@ fn route_ghost(fabric: &Arc<Fabric>, step: u64, from: usize, to: usize, block: &
                 && relay_contribution(fabric, step, from, to, block).is_ok();
         }
     }
-    // Recompute the receiver-side checksum the executor's verify path
-    // will check the staged copy against.
-    let ck = block_checksum_vec3(block);
-    fabric.mailbox.deliver(edge, step, block, ck);
+    fabric.mailbox.deliver(edge, step, block);
     true
 }
 
@@ -855,8 +849,7 @@ fn scatter_merged(fabric: &Arc<Fabric>, step: u64, from: usize, to: usize, block
     }
     let owner = relay.pe_owner[to];
     if owner == fabric.id {
-        let ck = block_checksum_vec3(block);
-        fabric.mailbox.deliver(edge, step, block, ck);
+        fabric.mailbox.deliver(edge, step, block);
         return true;
     }
     let Ok(peer) = fabric.peer(owner) else {
@@ -1012,7 +1005,7 @@ impl Transport for ProcLink {
             }
         }
         if self.owner_of(to, from)? == self.shard {
-            return self.fabric.mailbox.post(step, from, to, block).map(|_| ());
+            return self.fabric.mailbox.post(step, from, to, block);
         }
         let &(_, len) = self
             .fabric
@@ -1056,7 +1049,7 @@ impl Transport for ProcLink {
         from: usize,
         to: usize,
         out: &mut [Vec3],
-    ) -> Result<AcquireInfo, TransportError> {
+    ) -> Result<f64, TransportError> {
         let owner = self.owner_of(from, to)?;
         if owner == self.shard {
             return self.fabric.mailbox.acquire(step, from, to, out);
@@ -1069,13 +1062,13 @@ impl Transport for ProcLink {
                 .fabric
                 .mailbox
                 .acquire_watch(step, from, to, out, || alive.alive.load(Ordering::Acquire))
-                .inspect(|info| {
+                .inspect(|&waited_s| {
                     self.fabric.note_flow(
                         FlowKind::Acquire,
                         step,
                         from,
                         to,
-                        (info.waited_s.max(0.0) * 1e9) as u64,
+                        (waited_s.max(0.0) * 1e9) as u64,
                     );
                 })
                 .map_err(|e| match e {
@@ -1091,7 +1084,7 @@ impl Transport for ProcLink {
         // that is dead or silent past the deadline is escalated to the
         // parent once per connection epoch.
         let rounds = self.fabric.restart_budget + 2;
-        let mut silent_s = 0u64;
+        let mut silent = Duration::ZERO;
         let blocked_from = Instant::now();
         for _ in 0..rounds {
             match self
@@ -1099,23 +1092,23 @@ impl Transport for ProcLink {
                 .mailbox
                 .acquire_watch(step, from, to, out, || true)
             {
-                Ok(mut info) => {
+                Ok(waited_s) => {
                     // Timed-out rounds blocked this PE just as surely as
                     // the final successful watch did: report the whole
                     // degraded wait, or the profiler would book recovery
                     // stalls as apply time (and blame the wrong shard).
-                    info.waited_s = info.waited_s.max(blocked_from.elapsed().as_secs_f64());
+                    let waited_s = waited_s.max(blocked_from.elapsed().as_secs_f64());
                     self.fabric.note_flow(
                         FlowKind::Acquire,
                         step,
                         from,
                         to,
-                        (info.waited_s.max(0.0) * 1e9) as u64,
+                        (waited_s.max(0.0) * 1e9) as u64,
                     );
-                    return Ok(info);
+                    return Ok(waited_s);
                 }
-                Err(TransportError::Timeout { waited_s, .. }) => {
-                    silent_s += waited_s;
+                Err(TransportError::Timeout { waited, .. }) => {
+                    silent += waited;
                     let dead = !peer.alive.load(Ordering::Acquire);
                     if (dead || self.fabric.stale(peer)) && !peer.done.load(Ordering::Acquire) {
                         let ep = peer.epoch.load(Ordering::SeqCst) + 1;
@@ -1131,7 +1124,7 @@ impl Transport for ProcLink {
         }
         Err(TransportError::PeerSuspect {
             shard: owner,
-            silent_s,
+            silent,
         })
     }
 
@@ -2112,7 +2105,6 @@ fn run_ensemble(
                         kind: "suspect",
                         shard: victim,
                     });
-                    let silent_s = conn_timeout.as_secs();
                     let done: Vec<bool> = results.iter().map(|r| r.is_some()).collect();
                     failure = sup.try_respawn(
                         &mut ensemble,
@@ -2120,7 +2112,7 @@ fn run_ensemble(
                         &done,
                         TransportError::PeerSuspect {
                             shard: victim,
-                            silent_s,
+                            silent: conn_timeout,
                         },
                     );
                 }
@@ -2143,13 +2135,15 @@ fn run_ensemble(
                         kind: "suspect",
                         shard: k,
                     });
-                    let silent_s = conn_timeout.as_secs();
                     let done: Vec<bool> = results.iter().map(|r| r.is_some()).collect();
                     failure = sup.try_respawn(
                         &mut ensemble,
                         k,
                         &done,
-                        TransportError::PeerSuspect { shard: k, silent_s },
+                        TransportError::PeerSuspect {
+                            shard: k,
+                            silent: conn_timeout,
+                        },
                     );
                 }
             }
@@ -2412,6 +2406,12 @@ mod tests {
         std::thread::spawn(move || reader_loop(f, p, stream, 0))
     }
 
+    /// Whether two blocks hold the same words, bit for bit.
+    fn same_bits(a: &[Vec3], b: &[Vec3]) -> bool {
+        let bits = |v: &Vec3| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| bits(x) == bits(y))
+    }
+
     fn test_link(fabric: &Arc<Fabric>) -> ProcLink {
         ProcLink {
             shard: 0,
@@ -2435,9 +2435,8 @@ mod tests {
         let payload = encode_ghost(3, 0, 1, &block);
         write_frame(&mut ours, FrameKind::Ghost, &payload).unwrap();
         let mut out = [Vec3::ZERO; 2];
-        let info = fabric.mailbox.acquire(3, 0, 1, &mut out).unwrap();
-        assert_eq!(out[0].x.to_bits(), block[0].x.to_bits());
-        assert_eq!(info.checksum, block_checksum_vec3(&block));
+        fabric.mailbox.acquire(3, 0, 1, &mut out).unwrap();
+        assert!(same_bits(&out, &block));
         assert!(peer.alive.load(Ordering::Acquire));
         write_frame(&mut ours, FrameKind::Bye, &[]).unwrap();
         h.join().unwrap();
@@ -2467,9 +2466,8 @@ mod tests {
         // ...and accept the clean replay on the still-framed stream.
         write_frame(&mut ours, FrameKind::Ghost, &payload).unwrap();
         let mut out = [Vec3::ZERO; 2];
-        let info = fabric.mailbox.acquire(0, 0, 1, &mut out).unwrap();
-        assert_eq!(out[1].z.to_bits(), block[1].z.to_bits());
-        assert_eq!(info.checksum, block_checksum_vec3(&block));
+        fabric.mailbox.acquire(0, 0, 1, &mut out).unwrap();
+        assert!(same_bits(&out, &block));
         drop(ours);
         h.join().unwrap();
     }
@@ -2729,9 +2727,8 @@ mod tests {
         write_frame(&mut leader2_ours, FrameKind::GhostBatch, &payload).unwrap();
         // Our own PE's sub-block lands in the mailbox...
         let mut out = [Vec3::ZERO; 2];
-        let info = fabric.mailbox.acquire(7, 2, 0, &mut out).unwrap();
-        assert_eq!(out[0].x.to_bits(), b20[0].x.to_bits());
-        assert_eq!(info.checksum, block_checksum_vec3(&b20));
+        fabric.mailbox.acquire(7, 2, 0, &mut out).unwrap();
+        assert!(same_bits(&out, &b20));
         // ...and the sibling member's rides a per-edge Ghost forward.
         member1_ours
             .set_read_timeout(Some(Duration::from_secs(2)))

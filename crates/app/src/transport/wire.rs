@@ -8,7 +8,7 @@
 //! generation, partitioning and assembly are all pure functions of the
 //! spec). Only ghost blocks and final results cross the sockets.
 
-use quake_core::fault::{FaultCounts, FaultReport};
+use quake_core::fault::{BlockChecksum, FaultCounts, FaultReport};
 use quake_sparse::dense::Vec3;
 
 use super::TransportError;
@@ -160,15 +160,27 @@ pub fn decode_ghost(payload: &[u8]) -> Result<GhostPayload, TransportError> {
 // Merged node-level batches.
 // ---------------------------------------------------------------------------
 
+/// FNV-1a digest of a ghost block, word by word (x, y, z per entry): a
+/// merged batch's per-sub-block digest.
+fn block_checksum_vec3(block: &[Vec3]) -> u64 {
+    let mut ck = BlockChecksum::new();
+    for v in block {
+        ck.write_f64(v.x);
+        ck.write_f64(v.y);
+        ck.write_f64(v.z);
+    }
+    ck.finish()
+}
+
 /// Encodes a merged node-level batch: several directed-edge ghost blocks
 /// gathered on one node, crossing the slow link as one frame.
 ///
 /// Layout: `count u32`, then per sub-block a manifest entry
 /// `(step u64, from u32, to u32, len u32)` followed by the block words and
-/// an FNV-1a digest of them ([`super::block_checksum_vec3`]). The frame
-/// codec's whole-payload checksum guards the wire; the per-sub-block
-/// digests let the receiver verify each constituent block independently —
-/// the property the chaos layer's resend path relies on when a batch is
+/// an FNV-1a digest of them (`block_checksum_vec3`). The frame codec's
+/// whole-payload checksum guards the wire; the per-sub-block digests let
+/// the receiver verify each constituent block independently — the
+/// property the wire layer's resend path relies on when a batch is
 /// replayed after a corruption or reconnect.
 pub fn encode_ghost_batch(subs: &[(u64, usize, usize, &[Vec3])]) -> Vec<u8> {
     let mut w = ByteWriter::new();
@@ -183,7 +195,7 @@ pub fn encode_ghost_batch(subs: &[(u64, usize, usize, &[Vec3])]) -> Vec<u8> {
             w.f64(v.y);
             w.f64(v.z);
         }
-        w.u64(super::block_checksum_vec3(block));
+        w.u64(block_checksum_vec3(block));
     }
     w.finish()
 }
@@ -209,7 +221,7 @@ pub fn decode_ghost_batch(payload: &[u8]) -> Result<Vec<GhostPayload>, Transport
             block.push(Vec3::new(r.f64()?, r.f64()?, r.f64()?));
         }
         let declared = r.u64()?;
-        let got = super::block_checksum_vec3(&block);
+        let got = block_checksum_vec3(&block);
         if got != declared {
             return Err(TransportError::Protocol(format!(
                 "batch sub-block {i} ({from}->{to} step {step}) checksum \
@@ -272,13 +284,9 @@ pub struct ShardResult {
 fn encode_fault(w: &mut ByteWriter, fr: &FaultReport) {
     for c in [&fr.injected, &fr.detected, &fr.recovered] {
         w.u64(c.straggle);
-        w.u64(c.drop);
-        w.u64(c.corrupt);
         w.u64(c.crash);
     }
-    for v in [fr.retries, fr.refetches, fr.degraded_shards] {
-        w.u64(v);
-    }
+    w.u64(fr.degraded_shards);
     for c in [&fr.wire_injected, &fr.wire_detected, &fr.wire_recovered] {
         w.u64(c.corrupt);
         w.u64(c.truncate);
@@ -305,16 +313,12 @@ fn decode_fault(r: &mut ByteReader<'_>) -> Result<FaultReport, TransportError> {
     let mut counts = [FaultCounts::default(); 3];
     for c in counts.iter_mut() {
         c.straggle = r.u64()?;
-        c.drop = r.u64()?;
-        c.corrupt = r.u64()?;
         c.crash = r.u64()?;
     }
     let mut fr = FaultReport {
         injected: counts[0],
         detected: counts[1],
         recovered: counts[2],
-        retries: r.u64()?,
-        refetches: r.u64()?,
         degraded_shards: r.u64()?,
         ..FaultReport::default()
     };
@@ -852,7 +856,7 @@ mod tests {
             ],
             fault: Some({
                 let mut fr = FaultReport {
-                    retries: 3,
+                    degraded_shards: 3,
                     wire_resends: 2,
                     reconnects: 1,
                     suspects: 1,

@@ -1,11 +1,13 @@
 //! Chaos property tests: the self-healing claim, quantified.
 //!
-//! For *any* seeded [`FaultPlan`] — stragglers, dropped exchange blocks,
-//! corrupted ghost words, and PE crashes — at *any* worker-thread count
-//! from 1 to 8, a recovered BSP SMVP run must be **bitwise-equal** to the
-//! fault-free run, its fault ledger must balance (injected == detected ==
-//! recovered), and its accumulated `F`/`C_max`/`B_max` counters must still
-//! match the fault-free characterization exactly. A second property drives
+//! For *any* seeded [`FaultPlan`] — stragglers and PE crashes, the
+//! executor's PE faults — at *any* worker-thread count from 1 to 8, a
+//! recovered BSP SMVP run must be **bitwise-equal** to the fault-free run,
+//! its fault ledger must balance (injected == detected == recovered), and
+//! its accumulated `F`/`C_max`/`B_max` counters must still match the
+//! fault-free characterization exactly. Block faults happen only on the
+//! proc transport's sockets; `transport_conformance`'s wire-chaos matrix
+//! covers them. A second property drives
 //! the crash path specifically: a crash at an arbitrary (step, PE) — over
 //! natural or RCM-renumbered subdomains, under the barrier or the overlap
 //! schedule — is healed by re-running the crashed worker's compute inside

@@ -3,11 +3,14 @@
 //! `ProfileReport` claims exactness by construction: the rungs of every
 //! step row sum to that row's measured step wall, the step wall is the
 //! maximum per-PE span total, and the straggler is a real PE of the run.
+//! The rows never bill more than the executor itself measured: their walls
+//! sum to at most its billed phase walls, so no span is counted twice.
 //! These must hold for every schedule the executor can produce — worker
-//! threads 1–8, ±RCM renumbering, ±latency-hiding overlap — because the
-//! span shapes differ (the overlap schedule emits post/compute/exchange
-//! triples, the barrier schedule compute/exchange pairs, and wait/barrier
-//! spans appear only when time was actually lost there).
+//! threads 1–8, ±RCM renumbering, ±latency-hiding overlap, ±chaos —
+//! because the span shapes differ (the overlap schedule emits
+//! post/compute/exchange triples, the barrier schedule compute/exchange
+//! pairs, chaos steps recover spans, and wait/barrier spans appear only
+//! when time was actually lost there).
 //!
 //! A crash re-run is billed to the crashed PE: its lane carries the
 //! re-run as a Recover span, so the profiler's `recover` rung sees it.
@@ -19,7 +22,7 @@ use proptest::prelude::*;
 use quake_app::executor::BspExecutor;
 use quake_app::family::{AppConfig, QuakeApp};
 use quake_app::DistributedSystem;
-use quake_core::fault::{FaultEvent, FaultKind, FaultPlan};
+use quake_core::fault::{FaultEvent, FaultKind, FaultPlan, FaultRates};
 use quake_core::telemetry::profile::{ProfileOptions, ProfileReport};
 use quake_core::telemetry::{
     DriftConfig, PhaseId, ShardTrace, Telemetry, TelemetryConfig, TelemetrySnapshot, TraceContext,
@@ -113,17 +116,29 @@ fn profile(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// For every schedule: each attribution row sums to its measured step
-    /// wall exactly, every step appears, and the straggler is a real PE.
+    /// For every schedule, with or without chaos: each attribution row
+    /// sums to its measured step wall exactly, the rows' walls sum to at
+    /// most the executor's billed wall, every step appears, and the
+    /// straggler is a real PE.
     #[test]
     fn attribution_rows_sum_to_the_measured_step_wall(
         threads in 1usize..=8,
         rcm in 0u8..2,
         overlap in 0u8..2,
+        faults in 0u8..2,
+        seed in 0u64..1_000,
     ) {
-        let (rcm, overlap) = (rcm == 1, overlap == 1);
+        let (rcm, overlap, faults) = (rcm == 1, overlap == 1, faults == 1);
         let fx = fixture();
         let mut exec = BspExecutor::with_options(&fx.system, threads, rcm, overlap);
+        if faults {
+            exec.enable_faults(FaultPlan::generate(
+                seed,
+                STEPS,
+                PARTS,
+                &FaultRates::uniform(0.25),
+            ));
+        }
         exec.enable_telemetry(quiet_telemetry());
         exec.run(&fx.x, STEPS);
         let telemetry = exec.telemetry().expect("telemetry armed");
@@ -151,6 +166,15 @@ proptest! {
             total_wall += row.wall_ns;
         }
         prop_assert_eq!(report.totals.total_ns(), total_wall);
+        // No span is billed twice: the rows' walls never exceed the wall
+        // the executor billed, up to each span's ns truncation (a row holds
+        // at most eight spans per step).
+        let billed_ns = exec.report().phases.total() * 1e9;
+        prop_assert!(
+            total_wall as f64 <= billed_ns + (8 * STEPS) as f64,
+            "threads {} rcm {} overlap {} faults {}: rows bill {} ns, executor {} ns",
+            threads, rcm, overlap, faults, total_wall, billed_ns
+        );
         // The profiler is pure over the same snapshot: rebuilding must
         // reproduce the rows bit for bit.
         let again = ProfileReport::build(
@@ -166,8 +190,10 @@ proptest! {
 
 /// A crash re-run is billed to the crashed PE: the re-run is a Recover
 /// span on that PE's lane only, the PE's `recover` rung on the crash step
-/// holds at least the whole span, and every row still sums to its step
-/// wall, for every PE and for the crashed PE's lane alone.
+/// holds at least the whole span, every row still sums to its step wall,
+/// for every PE and for the crashed PE's lane alone, and the rows bill no
+/// more than the executor measured (the re-run's nested own stages are
+/// not counted twice).
 #[test]
 fn crash_rerun_is_billed_to_the_crashed_pe() {
     const CRASHED: usize = 4;
@@ -212,6 +238,13 @@ fn crash_rerun_is_billed_to_the_crashed_pe() {
                 );
             }
         }
+        let (_, all) = profile(telemetry, 0, PARTS as u32, overlap);
+        let rows_ns: u64 = all.steps.iter().map(|r| r.wall_ns).sum();
+        let billed_ns = exec.report().phases.total() * 1e9;
+        assert!(
+            rows_ns as f64 <= billed_ns + (8 * STEPS) as f64,
+            "overlap {overlap}: rows bill {rows_ns} ns, executor {billed_ns} ns"
+        );
         let (_, lane) = profile(telemetry, CRASHED as u32, CRASHED as u32 + 1, overlap);
         let row = &lane.steps[AT as usize];
         assert_eq!(row.crit_pe, CRASHED as u32);

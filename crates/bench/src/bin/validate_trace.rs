@@ -19,11 +19,10 @@ use std::process::ExitCode;
 
 /// Metric families the exporter always emits, checked whenever a metrics
 /// file is validated.
-const EXPECTED_FAMILIES: [(&str, &str); 6] = [
+const EXPECTED_FAMILIES: [(&str, &str); 5] = [
     ("quake_block_latency_seconds", "histogram"),
     ("quake_block_size_words", "histogram"),
     ("quake_pe_compute_seconds", "histogram"),
-    ("quake_retry_delay_seconds", "histogram"),
     ("quake_steps_total", "counter"),
     ("quake_phase_seconds_total", "counter"),
 ];

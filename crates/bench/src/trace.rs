@@ -373,7 +373,7 @@ mod tests {
             t.add_phase_wall(phase, 1_000);
         }
         t.instant(TraceInstant {
-            name: "fault:drop",
+            name: "fault:crash",
             pe: 1,
             step: 0,
             at_ns: 42,
@@ -394,7 +394,7 @@ mod tests {
         assert_eq!(summary.spans, 2);
         assert_eq!(summary.instants, 1);
         assert!(summary.has_span("compute") && summary.has_span("exchange"));
-        assert!(summary.instant_names.contains("fault:drop"));
+        assert!(summary.instant_names.contains("fault:crash"));
     }
 
     #[test]

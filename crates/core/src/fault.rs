@@ -15,21 +15,24 @@
 //! chaos every run, which is what makes "every recovered run is bitwise
 //! equal to a fault-free run" a testable statement rather than a hope.
 //!
-//! Four fault kinds model the failure modes of the paper's machine:
+//! Two fault kinds model what a PE of the paper's machine can do wrong:
 //!
 //! * [`FaultKind::Straggle`] — one PE's compute phase is delayed (per-PE
 //!   jitter; the barrier absorbs it, and barrier-wait accounting sees it);
-//! * [`FaultKind::Drop`] — an exchange block is lost in flight and must be
-//!   re-fetched after a timeout (bounded retry with exponential backoff);
-//! * [`FaultKind::Corrupt`] — ghost words arrive bit-flipped; per-block
-//!   checksums detect the damage and force a clean re-fetch;
 //! * [`FaultKind::Crash`] — the PE dies mid-step; recovery re-runs its
 //!   compute inside the same step (the step is a pure function of `x`).
 //!
+//! Blocks fail only where bytes really travel: on the proc transport's
+//! sockets, sampled by [`WireFaultPlan`] (corrupt, truncate, delay, reset,
+//! stall) and healed by that transport's own protocol. An in-process
+//! mailbox cannot lose or damage a block, so no block fault is simulated
+//! there.
+//!
 //! [`FaultReport`] accounts for every event three ways — injected,
-//! detected, recovered — plus the recovery work performed (retries,
-//! re-fetches, inline crash re-runs). The three counts must balance;
-//! [`FaultReport::balanced`] is the invariant the chaos tests assert.
+//! detected, recovered — plus the recovery work performed (inline crash
+//! re-runs, and the wire layer's resends, reconnects and respawns). The
+//! three counts must balance; [`FaultReport::balanced`] is the invariant
+//! the chaos tests assert.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -59,16 +62,6 @@ pub enum FaultKind {
         /// Injected delay in microseconds.
         delay_us: u32,
     },
-    /// One of the PE's inbound exchange blocks is dropped in flight; the
-    /// first fetch attempt fails and must be retried.
-    Drop,
-    /// The PE's inbound ghost words arrive corrupted; `salt` selects which
-    /// word and which bit the executor flips (derived, so the plan stays
-    /// topology-independent).
-    Corrupt {
-        /// Deterministic selector for the corrupted word/bit.
-        salt: u64,
-    },
     /// The PE crashes mid-step (modeled as a worker panic while executing
     /// the PE's compute shard).
     Crash,
@@ -79,15 +72,13 @@ impl FaultKind {
     pub fn name(&self) -> &'static str {
         match self {
             FaultKind::Straggle { .. } => "straggle",
-            FaultKind::Drop => "drop",
-            FaultKind::Corrupt { .. } => "corrupt",
             FaultKind::Crash => "crash",
         }
     }
 }
 
 /// One kind of injected *wire* fault — damage applied to the live byte
-/// stream between shard processes, below the in-process chaos layer.
+/// stream between shard processes, the only place a block can fail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WireFaultKind {
     /// A payload byte of the outgoing frame is bit-flipped; the receiver's
@@ -256,9 +247,8 @@ impl WireFaultPlan {
 
 /// Bounded exponential backoff with deterministic *decorrelated jitter*
 /// (`sleep = min(cap, base + rand_between(0, 3·prev − base))`), seeded so
-/// the schedule is reproducible. Used by the exchange re-fetch loop so
-/// retries across PEs don't synchronize, and by the wire layer's
-/// reconnect dialer.
+/// the schedule is reproducible and redialing peers don't synchronize.
+/// Used by the wire layer's reconnect dialer.
 #[derive(Debug, Clone)]
 pub struct RetryBackoff {
     state: u64,
@@ -268,12 +258,6 @@ pub struct RetryBackoff {
 }
 
 impl RetryBackoff {
-    /// Default bounds match the historical re-fetch schedule
-    /// (`1<<attempt` µs clamped to 64 µs): base 2 µs, cap 64 µs.
-    pub fn new(seed: u64) -> Self {
-        RetryBackoff::with_bounds(seed, 2, 64)
-    }
-
     /// Backoff over `[base_us, cap_us]` microseconds.
     ///
     /// # Panics
@@ -316,12 +300,8 @@ pub struct FaultEvent {
 pub struct FaultRates {
     /// Probability a PE straggles in a given step.
     pub straggle: f64,
-    /// Probability one of a PE's inbound blocks is dropped in a given step.
-    pub drop: f64,
-    /// Probability a PE's inbound ghost words are corrupted in a given step.
-    pub corrupt: f64,
     /// Probability a PE crashes in a given step (usually much smaller than
-    /// the transient rates).
+    /// the straggle rate).
     pub crash: f64,
     /// Hard cap on generated crash events across the whole plan (crashes
     /// are the expensive faults to recover from; `u32::MAX` means no cap).
@@ -333,16 +313,13 @@ impl FaultRates {
     pub fn none() -> Self {
         FaultRates {
             straggle: 0.0,
-            drop: 0.0,
-            corrupt: 0.0,
             crash: 0.0,
             max_crashes: 0,
         }
     }
 
-    /// The CLI's one-knob preset: transient faults (straggle, drop,
-    /// corrupt) at `rate`, crashes at a tenth of it capped to one — the
-    /// paper's "one bad PE" scenario.
+    /// The CLI's one-knob preset: stragglers at `rate`, crashes at a
+    /// tenth of it capped to one — the paper's "one bad PE" scenario.
     ///
     /// # Panics
     ///
@@ -351,8 +328,6 @@ impl FaultRates {
         assert!((0.0..=1.0).contains(&rate), "rate must be in [0, 1]");
         FaultRates {
             straggle: rate,
-            drop: rate,
-            corrupt: rate,
             crash: rate / 10.0,
             max_crashes: 1,
         }
@@ -360,7 +335,7 @@ impl FaultRates {
 
     /// True if every rate is zero (the plan will be empty).
     pub fn is_zero(&self) -> bool {
-        self.straggle == 0.0 && self.drop == 0.0 && self.corrupt == 0.0 && self.crash == 0.0
+        self.straggle == 0.0 && self.crash == 0.0
     }
 }
 
@@ -402,21 +377,6 @@ impl FaultPlan {
                         step,
                         pe,
                         kind: FaultKind::Straggle { delay_us },
-                    });
-                }
-                if rates.drop > 0.0 && rng.gen_bool(rates.drop) {
-                    events.push(FaultEvent {
-                        step,
-                        pe,
-                        kind: FaultKind::Drop,
-                    });
-                }
-                if rates.corrupt > 0.0 && rng.gen_bool(rates.corrupt) {
-                    let salt = rng.gen::<u64>();
-                    events.push(FaultEvent {
-                        step,
-                        pe,
-                        kind: FaultKind::Corrupt { salt },
                     });
                 }
                 if rates.crash > 0.0 && crashes < rates.max_crashes && rng.gen_bool(rates.crash) {
@@ -474,10 +434,6 @@ impl FaultPlan {
 pub struct FaultCounts {
     /// Straggler delays.
     pub straggle: u64,
-    /// Dropped exchange blocks.
-    pub drop: u64,
-    /// Corrupted ghost-word blocks.
-    pub corrupt: u64,
     /// PE crashes.
     pub crash: u64,
 }
@@ -487,15 +443,13 @@ impl FaultCounts {
     pub fn add(&mut self, kind: &FaultKind, n: u64) {
         match kind {
             FaultKind::Straggle { .. } => self.straggle += n,
-            FaultKind::Drop => self.drop += n,
-            FaultKind::Corrupt { .. } => self.corrupt += n,
             FaultKind::Crash => self.crash += n,
         }
     }
 
     /// Total events across kinds.
     pub fn total(&self) -> u64 {
-        self.straggle + self.drop + self.corrupt + self.crash
+        self.straggle + self.crash
     }
 }
 
@@ -503,11 +457,9 @@ impl fmt::Display for FaultCounts {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} (straggle {}, drop {}, corrupt {}, crash {})",
+            "{} (straggle {}, crash {})",
             self.total(),
             self.straggle,
-            self.drop,
-            self.corrupt,
             self.crash
         )
     }
@@ -519,15 +471,11 @@ impl fmt::Display for FaultCounts {
 pub struct FaultReport {
     /// Events the plan actually fired during executed steps.
     pub injected: FaultCounts,
-    /// Events the recovery machinery noticed (timeout, checksum mismatch,
-    /// caught panic, observed delay).
+    /// Events the recovery machinery noticed (caught panic, observed
+    /// delay).
     pub detected: FaultCounts,
     /// Events fully recovered from (output provably unaffected).
     pub recovered: FaultCounts,
-    /// Exchange fetch attempts beyond the first (drop recovery).
-    pub retries: u64,
-    /// Clean re-fetches after a checksum mismatch (corruption recovery).
-    pub refetches: u64,
     /// Inline crash re-runs: a crashed worker's compute re-executed on the
     /// calling thread within the same step.
     pub degraded_shards: u64,
@@ -589,12 +537,8 @@ impl FaultReport {
             (&mut self.recovered, &other.recovered),
         ] {
             mine.straggle += theirs.straggle;
-            mine.drop += theirs.drop;
-            mine.corrupt += theirs.corrupt;
             mine.crash += theirs.crash;
         }
-        self.retries += other.retries;
-        self.refetches += other.refetches;
         self.degraded_shards += other.degraded_shards;
         for (mine, theirs) in [
             (&mut self.wire_injected, &other.wire_injected),
@@ -629,8 +573,8 @@ impl FaultReport {
         format!(
             concat!(
                 "{{\"injected\":{},\"detected\":{},\"recovered\":{},",
-                "\"injected_by_kind\":{{\"straggle\":{},\"drop\":{},\"corrupt\":{},\"crash\":{}}},",
-                "\"retries\":{},\"refetches\":{},\"degraded_shards\":{},",
+                "\"injected_by_kind\":{{\"straggle\":{},\"crash\":{}}},",
+                "\"degraded_shards\":{},",
                 "\"wire_injected\":{},\"wire_detected\":{},\"wire_recovered\":{},",
                 "\"wire_injected_by_kind\":{{\"corrupt\":{},\"truncate\":{},\"delay\":{},",
                 "\"reset\":{},\"stall\":{}}},",
@@ -641,11 +585,7 @@ impl FaultReport {
             self.detected.total(),
             self.recovered.total(),
             self.injected.straggle,
-            self.injected.drop,
-            self.injected.corrupt,
             self.injected.crash,
-            self.retries,
-            self.refetches,
             self.degraded_shards,
             self.wire_injected.total(),
             self.wire_detected.total(),
@@ -673,8 +613,8 @@ impl fmt::Display for FaultReport {
         writeln!(f, "  recovered: {}", self.recovered)?;
         writeln!(
             f,
-            "  recovery work: {} retries, {} re-fetches, {} degraded shards",
-            self.retries, self.refetches, self.degraded_shards
+            "  recovery work: {} degraded shards",
+            self.degraded_shards
         )?;
         if self.wire_injected.total() > 0
             || self.wire_resends > 0
@@ -709,8 +649,8 @@ impl fmt::Display for FaultReport {
     }
 }
 
-/// Incremental FNV-1a over `f64` bit patterns — the per-block checksum used
-/// to detect corrupted ghost words. Bit-exact: any single flipped mantissa
+/// Incremental FNV-1a over `f64` bit patterns — the per-sub-block digest
+/// the proc transport's merged-batch codec checks on socket input. Bit-exact: any single flipped mantissa
 /// or exponent bit changes the sum.
 #[derive(Debug, Clone, Copy)]
 pub struct BlockChecksum(u64);
@@ -760,8 +700,6 @@ mod tests {
     fn dense_rates() -> FaultRates {
         FaultRates {
             straggle: 0.3,
-            drop: 0.3,
-            corrupt: 0.3,
             crash: 0.05,
             max_crashes: u32::MAX,
         }
@@ -841,7 +779,7 @@ mod tests {
             FaultEvent {
                 step: 5,
                 pe: 1,
-                kind: FaultKind::Drop,
+                kind: FaultKind::Crash,
             },
             FaultEvent {
                 step: 0,
@@ -851,7 +789,7 @@ mod tests {
             FaultEvent {
                 step: 5,
                 pe: 0,
-                kind: FaultKind::Corrupt { salt: 1 },
+                kind: FaultKind::Straggle { delay_us: 1 },
             },
         ]);
         assert_eq!(plan.events()[0].step, 0);
@@ -862,20 +800,15 @@ mod tests {
     #[test]
     fn counts_and_balance() {
         let mut report = FaultReport::default();
-        let kinds = [
-            FaultKind::Straggle { delay_us: 10 },
-            FaultKind::Drop,
-            FaultKind::Corrupt { salt: 0 },
-            FaultKind::Crash,
-        ];
+        let kinds = [FaultKind::Straggle { delay_us: 10 }, FaultKind::Crash];
         for k in &kinds {
             report.injected.add(k, 2);
             report.detected.add(k, 2);
             report.recovered.add(k, 2);
         }
-        assert_eq!(report.injected.total(), 8);
+        assert_eq!(report.injected.total(), 4);
         assert!(report.balanced());
-        report.recovered.drop -= 1;
+        report.recovered.crash -= 1;
         assert!(!report.balanced());
     }
 
@@ -888,7 +821,6 @@ mod tests {
             "\"injected\":",
             "\"detected\":",
             "\"recovered\":",
-            "\"retries\":",
             "\"degraded_shards\":",
             "\"balanced\":true",
         ] {
@@ -953,12 +885,6 @@ mod tests {
         assert_ne!(schedule(42), schedule(43), "seeds must decorrelate");
         for d in schedule(42) {
             assert!((5..=4000).contains(&d), "delay {d}µs escaped [base, cap]");
-        }
-        // The default bounds match the historical 2..64µs re-fetch window.
-        let mut b = RetryBackoff::new(1);
-        for _ in 0..32 {
-            let d = b.next_delay().as_micros() as u64;
-            assert!((2..=64).contains(&d));
         }
     }
 

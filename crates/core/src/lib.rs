@@ -16,8 +16,8 @@
 //! * [`machine`] — `T_f`/`T_l`/`T_w` presets including the paper's Cray
 //!   T3D/T3E measurements;
 //! * [`fault`] — the deterministic chaos layer: seeded per-step/per-PE
-//!   fault plans (stragglers, drops, corruption, crashes), recovery
-//!   policies, and the injected/detected/recovered ledger;
+//!   fault plans (stragglers, crashes), the wire-fault sampler, and the
+//!   injected/detected/recovered ledger;
 //! * [`telemetry`] — the observability layer: per-phase span tracing,
 //!   log2-bucketed latency/size histograms, live Eq. (2) drift detection,
 //!   and Chrome-trace/Prometheus exporters;

@@ -29,7 +29,7 @@ use super::span::{PhaseId, Span};
 use super::Telemetry;
 
 /// Codec version byte; bump on any layout change.
-const SNAPSHOT_VERSION: u8 = 2;
+const SNAPSHOT_VERSION: u8 = 3;
 
 /// Decode-side caps: a corrupt or adversarial length prefix must not turn
 /// into a multi-gigabyte allocation. Generous multiples of the real
@@ -123,8 +123,6 @@ pub struct TelemetrySnapshot {
     pub block_words: Log2Histogram,
     /// Per-PE compute-phase time, ns.
     pub compute_ns: Log2Histogram,
-    /// Chaos-layer backoff delay, ns.
-    pub retry_ns: Log2Histogram,
     /// Node-aggregated exchange: merged per-(node, node) block size, words.
     pub node_block_words: Log2Histogram,
     /// Cross-shard transfer endpoints recorded by this shard.
@@ -170,7 +168,6 @@ impl TelemetrySnapshot {
             block_latency_ns: telemetry.block_latency_ns.clone(),
             block_words: telemetry.block_words.clone(),
             compute_ns: telemetry.compute_ns.clone(),
-            retry_ns: telemetry.retry_ns.clone(),
             node_block_words: telemetry.node_block_words.clone(),
             flows,
             flows_dropped,
@@ -212,7 +209,6 @@ impl TelemetrySnapshot {
             &self.block_latency_ns,
             &self.block_words,
             &self.compute_ns,
-            &self.retry_ns,
             &self.node_block_words,
         ] {
             put_histogram(&mut w, h);
@@ -291,7 +287,6 @@ impl TelemetrySnapshot {
         let block_latency_ns = take_histogram(&mut r)?;
         let block_words = take_histogram(&mut r)?;
         let compute_ns = take_histogram(&mut r)?;
-        let retry_ns = take_histogram(&mut r)?;
         let node_block_words = take_histogram(&mut r)?;
         let flow_count = r.len("flow count", MAX_SEQ)?;
         let mut flows = Vec::with_capacity(flow_count);
@@ -330,7 +325,6 @@ impl TelemetrySnapshot {
             block_latency_ns,
             block_words,
             compute_ns,
-            retry_ns,
             node_block_words,
             flows,
             flows_dropped,

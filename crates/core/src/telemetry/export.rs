@@ -66,13 +66,6 @@ impl Telemetry {
         );
         write_histogram(
             &mut out,
-            "quake_retry_delay_seconds",
-            "Chaos-layer backoff/retry delay.",
-            &self.retry_ns,
-            1e-9,
-        );
-        write_histogram(
-            &mut out,
             "quake_node_block_words",
             "Merged cross-node aggregate block size per (node, node) pair \
              in 64-bit words (empty on flat runs).",
@@ -210,7 +203,7 @@ mod tests {
             t.steps += 1;
         }
         t.instant(TraceInstant {
-            name: "fault:drop",
+            name: "fault:crash",
             pe: 1,
             step: 1,
             at_ns: 1550,
@@ -234,7 +227,7 @@ mod tests {
             "\"name\":\"fold\"",
             "\"ph\":\"X\"",
             "\"ph\":\"i\"",
-            "\"name\":\"fault:drop\"",
+            "\"name\":\"fault:crash\"",
             "\"args\":{\"step\":1}",
         ] {
             assert!(text.contains(needle), "missing {needle} in trace:\n{text}");
@@ -251,7 +244,6 @@ mod tests {
             "quake_block_latency_seconds",
             "quake_block_size_words",
             "quake_pe_compute_seconds",
-            "quake_retry_delay_seconds",
             "quake_steps_total",
             "quake_phase_seconds_total",
             "quake_spans_dropped_total",

@@ -361,7 +361,6 @@ pub fn merged_telemetry(shards: &[ShardTrace]) -> Telemetry {
         t.block_latency_ns.merge(&snap.block_latency_ns);
         t.block_words.merge(&snap.block_words);
         t.compute_ns.merge(&snap.compute_ns);
-        t.retry_ns.merge(&snap.retry_ns);
         t.node_block_words.merge(&snap.node_block_words);
         t.steps = t.steps.max(snap.steps);
     }
@@ -413,7 +412,6 @@ mod tests {
                 block_latency_ns: Default::default(),
                 block_words: Default::default(),
                 compute_ns: Default::default(),
-                retry_ns: Default::default(),
                 node_block_words: Default::default(),
                 flows: Vec::new(),
                 flows_dropped: 0,
@@ -586,7 +584,7 @@ mod tests {
             });
         }
         t.instant(TraceInstant {
-            name: "fault:drop",
+            name: "fault:crash",
             pe: 1,
             step: 0,
             at_ns: 1_550,
@@ -600,7 +598,7 @@ mod tests {
             "\"tid\":1,\"args\":{\"name\":\"PE 1\"}",
             "\"tid\":2,\"args\":{\"name\":\"driver\"}",
             "\"name\":\"fold\",\"cat\":\"bsp\",\"ph\":\"X\",\"pid\":0,\"tid\":2",
-            "\"name\":\"fault:drop\",\"cat\":\"fault\",\"ph\":\"i\"",
+            "\"name\":\"fault:crash\",\"cat\":\"fault\",\"ph\":\"i\"",
             "\"ts\":1.550",
             "\"name\":\"node_block_words\",\"count\":2,",
             "\"max\":160,\"mean\":128}",

@@ -10,11 +10,12 @@
 //!
 //! * [`SpanRing`] / [`PhaseId`] — a preallocated overwrite-oldest ring of
 //!   per-PE, per-step phase spans with a fixed span vocabulary
-//!   (`compute`, `stage`, `verify`, `exchange`, `barrier`, `recover`, plus
-//!   `assemble`/`fold`); recording is allocation-free in steady state;
+//!   (`compute`, `exchange`, `barrier`, `recover`, plus `assemble`/`fold`
+//!   and the nested `post`/`wait`/`gather`); recording is allocation-free
+//!   in steady state;
 //! * [`Log2Histogram`] — HDR-style power-of-two-bucketed histograms with
-//!   p50/p90/p99/max summaries, used for block latency, block size,
-//!   per-PE compute time, and chaos-layer backoff delays;
+//!   p50/p90/p99/max summaries, used for block latency, block size and
+//!   per-PE compute time;
 //! * [`DriftMonitor`] — per-step comparison of the measured exchange time
 //!   against the Eq. (2) prediction `B_max·T_l + C_max·T_w` and the §3.4 β
 //!   bracket, flagging steps the linear model cannot explain;
@@ -80,8 +81,6 @@ pub struct Telemetry {
     pub block_words: Log2Histogram,
     /// Per-PE compute-phase time, nanoseconds.
     pub compute_ns: Log2Histogram,
-    /// Chaos-layer backoff/retry delay, nanoseconds.
-    pub retry_ns: Log2Histogram,
     /// Node-aggregated exchange: merged per-(node, node) block size, words.
     /// Empty on flat runs.
     pub node_block_words: Log2Histogram,
@@ -112,7 +111,6 @@ impl Telemetry {
             block_latency_ns: Log2Histogram::new(),
             block_words: Log2Histogram::new(),
             compute_ns: Log2Histogram::new(),
-            retry_ns: Log2Histogram::new(),
             node_block_words: Log2Histogram::new(),
             drift: config.drift.map(|d| DriftMonitor::new(loads, d)),
             steps: 0,
@@ -187,7 +185,7 @@ mod tests {
         });
         t.add_phase_wall(PhaseId::Compute, 100);
         t.instant(TraceInstant {
-            name: "fault:drop",
+            name: "fault:crash",
             pe: 1,
             step: 0,
             at_ns: 50,

@@ -64,7 +64,8 @@ pub struct Rungs {
     pub wait_ns: u64,
     /// Step-barrier residual (wall minus this PE's own work).
     pub barrier_ns: u64,
-    /// Chaos-layer staging, verification, and recovery.
+    /// Chaos-layer crash recovery: the re-run time not spent on this
+    /// PE's own stages.
     pub recover_ns: u64,
     /// Everything else on the PE lane (assemble, fold).
     pub other_ns: u64,
@@ -209,9 +210,7 @@ impl ProfileReport {
                 apply_ns: exchange - wait,
                 wait_ns: wait,
                 barrier_ns: sums[PhaseId::Barrier as usize],
-                recover_ns: sums[PhaseId::Stage as usize]
-                    + sums[PhaseId::Verify as usize]
-                    + sums[PhaseId::Recover as usize],
+                recover_ns: sums[PhaseId::Recover as usize],
                 other_ns: sums[PhaseId::Assemble as usize] + sums[PhaseId::Fold as usize],
             };
             rows.entry(step).or_default().push((pe, r));
@@ -496,7 +495,6 @@ mod tests {
                 block_latency_ns: Default::default(),
                 block_words: Default::default(),
                 compute_ns: Default::default(),
-                retry_ns: Default::default(),
                 node_block_words: Default::default(),
                 flows: Vec::new(),
                 flows_dropped: 0,

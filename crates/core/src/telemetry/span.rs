@@ -8,7 +8,7 @@
 //! part a person debugging a drifting run actually wants to see.
 
 /// The fixed span vocabulary: every phase the executor can attribute time
-/// to, including the chaos layer's staging/verify/recovery work.
+/// to, including the chaos layer's crash recovery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum PhaseId {
@@ -16,10 +16,6 @@ pub enum PhaseId {
     Assemble,
     /// Local SMVP per PE.
     Compute,
-    /// Staging an inbound exchange block through the modeled NI buffer.
-    Stage,
-    /// Checksum verification of a staged block.
-    Verify,
     /// Pairwise exchange-and-sum of neighbor contributions.
     Exchange,
     /// Wait at a phase barrier (phase wall minus this PE's own work).
@@ -44,12 +40,10 @@ pub enum PhaseId {
 
 impl PhaseId {
     /// Every phase, in execution order.
-    pub const ALL: [PhaseId; 11] = [
+    pub const ALL: [PhaseId; 9] = [
         PhaseId::Assemble,
         PhaseId::Post,
         PhaseId::Compute,
-        PhaseId::Stage,
-        PhaseId::Verify,
         PhaseId::Exchange,
         PhaseId::Gather,
         PhaseId::Wait,
@@ -63,8 +57,6 @@ impl PhaseId {
         match self {
             PhaseId::Assemble => "assemble",
             PhaseId::Compute => "compute",
-            PhaseId::Stage => "stage",
-            PhaseId::Verify => "verify",
             PhaseId::Exchange => "exchange",
             PhaseId::Barrier => "barrier",
             PhaseId::Fold => "fold",
@@ -103,7 +95,7 @@ pub struct Span {
 /// A point event (zero duration): injected faults, detections, restores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceInstant {
-    /// Stable event name (e.g. `fault:drop`, `recover:rerun`).
+    /// Stable event name (e.g. `fault:crash`, `recover:rerun`).
     pub name: &'static str,
     /// PE the event is attributed to.
     pub pe: u32,
@@ -236,9 +228,7 @@ mod tests {
         let names: std::collections::BTreeSet<&str> =
             PhaseId::ALL.iter().map(|p| p.name()).collect();
         assert_eq!(names.len(), PhaseId::ALL.len());
-        for required in [
-            "compute", "stage", "verify", "exchange", "barrier", "recover",
-        ] {
+        for required in ["compute", "exchange", "barrier", "recover"] {
             assert!(names.contains(required), "missing span id {required:?}");
         }
     }

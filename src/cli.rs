@@ -276,12 +276,13 @@ COMMANDS:
                   blocks as they land; output is bitwise-equal to the
                   barrier schedule (proved every run) and counters are
                   unaffected; composes with --rcm, --trace and --fault-rate
-                  --fault-rate <r: 0>  arm the chaos layer: per-(step, PE)
-                  probability of injected stragglers/drops/corruption (PE
-                  crashes at r/10, at most one); a crashed PE's compute is
-                  re-run within its step, so the output stays bitwise-equal
-                  to the fault-free run (proved every run); 0 leaves the
-                  clean path untouched
+                  --fault-rate <r: 0>  arm the chaos layer's PE faults:
+                  per-(step, PE) probability of stragglers and crashes
+                  (crashes at r/10, at most one); a crashed PE's compute
+                  is re-run within its step, so the output stays
+                  bitwise-equal to the fault-free run (proved every run);
+                  blocks fail only on the wire (--wire-fault-rate); 0
+                  leaves the clean path untouched
                   --fault-seed <n: 0>  seed for the deterministic fault plan
                   --fault-json <file>  write the FaultReport as JSON
                   --trace <on|off>  arm the telemetry layer: per-phase span
