@@ -540,9 +540,11 @@ pub struct BspExecutor {
     stage: Vec<Vec<Vec3>>,
     /// Per-PE stage stamps of the current step.
     clock: Vec<StageClock>,
-    /// Per-PE exchange seconds net of transport waits, the drift monitor's
-    /// feed on traced steps: blocking in `acquire` tracks the sender's
-    /// progress, so it may not read as per-PE load skew.
+    /// Per-PE exchange seconds net of transport waits, capped by the PE
+    /// thread's CPU time over the same stamps: the drift monitor's feed on
+    /// traced steps. Blocking in `acquire` tracks the sender's progress,
+    /// and a descheduled thread the host's load, so neither may read as
+    /// per-PE load skew.
     wait_scratch: Vec<f64>,
     counters: Vec<PeCounters>,
     phases: PhaseWalls,
@@ -1184,7 +1186,9 @@ impl BspExecutor {
     /// that time leaves its barrier residual, so its spans still sum to
     /// `wall`. The drift monitor sees exchange time net of transport
     /// waits: blocking in `acquire` tracks the sender's progress, not this
-    /// PE's load.
+    /// PE's load. It takes the PE thread's CPU time over the same stamps
+    /// instead where that is lower, so a PE preempted mid-exchange does not
+    /// read as drift.
     fn record_trace(&mut self, telem: &mut TelemetryState, step: u64, wall: f64, bill: &PeSecs) {
         let overlap = self.boundary_rows.is_some();
         let epoch = telem.epoch;
@@ -1259,7 +1263,10 @@ impl BspExecutor {
                 data.block_latency_ns.record(ns);
                 data.block_words.record(3 * msg.pairs.len() as u64);
             }
-            self.wait_scratch[q] = (s.exchange - clk.wait).max(0.0);
+            // A PE descheduled mid-exchange reads milliseconds of wall
+            // time it never ran; its CPU clock did not advance meanwhile.
+            let cpu = clk.exchange_cpu + if overlap { 0.0 } else { clk.post_cpu };
+            self.wait_scratch[q] = (s.exchange - clk.wait).min(cpu).max(0.0);
         }
         if let Some(nv) = &self.node_view {
             for &w in &nv.pair_words {
@@ -1331,6 +1338,11 @@ struct StageClock {
     done: Instant,
     /// Seconds of the exchange spent blocked in transport waits.
     wait: f64,
+    /// Seconds the running thread's CPU clock advanced over posting and
+    /// over the exchange stage. The clock stops while the thread is
+    /// descheduled; read on traced steps only, infinite otherwise.
+    post_cpu: f64,
+    exchange_cpu: f64,
 }
 
 /// Seconds billed to one PE (or summed over a worker's PEs) for a step.
@@ -1364,6 +1376,8 @@ impl StageClock {
             fold: t,
             done: t,
             wait: 0.0,
+            post_cpu: f64::INFINITY,
+            exchange_cpu: f64::INFINITY,
         }
     }
 
@@ -1412,6 +1426,13 @@ trait StepHooks: Sync {
     #[inline]
     unsafe fn before_compute(&self, _step: u64, _q: usize) {}
 
+    /// The calling thread's CPU clock in seconds, on steps whose timings
+    /// are recorded; `None` on the others, which never read it.
+    #[inline]
+    fn thread_cpu(&self) -> Option<f64> {
+        None
+    }
+
     /// Runs `acquire`, the fetch of PE `q`'s `mi`-th inbound block, and
     /// returns its seconds spent blocked in transport waits.
     ///
@@ -1431,6 +1452,36 @@ trait StepHooks: Sync {
     /// After the step was billed; `bill` is its phase walls.
     #[inline]
     fn after_step(&mut self, _exec: &mut BspExecutor, _step: u64, _wall: f64, _bill: &PeSecs) {}
+}
+
+/// The CPU time the calling thread has run, in seconds, from its own
+/// clock (`CLOCK_THREAD_CPUTIME_ID`); `None` where that clock cannot be
+/// read.
+#[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+fn thread_cpu_secs() -> Option<f64> {
+    #[repr(C)]
+    struct Timespec {
+        sec: i64,
+        nsec: i64,
+    }
+    extern "C" {
+        fn clock_gettime(clock: i32, tp: *mut Timespec) -> i32;
+    }
+    const CLOCK_THREAD_CPUTIME_ID: i32 = 3;
+    let mut ts = Timespec { sec: 0, nsec: 0 };
+    // SAFETY: `ts` is a valid, writable timespec for the call.
+    let ok = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) } == 0;
+    ok.then_some(ts.sec as f64 + ts.nsec as f64 * 1e-9)
+}
+
+#[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+fn thread_cpu_secs() -> Option<f64> {
+    None
+}
+
+/// Seconds between two CPU-clock readings; infinite unless both exist.
+fn cpu_between(start: Option<f64>, end: Option<f64>) -> f64 {
+    start.zip(end).map_or(f64::INFINITY, |(a, b)| b - a)
 }
 
 /// The clean step: no hooks, compiled away.
@@ -1453,6 +1504,10 @@ impl Traced {
 }
 
 impl StepHooks for Traced {
+    fn thread_cpu(&self) -> Option<f64> {
+        thread_cpu_secs()
+    }
+
     /// Records the fetch's latency as PE `q`'s `mi`-th message.
     unsafe fn fetch(&self, q: usize, mi: usize, acquire: impl FnOnce() -> f64) -> f64 {
         let t = Instant::now();
@@ -1517,6 +1572,10 @@ impl StepHooks for Chaos {
                 }
             }
         }
+    }
+
+    fn thread_cpu(&self) -> Option<f64> {
+        self.trace.as_ref().and_then(Traced::thread_cpu)
     }
 
     unsafe fn fetch(&self, q: usize, mi: usize, acquire: impl FnOnce() -> f64) -> f64 {
@@ -1732,6 +1791,7 @@ impl<H: StepHooks> StepCtx<'_, H> {
     /// (checked at build), so the blocks are complete after stage 1.
     fn post(&self, q: usize, part: &[Vec3], pack: &mut [Vec3], clk: &mut StageClock, at: Instant) {
         clk.post = at;
+        let cpu = self.hooks.thread_cpu();
         for ob in &self.outbound[q] {
             let blk = &mut pack[..ob.send_idx.len()];
             for (slot, &l) in blk.iter_mut().zip(&ob.send_idx) {
@@ -1742,6 +1802,7 @@ impl<H: StepHooks> StepCtx<'_, H> {
                 .expect("transport post");
         }
         clk.posted = Instant::now();
+        clk.post_cpu = cpu_between(cpu, self.hooks.thread_cpu());
     }
 
     /// Stage 3 for worker `w`'s PEs, posting them all first when split.
@@ -1760,6 +1821,7 @@ impl<H: StepHooks> StepCtx<'_, H> {
             // SAFETY: as in `compute`.
             let b = unsafe { self.bufs(q) };
             b.clock.exchange = Instant::now();
+            let cpu = self.hooks.thread_cpu();
             // Acquire and apply in schedule order, the serial product's
             // summation order, so every transport is bitwise-equivalent.
             b.exchanged.copy_from_slice(b.partials);
@@ -1779,6 +1841,7 @@ impl<H: StepHooks> StepCtx<'_, H> {
                 }
             }
             b.clock.fold = Instant::now();
+            b.clock.exchange_cpu = cpu_between(cpu, self.hooks.thread_cpu());
             for &(l, g) in &self.pe[q].fold {
                 // SAFETY: each global node is in exactly one owned PE's
                 // fold list, so workers write disjoint slots of `y`.
@@ -2505,10 +2568,9 @@ mod tests {
         assert!(plain.telemetry().is_none());
 
         let mut traced = BspExecutor::new(&sys, 3);
-        // Drift floor raised past CI scheduler noise: a preempted worker
-        // mid-exchange is indistinguishable from real drift, and this test
-        // asserts wiring, not the monitor's sensitivity (unit-tested in
-        // quake-core over synthetic times).
+        // Drift floor raised past CI scheduler noise: this test asserts
+        // wiring, not the monitor's sensitivity (unit-tested in quake-core
+        // over synthetic times).
         traced.enable_telemetry(TelemetryConfig {
             drift: Some(quake_core::telemetry::DriftConfig {
                 min_time_s: 1.0,
@@ -2554,6 +2616,22 @@ mod tests {
             drift.worst()
         );
         assert!(t.instants().is_empty(), "clean run has no fault instants");
+    }
+
+    #[test]
+    fn thread_cpu_clock_stops_while_the_thread_is_off_cpu() {
+        let Some(t0) = thread_cpu_secs() else {
+            eprintln!("skipping: no thread CPU clock on this host");
+            return;
+        };
+        std::thread::sleep(Duration::from_millis(30));
+        let slept = thread_cpu_secs().unwrap() - t0;
+        assert!(slept < 0.015, "a sleeping thread ran {slept} s of CPU");
+        // Spinning advances it.
+        let t1 = thread_cpu_secs().unwrap();
+        while thread_cpu_secs().unwrap() - t1 < 2e-3 {}
+        assert_eq!(cpu_between(Some(t1), None), f64::INFINITY);
+        assert_eq!(cpu_between(Some(1.0), Some(1.5)), 0.5);
     }
 
     #[test]

@@ -6,22 +6,34 @@
 //!
 //! `u⁺ = 2u − u⁻ + Δt²·M⁻¹·(f − K·u)`
 //!
-//! [`Simulation::advance`] runs the product and the update as one fused
-//! pass over row ranges: each range multiplies a block of rows on the tile
-//! kernel and updates those nodes while their products are still in cache.
-//! Row `i` of the update reads only `u[i]`, `u⁻[i]` and row `i` of `K·u`,
-//! so `u⁺` overwrites `u⁻` in place and the two buffers swap after the
-//! step — no second pass, no extra displacement buffer.
+//! [`Simulation`] keeps the stiffness in half storage ([`SymTiles`]: the
+//! upper triangle and the diagonal, 17 MB instead of 33 MB on sf5) and
+//! streams it once per step. [`Simulation::advance`] runs the product and
+//! the update as one fused pass: each worker's [`SymBand`] computes its
+//! rows in 256-row pieces and the update consumes each piece while its
+//! products are still in cache. Row `i` of the update reads only `u[i]`,
+//! `u⁻[i]` and row `i` of `K·u`, so `u⁺` overwrites `u⁻` in place and the
+//! two buffers swap after the step — no second pass, no extra displacement
+//! buffer.
+//!
+//! The bits are the full product's. A worker that owns rows `lo..hi` first
+//! streams its cross strip — the transposes of the upper blocks that rows
+//! below `lo` hold for its rows, which are the first terms of each row's
+//! full-storage sum — and then sweeps `lo..hi` in half storage, scattering
+//! transposed terms only below `hi`. Every row thus adds its lower terms
+//! in ascending column order, then its diagonal, then its upper terms,
+//! each with the full product's operations, whatever the split. The serial
+//! path is one band over every row, with no strip.
 
 use crate::assembly::AssembledSystem;
 use crate::source::PointSource;
 use quake_mesh::mesh::TetMesh;
-use quake_spark::{bmv_tiles_range_into, broadcast_rows, WorkerPool};
+use quake_spark::{broadcast_rows, worker_rows, SymBand, WorkerPool};
 use quake_sparse::dense::Vec3;
-use quake_sparse::tiles::Bcsr3Tiles;
+use quake_sparse::error::SparseError;
+use quake_sparse::tiles::SymTiles;
 use std::error::Error;
 use std::fmt;
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Error produced by simulation configuration.
@@ -31,6 +43,9 @@ pub enum SimError {
     ZeroMass(usize),
     /// The time step is not positive.
     BadTimeStep(f64),
+    /// The stiffness is not bitwise symmetric with ascending rows, so its
+    /// half storage cannot reproduce the full product.
+    NotSymmetric(SparseError),
 }
 
 impl fmt::Display for SimError {
@@ -38,11 +53,19 @@ impl fmt::Display for SimError {
         match self {
             SimError::ZeroMass(n) => write!(f, "node {n} has zero lumped mass"),
             SimError::BadTimeStep(dt) => write!(f, "time step {dt} must be positive"),
+            SimError::NotSymmetric(e) => write!(f, "stiffness has no half storage: {e}"),
         }
     }
 }
 
-impl Error for SimError {}
+impl Error for SimError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            SimError::NotSymmetric(e) => Some(e),
+            _ => None,
+        }
+    }
+}
 
 /// A displacement recording at one receiver node.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,9 +113,9 @@ impl Clone for PoolHandle {
 /// An explicit central-difference wave-propagation simulation.
 #[derive(Debug, Clone)]
 pub struct Simulation {
-    /// The stiffness in the tile kernel's layout. It is never written after
+    /// The stiffness in half storage. It is never written after
     /// construction, so clones share it instead of copying the matrix.
-    stiffness: Arc<Bcsr3Tiles>,
+    stiffness: Arc<SymTiles>,
     /// Lumped nodal mass.
     mass: Vec<f64>,
     /// Point sources, stably sorted by node: a step walks them with a
@@ -107,6 +130,9 @@ pub struct Simulation {
     damping: f64,
     /// Pooled workers for the fused step, or `None` for the serial path.
     pool: Option<PoolHandle>,
+    /// One band per pool worker, over its [`worker_rows`]; one band over
+    /// every row on the serial path.
+    bands: Vec<SymBand>,
     /// `u⁻` before a step; the step overwrites it with `u⁺`.
     u_prev: Vec<Vec3>,
     u_curr: Vec<Vec3>,
@@ -117,9 +143,9 @@ pub struct Simulation {
 /// in L1 while the update consumes them.
 const STEP_BLOCK: usize = 256;
 
-/// Everything one time step reads; shared by every row range of the step.
+/// Everything one time step reads; shared by every band of the step.
 struct Step<'a> {
-    stiffness: &'a Bcsr3Tiles,
+    stiffness: &'a SymTiles,
     mass: &'a [f64],
     u_curr: &'a [Vec3],
     /// Sorted by node.
@@ -134,22 +160,20 @@ struct Step<'a> {
 }
 
 impl Step<'_> {
-    /// The step body for the nodes `rows`: `u_prev` holds `u⁻` for exactly
-    /// those nodes on entry and `u⁺` on return.
+    /// The step body for the nodes of `band`: `u_prev` holds `u⁻` for
+    /// exactly those nodes on entry and `u⁺` on return.
     ///
     /// Per node this is `f = −(K·u)ᵢ + Σ sources`, then the
     /// central-difference update with the same operations in the same
     /// order as the original two-pass step, so the result is bitwise equal
     /// to it for any split of the rows.
-    fn rows(&self, rows: Range<usize>, u_prev: &mut [Vec3]) {
+    fn band(&self, band: &mut SymBand, u_prev: &mut [Vec3]) {
+        let lo = band.rows().start;
         let mut ku = [Vec3::ZERO; STEP_BLOCK];
-        let mut src = self.sources.partition_point(|s| s.node < rows.start);
-        for lo in rows.clone().step_by(STEP_BLOCK) {
-            let hi = (lo + STEP_BLOCK).min(rows.end);
-            let ku = &mut ku[..hi - lo];
-            bmv_tiles_range_into(self.stiffness, self.u_curr, lo..hi, ku);
-            let prev = &mut u_prev[lo - rows.start..hi - rows.start];
-            for ((i, &k), up) in (lo..hi).zip(ku.iter()).zip(prev) {
+        let mut src = self.sources.partition_point(|s| s.node < lo);
+        band.sweep(self.stiffness, self.u_curr, &mut ku, |rows, products| {
+            let prev = &mut u_prev[rows.start - lo..rows.end - lo];
+            for ((i, &k), up) in rows.zip(products).zip(prev) {
                 let mut f = -k;
                 while let Some(s) = self.sources.get(src).filter(|s| s.node == i) {
                     f += s.force_at(self.time);
@@ -160,19 +184,22 @@ impl Step<'_> {
                     + *up * self.c2;
                 *up = rhs * self.inv_denom;
             }
-        }
+        });
     }
 }
 
 impl Simulation {
     /// Creates a simulation with time step `dt` (seconds). The stiffness is
-    /// converted once into the tile layout the step kernel runs on, and the
-    /// source matrix is dropped.
+    /// converted once into the half storage the step kernel runs on, and
+    /// the source matrix is dropped.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::BadTimeStep`] if `dt ≤ 0` or
-    /// [`SimError::ZeroMass`] if any node has no mass.
+    /// Returns [`SimError::BadTimeStep`] if `dt ≤ 0`,
+    /// [`SimError::ZeroMass`] if any node has no mass, or
+    /// [`SimError::NotSymmetric`] if the stiffness is not bitwise
+    /// symmetric with strictly ascending rows (an assembled one always
+    /// is).
     pub fn new(system: AssembledSystem, dt: f64) -> Result<Self, SimError> {
         if dt <= 0.0 || dt.is_nan() {
             return Err(SimError::BadTimeStep(dt));
@@ -182,8 +209,10 @@ impl Simulation {
         }
         let AssembledSystem { stiffness, mass } = system;
         let n = stiffness.block_rows();
+        let stiffness = SymTiles::from_bcsr(&stiffness).map_err(SimError::NotSymmetric)?;
         Ok(Simulation {
-            stiffness: Arc::new(Bcsr3Tiles::from_bcsr(&stiffness)),
+            bands: vec![SymBand::new(&stiffness, 0..n)],
+            stiffness: Arc::new(stiffness),
             mass,
             sources: Vec::new(),
             receivers: Vec::new(),
@@ -217,14 +246,16 @@ impl Simulation {
     /// rest of the simulation, so the 6000-step loop pays thread spawn cost
     /// once instead of per step. Each worker runs the whole fused step —
     /// product and update — for one contiguous range of nodes, in one
-    /// broadcast per step. Every node's arithmetic is independent of the
-    /// split, so results are bitwise identical to the serial path.
+    /// broadcast per step; its cross strip is built here, once. Every
+    /// node's arithmetic is independent of the split, so results are
+    /// bitwise identical to the serial path.
     pub fn set_parallel(&mut self, threads: usize) -> &mut Self {
-        self.pool = if threads > 1 {
-            Some(PoolHandle(WorkerPool::new(threads)))
-        } else {
-            None
-        };
+        let n = self.u_curr.len();
+        let threads = threads.max(1);
+        self.bands = (0..threads)
+            .map(|w| SymBand::new(&self.stiffness, worker_rows(n, threads, w)))
+            .collect();
+        self.pool = (threads > 1).then(|| PoolHandle(WorkerPool::new(threads)));
         self
     }
 
@@ -299,8 +330,8 @@ impl Simulation {
     /// unit of work).
     ///
     /// The product and the update are one fused pass: the serial path runs
-    /// it over all nodes, the pooled path over one node range per worker in
-    /// a single broadcast. Each range writes `u⁺` over its slice of `u⁻`
+    /// it over all nodes, the pooled path over one band per worker in a
+    /// single broadcast. Each band writes `u⁺` over its slice of `u⁻`
     /// while `u` stays read-only, and the two buffers swap after the
     /// barrier. The step allocates nothing, and each source's force is
     /// evaluated once.
@@ -321,10 +352,13 @@ impl Simulation {
             inv_denom: 1.0 / (c1 + c2),
         };
         match &self.pool {
-            Some(handle) => broadcast_rows(&handle.0, &mut self.u_prev, |rows, u_prev| {
-                step.rows(rows, u_prev)
-            }),
-            None => step.rows(0..self.u_prev.len(), &mut self.u_prev),
+            Some(handle) => broadcast_rows(
+                &handle.0,
+                &mut self.u_prev,
+                &mut self.bands,
+                |_, u_prev, band| step.band(band, u_prev),
+            ),
+            None => step.band(&mut self.bands[0], &mut self.u_prev),
         }
         std::mem::swap(&mut self.u_prev, &mut self.u_curr);
         self.step += 1;
@@ -583,5 +617,51 @@ mod tests {
     fn error_display() {
         assert!(SimError::ZeroMass(5).to_string().contains("node 5"));
         assert!(SimError::BadTimeStep(-1.0).to_string().contains("positive"));
+        let e = SimError::NotSymmetric(SparseError::NotSymmetric);
+        assert!(e
+            .to_string()
+            .contains(&SparseError::NotSymmetric.to_string()));
+        assert_eq!(
+            e.source().map(|s| s.to_string()),
+            Some(SparseError::NotSymmetric.to_string())
+        );
+    }
+
+    #[test]
+    fn a_stiffness_asymmetric_in_one_bit_is_a_typed_error() {
+        use quake_sparse::bcsr::Bcsr3Builder;
+        let (_, sys) = small_system();
+        let k = &sys.stiffness;
+        let n = k.block_rows();
+        // The first off-diagonal block, with the last mantissa bit of one
+        // entry flipped; its mirror keeps the original bits.
+        let flip = (0..n)
+            .flat_map(|r| (k.row_ptr()[r]..k.row_ptr()[r + 1]).map(move |i| (r, i)))
+            .find(|&(r, i)| k.col_idx()[i] != r)
+            .expect("an assembled stiffness couples nodes")
+            .1;
+        let mut b = Bcsr3Builder::new(n);
+        for r in 0..n {
+            for i in k.row_ptr()[r]..k.row_ptr()[r + 1] {
+                let mut m = k.blocks()[i];
+                if i == flip {
+                    m.m[0][1] = f64::from_bits(m.m[0][1].to_bits() ^ 1);
+                }
+                b.add_block(r, k.col_idx()[i], m);
+            }
+        }
+        let bad = AssembledSystem {
+            stiffness: b.build(),
+            mass: sys.mass.clone(),
+        };
+        assert!(
+            bad.stiffness.is_symmetric(1e-9),
+            "equal within any tolerance"
+        );
+        assert_eq!(
+            Simulation::new(bad, 1e-3).unwrap_err(),
+            SimError::NotSymmetric(SparseError::NotSymmetric)
+        );
+        assert!(Simulation::new(sys, 1e-3).is_ok());
     }
 }

@@ -6,7 +6,7 @@
 //! loop and the executor run. [`broadcast_rows`] is the row-parallel
 //! skeleton of every pooled product: one [`WorkerPool::broadcast`] batch,
 //! each worker writing its own contiguous chunk of the output, with chunk
-//! geometry computed arithmetically by [`chunk_range`] so the steady-state
+//! geometry computed arithmetically by [`worker_rows`] so the steady-state
 //! product never touches the allocator.
 
 use crate::pool::WorkerPool;
@@ -34,14 +34,15 @@ impl<T> SendPtr<T> {
     }
 }
 
-/// The `k`-th of `parts` near-equal contiguous chunks of `0..n`, computed
-/// arithmetically so hot closures can derive their row range without
-/// allocating a chunk list. Chunks for `k < parts` cover `0..n` exactly
-/// once; when `parts > n` the excess chunks are empty.
-fn chunk_range(n: usize, parts: usize, k: usize) -> std::ops::Range<usize> {
-    debug_assert!(parts > 0, "chunk_range needs at least one part");
-    debug_assert!(k < parts, "chunk index out of range");
-    (n * k / parts)..(n * (k + 1) / parts)
+/// The rows of `0..n` that worker `w` of `threads` owns in
+/// [`broadcast_rows`]: the `w`-th of `threads` near-equal contiguous
+/// chunks, computed arithmetically so hot closures can derive their range
+/// without allocating a chunk list. The chunks for `w < threads` cover
+/// `0..n` exactly once; when `threads > n` the excess chunks are empty.
+pub fn worker_rows(n: usize, threads: usize, w: usize) -> std::ops::Range<usize> {
+    debug_assert!(threads > 0, "worker_rows needs at least one worker");
+    debug_assert!(w < threads, "worker index out of range");
+    (n * w / threads)..(n * (w + 1) / threads)
 }
 
 /// `y = K x` over a persistent [`WorkerPool`] with the scalar microkernel:
@@ -64,32 +65,47 @@ pub fn bmv_pooled_into(matrix: &Bcsr3, x: &[Vec3], pool: &WorkerPool, y: &mut [V
         matrix.block_rows(),
         "y length must match block rows"
     );
-    broadcast_rows(pool, y, |rows, out| bmv_range_into(matrix, x, rows, out));
+    broadcast_rows(pool, y, &mut vec![(); pool.threads()], |rows, out, _| {
+        bmv_range_into(matrix, x, rows, out)
+    });
 }
 
-/// Runs `f(rows, &mut out[rows])` once on every worker of `pool`, where
-/// worker `w` owns the `w`-th of `threads` near-equal contiguous ranges of
-/// `0..out.len()` (empty when there are more workers than rows) — one
-/// broadcast batch, a full barrier, nothing allocated. This is the
-/// row-parallel skeleton of [`bmv_pooled_into`], exposed so fused per-row
-/// passes (such as a time step's product-plus-update) split rows exactly as
-/// the pooled kernel does.
-pub fn broadcast_rows<T: Send>(
+/// Runs `f(rows, &mut out[rows], &mut state[w])` once on every worker `w`
+/// of `pool`, where `rows` is [`worker_rows`]`(out.len(), threads, w)`
+/// (empty when there are more workers than rows) — one broadcast batch, a
+/// full barrier, nothing allocated. `state` carries one value per worker,
+/// such as a [`SymBand`](crate::tile_kernels::SymBand) built for that
+/// worker's rows; pass `&mut vec![(); threads]` (which does not allocate)
+/// when there is none. This is the row-parallel skeleton of
+/// [`bmv_pooled_into`] and of the time step's fused product-plus-update.
+///
+/// # Panics
+///
+/// Panics if `state` does not hold one entry per worker.
+pub fn broadcast_rows<T: Send, S: Send>(
     pool: &WorkerPool,
     out: &mut [T],
-    f: impl Fn(std::ops::Range<usize>, &mut [T]) + Sync,
+    state: &mut [S],
+    f: impl Fn(std::ops::Range<usize>, &mut [T], &mut S) + Sync,
 ) {
     let n = out.len();
     let threads = pool.threads();
+    assert_eq!(state.len(), threads, "state must hold one entry per worker");
     let out_ptr = SendPtr(out.as_mut_ptr());
+    let state_ptr = SendPtr(state.as_mut_ptr());
     pool.broadcast(&|w| {
-        let rows = chunk_range(n, threads, w);
-        // SAFETY: chunk_range partitions 0..n, so workers get disjoint
-        // ranges of `out`; the broadcast barrier ends every access before
-        // the caller's `&mut out` is used again.
-        let mine =
-            unsafe { std::slice::from_raw_parts_mut(out_ptr.get().add(rows.start), rows.len()) };
-        f(rows, mine);
+        let rows = worker_rows(n, threads, w);
+        // SAFETY: worker_rows partitions 0..n, so workers get disjoint
+        // ranges of `out`, and worker w alone touches `state[w]`; the
+        // broadcast barrier ends every access before the caller's `&mut`
+        // borrows are used again.
+        let (mine, st) = unsafe {
+            (
+                std::slice::from_raw_parts_mut(out_ptr.get().add(rows.start), rows.len()),
+                &mut *state_ptr.get().add(w),
+            )
+        };
+        f(rows, mine, st);
     });
 }
 
@@ -168,11 +184,11 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     #[test]
-    fn chunk_range_partitions_rows() {
+    fn worker_rows_partition_rows() {
         for (n, parts) in [(10, 3), (3, 8), (0, 4), (16, 16), (7, 1)] {
             let mut covered = Vec::new();
             for k in 0..parts {
-                covered.extend(chunk_range(n, parts, k));
+                covered.extend(worker_rows(n, parts, k));
             }
             assert_eq!(covered, (0..n).collect::<Vec<_>>(), "n={n} parts={parts}");
         }

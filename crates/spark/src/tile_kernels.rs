@@ -25,23 +25,43 @@
 //! so the fallback is testable on AVX hardware, and [`simd_active`]
 //! reports which path dispatch would take.
 //!
-//! **Half storage.** [`bmv_sym_into`] runs the same product from a
-//! [`SymTiles`] upper triangle: each upper tile adds its product to its
-//! own row and its transposed product to the mirror row, so each symmetric
-//! pair of blocks is streamed once. Rows are visited in ascending order,
-//! which delivers every row's terms in its full-storage column order, so
-//! this path too is bitwise-equal to
-//! [`bmv_range_into`](crate::kernels::bmv_range_into) on the full matrix.
+//! **Half storage.** [`bmv_sym_rows_into`] runs the same product from a
+//! [`SymTiles`] upper triangle over a row range `lo..hi` with a scatter
+//! limit: each upper tile adds its product to its own row and, when the
+//! mirror row lies below the limit, its transposed product to that row's
+//! accumulator. Each symmetric pair of blocks is streamed once. Rows are
+//! visited in ascending order, which delivers every row's terms from
+//! columns in `lo..i` in its full-storage column order; the accumulator
+//! must already hold the terms from columns below `lo`. So:
+//!
+//! * [`bmv_sym_into`] is the range `0..n` with limit `n` from a zeroed
+//!   accumulator — nothing lies below row 0 — and runs the executor's
+//!   barrier schedule;
+//! * a [`SymBand`] over `lo..hi` first streams its cross strip
+//!   ([`SymTiles::cross_strip`]: the blocks `(j, c)` with `j` in `lo..hi`
+//!   and `c < lo`, each the bit-exact transpose of a stored upper tile)
+//!   through [`bmv_tiles_range_into`] into the accumulator, then sweeps
+//!   `lo..hi` with limit `hi`. Bands over disjoint rows write disjoint
+//!   memory, so the time loop runs one per pool worker.
+//!
+//! Either way each row adds its lower terms in ascending column order,
+//! then its diagonal, then its upper terms, each with the operations of
+//! the full product, so these paths too are bitwise-equal to
+//! [`bmv_range_into`](crate::kernels::bmv_range_into) on the full matrix,
+//! whatever the split.
 //!
 //! **Prefetch.** The irregular `x[col]` gather is the stream the hardware
-//! prefetcher cannot predict; the AVX path issues a software prefetch for
-//! the gather target a few tiles ahead (plus the tile stream itself, cheap
-//! insurance when the hardware stride prefetcher lags).
+//! prefetcher cannot predict; the full-tile AVX path issues a software
+//! prefetch for the gather target a few tiles ahead (plus the tile stream
+//! itself, cheap insurance when the hardware stride prefetcher lags). The
+//! half-storage path prefetches the tile stream only: on the banded sf5
+//! stiffness its gather and scatter prefetches cost more than they saved.
 
 use quake_sparse::dense::Vec3;
 use quake_sparse::tiles::{Bcsr3Tiles, LaneBlock, SymTiles, TILE_LANES};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// When set, [`bmv_tiles_range_into`] and [`bmv_sym_into`] take the scalar
 /// tile path even where AVX is available.
@@ -98,58 +118,188 @@ pub fn bmv_tiles_range_into(tiles: &Bcsr3Tiles, x: &[Vec3], rows: Range<usize>, 
 /// Full SMVP `out = K x` from the half-storage layout: bitwise-equal to
 /// [`bmv_range_into`](crate::kernels::bmv_range_into) over every row of
 /// the full matrix `sym` was built
-/// from, on whichever path dispatch selects.
-///
-/// Row `i` starts from `acc[i]`, which by then holds its lower-triangle
-/// terms, scattered there in ascending source-row order. It adds its
-/// diagonal and upper tiles in column order, and each upper tile `(i, j)`
-/// also adds its transposed product `(K[0][l]·xᵢ + K[1][l]·yᵢ) + K[2][l]·zᵢ`
-/// to `acc[j]`. That is the order and association the full product uses
-/// for row `j`'s term `K[j][i]·xᵢ`, so no bit changes. `acc` is scratch
-/// with one 4-lane block per row; it is zeroed on entry.
+/// from, on whichever path dispatch selects. It is
+/// [`bmv_sym_rows_into`] over rows `0..n` with limit `n` from a zeroed
+/// `acc`, which is scratch with one 4-lane block per row.
 ///
 /// # Panics
 ///
 /// Panics if `x`, `acc` or `out` does not hold one entry per block row.
 pub fn bmv_sym_into(sym: &SymTiles, x: &[Vec3], acc: &mut [LaneBlock], out: &mut [Vec3]) {
     let n = sym.block_rows();
-    assert_eq!(x.len(), n, "x length must match block rows");
     assert_eq!(acc.len(), n, "acc must hold one lane block per row");
-    assert_eq!(out.len(), n, "out length must match block rows");
     acc.fill(LaneBlock::default());
+    bmv_sym_rows_into(sym, x, 0..n, n, acc, out);
+}
+
+/// The half-storage sweep over the block rows `rows`, scattering only to
+/// rows below `limit`: `out[i - rows.start]` receives row `i`.
+///
+/// `acc[k]` belongs to row `rows.start + k`, for every row below `limit`.
+/// Row `i` starts from `acc[i - rows.start]`, which by then must hold its
+/// lower-triangle terms from columns below `rows.start` (zero if there are
+/// none); the terms from columns in `rows.start..i` are scattered there by
+/// the sweep itself, in ascending source-row order. It adds its diagonal
+/// and upper tiles in column order, and each upper tile `(i, j)` with
+/// `j < limit` also adds its transposed product
+/// `(K[0][l]·xᵢ + K[1][l]·yᵢ) + K[2][l]·zᵢ` to `acc[j - rows.start]`. That
+/// is the order and association the full product uses for row `j`'s term
+/// `K[j][i]·xᵢ`, so no bit changes. On return, the blocks of rows in
+/// `rows.end..limit` hold the terms this sweep gave them, and the next
+/// sweep, over `rows.end..`, starts from them.
+///
+/// # Panics
+///
+/// Panics unless `rows.start <= rows.end <= limit <= n`, `x.len() == n`,
+/// `acc.len() == limit - rows.start` and `out.len() == rows.len()`.
+pub fn bmv_sym_rows_into(
+    sym: &SymTiles,
+    x: &[Vec3],
+    rows: Range<usize>,
+    limit: usize,
+    acc: &mut [LaneBlock],
+    out: &mut [Vec3],
+) {
+    let n = sym.block_rows();
+    assert!(
+        rows.start <= rows.end && rows.end <= limit && limit <= n,
+        "row range {rows:?} with limit {limit} out of bounds for {n} block rows"
+    );
+    assert_eq!(x.len(), n, "x length must match block rows");
+    assert_eq!(
+        acc.len(),
+        limit - rows.start,
+        "acc must hold one lane block per row from rows.start to limit"
+    );
+    assert_eq!(out.len(), rows.len(), "out length must match the row range");
     if simd_active() {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         // SAFETY: simd_active() verified AVX support at runtime; lengths
-        // were checked above.
+        // and bounds were checked above.
         unsafe {
-            avx::sym_rows(sym.upper(), x, acc, out);
+            avx::sym_rows(sym.upper(), x, rows, limit, acc, out);
             return;
         }
     }
-    sym_rows_scalar(sym.upper(), x, acc, out);
+    sym_rows_scalar(sym.upper(), x, rows, limit, acc, out);
 }
 
-/// The scalar path of [`bmv_sym_into`]: the AVX path's operations, lane
-/// by lane.
-fn sym_rows_scalar(upper: &Bcsr3Tiles, x: &[Vec3], acc: &mut [LaneBlock], out: &mut [Vec3]) {
+/// The scalar path of [`bmv_sym_rows_into`]: the AVX path's operations,
+/// lane by lane.
+fn sym_rows_scalar(
+    upper: &Bcsr3Tiles,
+    x: &[Vec3],
+    rows: Range<usize>,
+    limit: usize,
+    acc: &mut [LaneBlock],
+    out: &mut [Vec3],
+) {
     let (row_ptr, col_idx) = (upper.row_ptr(), upper.col_idx());
     let values = upper.values();
-    for (i, (xi, yi)) in x.iter().zip(out.iter_mut()).enumerate() {
-        let [mut a0, mut a1, mut a2, _] = acc[i].0;
+    let base = rows.start;
+    for (i, yi) in rows.zip(out.iter_mut()) {
+        let xi = x[i];
+        let [mut a0, mut a1, mut a2, _] = acc[i - base].0;
         for (k, &j) in (row_ptr[i]..row_ptr[i + 1]).zip(&col_idx[row_ptr[i]..row_ptr[i + 1]]) {
-            let t = &values[k * TILE_LANES..(k + 1) * TILE_LANES];
-            let v = x[j as usize];
+            let (j, t) = (j as usize, &values[k * TILE_LANES..(k + 1) * TILE_LANES]);
+            let v = x[j];
             a0 += t[0] * v.x + t[3] * v.y + t[6] * v.z;
             a1 += t[1] * v.x + t[4] * v.y + t[7] * v.z;
             a2 += t[2] * v.x + t[5] * v.y + t[8] * v.z;
-            if j as usize != i {
-                let dst = &mut acc[j as usize].0;
+            if j != i && j < limit {
+                let dst = &mut acc[j - base].0;
                 for (l, slot) in dst[..3].iter_mut().enumerate() {
                     *slot += t[3 * l] * xi.x + t[3 * l + 1] * xi.y + t[3 * l + 2] * xi.z;
                 }
             }
         }
         *yi = Vec3::new(a0, a1, a2);
+    }
+}
+
+/// One worker's rows of a pooled half-storage product: the rows'
+/// [`SymTiles::cross_strip`], built once, and the sweep's accumulator.
+///
+/// Row `j`'s full-storage sum takes its lower terms in ascending column
+/// order, then its diagonal, then its upper terms. A band over `lo..hi`
+/// first streams the strip, whose tiles are the terms from columns below
+/// `lo`, into `acc`; then it sweeps `lo..hi` with [`bmv_sym_rows_into`],
+/// scattering only below `hi`. The sweep adds the terms from columns in
+/// `lo..j` and the rest, in order, so each row is bitwise the full
+/// product's, and bands over disjoint rows write disjoint memory. A band
+/// over `0..n` has no strip: it is [`bmv_sym_into`] in pieces.
+#[derive(Debug, Clone)]
+pub struct SymBand {
+    rows: Range<usize>,
+    /// `None` when no block crosses into the band from below.
+    strip: Option<Arc<Bcsr3Tiles>>,
+    /// One lane block per row of the band.
+    acc: Vec<LaneBlock>,
+}
+
+impl SymBand {
+    /// The band over `rows` of `sym`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` extends past the block-row count.
+    pub fn new(sym: &SymTiles, rows: Range<usize>) -> Self {
+        // Nothing lies below row 0.
+        let strip = (rows.start > 0)
+            .then(|| sym.cross_strip(rows.clone()))
+            .filter(|s| s.block_nnz() > 0);
+        SymBand {
+            strip: strip.map(Arc::new),
+            acc: vec![LaneBlock::default(); rows.len()],
+            rows,
+        }
+    }
+
+    /// The block rows this band computes.
+    pub fn rows(&self) -> Range<usize> {
+        self.rows.clone()
+    }
+
+    /// Computes `K x` on the band's rows in ascending pieces of
+    /// `piece.len()` rows, and calls `f(rows, products)` with each piece as
+    /// soon as it is final, so a fused pass can consume it from cache.
+    /// `sym` must be the matrix the band was built from. Allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` does not hold one entry per block row, or if `piece`
+    /// is empty while the band is not.
+    pub fn sweep(
+        &mut self,
+        sym: &SymTiles,
+        x: &[Vec3],
+        piece: &mut [Vec3],
+        mut f: impl FnMut(Range<usize>, &[Vec3]),
+    ) {
+        let (lo, hi) = (self.rows.start, self.rows.end);
+        if lo == hi {
+            return;
+        }
+        assert!(!piece.is_empty(), "a sweep needs a non-empty piece buffer");
+        let len = piece.len();
+        let pieces = (lo..hi).step_by(len).map(|b| b..(b + len).min(hi));
+        match &self.strip {
+            Some(strip) => {
+                for r in pieces.clone() {
+                    let y = &mut piece[..r.len()];
+                    bmv_tiles_range_into(strip, x, r.clone(), y);
+                    for (a, v) in self.acc[r.start - lo..r.end - lo].iter_mut().zip(y) {
+                        *a = LaneBlock([v.x, v.y, v.z, 0.0]);
+                    }
+                }
+            }
+            None => self.acc.fill(LaneBlock::default()),
+        }
+        for r in pieces {
+            let y = &mut piece[..r.len()];
+            bmv_sym_rows_into(sym, x, r.clone(), hi, &mut self.acc[r.start - lo..], y);
+            f(r, y);
+        }
     }
 }
 
@@ -259,35 +409,38 @@ mod avx {
         }
     }
 
-    /// The AVX half-storage kernel behind [`bmv_sym_into`]. Per upper tile:
-    /// the three column loads feed the direct product, as in
+    /// The AVX half-storage kernel behind [`bmv_sym_rows_into`]. Per upper
+    /// tile: the three column loads feed the direct product, as in
     /// [`rows_range`]; three `unpack` and three `permute2f128` turn the
     /// same registers into the tile's rows `[t0 t3 t6]`, `[t1 t4 t7]`,
     /// `[t2 t5 t8]` (lane 3 is discarded) for the transposed product,
     /// which is added to the target row's `acc` block in memory. Separate
-    /// `mul` and `add`, never FMA.
+    /// `mul` and `add`, never FMA. Only the tile stream is prefetched: the
+    /// gather and scatter targets of a banded matrix are mostly in cache
+    /// already, and prefetching them measured 5–10% slower on sf5.
     ///
     /// # Safety
     ///
-    /// Caller must have AVX verified; `x`, `acc` and `out` must hold one
-    /// entry per row of `upper`, which must pass its audit.
+    /// Caller must have AVX verified and the [`bmv_sym_rows_into`] bounds
+    /// hold; `upper` must pass its audit.
     #[target_feature(enable = "avx")]
     pub unsafe fn sym_rows(
         upper: &Bcsr3Tiles,
         x: &[Vec3],
+        rows: Range<usize>,
+        limit: usize,
         acc: &mut [LaneBlock],
         out: &mut [Vec3],
     ) {
         let row_ptr = upper.row_ptr();
         let col_idx = upper.col_idx();
         let values = upper.values();
-        let nk = col_idx.len();
-        let xp = x.as_ptr();
+        let base = rows.start;
         // LaneBlock is 32-byte aligned, so every row's block is one
         // aligned 4-lane load or store.
         let ap = acc.as_mut_ptr() as *mut f64;
-        for i in 0..upper.block_rows() {
-            let mut a = _mm256_load_pd(ap.add(4 * i));
+        for i in rows {
+            let mut a = _mm256_load_pd(ap.add(4 * (i - base)));
             let xi = x.get_unchecked(i);
             let (sx, sy, sz) = (
                 _mm256_set1_pd(xi.x),
@@ -296,17 +449,12 @@ mod avx {
             );
             for k in *row_ptr.get_unchecked(i)..*row_ptr.get_unchecked(i + 1) {
                 let t = values.as_ptr().add(k * TILE_LANES);
-                // Prefetch the gather and scatter targets LOOKAHEAD tiles
-                // ahead, and the tile stream, as in `rows_range`.
-                if nk != 0 {
-                    let cp = *col_idx.get_unchecked((k + LOOKAHEAD).min(nk - 1)) as usize;
-                    _mm_prefetch(xp.add(cp) as *const i8, _MM_HINT_T0);
-                    _mm_prefetch(ap.add(4 * cp) as *const i8, _MM_HINT_T0);
-                    _mm_prefetch(
-                        (t as *const i8).wrapping_add(LOOKAHEAD * TILE_LANES * 8),
-                        _MM_HINT_T0,
-                    );
-                }
+                // Wrapping arithmetic: prefetch never faults, but only
+                // wrapping_add may leave the allocation without UB.
+                _mm_prefetch(
+                    (t as *const i8).wrapping_add(LOOKAHEAD * TILE_LANES * 8),
+                    _MM_HINT_T0,
+                );
                 let j = *col_idx.get_unchecked(k) as usize;
                 let v = x.get_unchecked(j);
                 let c0 = _mm256_loadu_pd(t);
@@ -320,7 +468,7 @@ mod avx {
                     _mm256_mul_pd(c2, _mm256_set1_pd(v.z)),
                 );
                 a = _mm256_add_pd(a, s);
-                if j != i {
+                if j != i && j < limit {
                     // c0 = [t0 t1 t2 t3], c1 = [t3 t4 t5 t6], c2 = [t6 t7 t8 _].
                     let lo = _mm256_unpacklo_pd(c0, c1); // [t0 t3 | t2 t5]
                     let hi = _mm256_unpackhi_pd(c0, c1); // [t1 t4 | t3 t6]
@@ -332,13 +480,13 @@ mod avx {
                         _mm256_add_pd(_mm256_mul_pd(r0, sx), _mm256_mul_pd(r1, sy)),
                         _mm256_mul_pd(r2, sz),
                     );
-                    let dst = ap.add(4 * j);
+                    let dst = ap.add(4 * (j - base));
                     _mm256_store_pd(dst, _mm256_add_pd(_mm256_load_pd(dst), st));
                 }
             }
             let mut lanes = [0.0f64; 4];
             _mm256_storeu_pd(lanes.as_mut_ptr(), a);
-            *out.get_unchecked_mut(i) = Vec3::new(lanes[0], lanes[1], lanes[2]);
+            *out.get_unchecked_mut(i - base) = Vec3::new(lanes[0], lanes[1], lanes[2]);
         }
     }
 }
@@ -633,6 +781,130 @@ mod tests {
             Err(SparseError::MalformedStructure(_))
         ));
         assert!(SymTiles::from_bcsr(&ok.permute_symmetric(&reversed).unwrap()).is_ok());
+    }
+
+    /// The oracle's rows `lo..hi` of the full product.
+    fn oracle_rows(full: &Bcsr3, x: &[Vec3], rows: Range<usize>) -> Vec<Vec3> {
+        let mut want = vec![Vec3::ZERO; rows.len()];
+        bmv_range_into(full, x, rows, &mut want);
+        want
+    }
+
+    #[test]
+    fn sym_rows_in_pieces_match_one_sweep_on_both_paths() {
+        let _guard = DISPATCH_LOCK.lock().unwrap();
+        for seed in 0..8u64 {
+            let n = 30 + (seed as usize) * 11;
+            let full = random_symmetric_bcsr(n, seed);
+            let sym = SymTiles::from_bcsr(&full).expect("bitwise symmetric");
+            let x = random_x(n, seed);
+            let want = oracle_rows(&full, &x, 0..n);
+            // Pieces of every kind: empty, one row, ragged, the tail.
+            let cuts = [0, 0, 1, 1, 7, n / 2, n / 2, n - 1, n];
+            for forced in [false, true] {
+                force_scalar(forced);
+                let mut acc = vec![LaneBlock::default(); n];
+                let mut got = Vec::new();
+                for w in cuts.windows(2) {
+                    let mut out = vec![Vec3::new(9.0, 9.0, 9.0); w[1] - w[0]];
+                    bmv_sym_rows_into(&sym, &x, w[0]..w[1], n, &mut acc[w[0]..], &mut out);
+                    got.extend(out);
+                }
+                let path = if simd_active() { "avx" } else { "scalar" };
+                assert_vec3_bits_eq(&got, &want, &format!("{path} pieces, seed {seed}"));
+            }
+            force_scalar(false);
+        }
+    }
+
+    #[test]
+    fn bands_below_a_limit_match_the_full_product_on_both_paths() {
+        let _guard = DISPATCH_LOCK.lock().unwrap();
+        for seed in 0..8u64 {
+            let n = 20 + (seed as usize) * 9;
+            let full = random_symmetric_bcsr(n, seed ^ 0xb0);
+            let sym = SymTiles::from_bcsr(&full).expect("bitwise symmetric");
+            let x = random_x(n, seed);
+            for forced in [false, true] {
+                force_scalar(forced);
+                let path = if simd_active() { "avx" } else { "scalar" };
+                for (lo, hi) in [(0, n / 3), (n / 3, n - 2), (n - 2, n), (5, 5), (0, n)] {
+                    // The strip's terms first, then a sweep that scatters
+                    // only inside lo..hi, from scratch left dirty.
+                    let mut from_strip = vec![Vec3::ZERO; hi - lo];
+                    bmv_tiles_range_into(&sym.cross_strip(lo..hi), &x, lo..hi, &mut from_strip);
+                    let mut acc: Vec<LaneBlock> = from_strip
+                        .iter()
+                        .map(|v| LaneBlock([v.x, v.y, v.z, f64::NAN]))
+                        .collect();
+                    let mut got = vec![Vec3::new(9.0, 9.0, 9.0); hi - lo];
+                    bmv_sym_rows_into(&sym, &x, lo..hi, hi, &mut acc, &mut got);
+                    let want = oracle_rows(&full, &x, lo..hi);
+                    assert_vec3_bits_eq(
+                        &got,
+                        &want,
+                        &format!("{path} band {lo}..{hi}, seed {seed}"),
+                    );
+                    // And the band through SymBand, in 4-row pieces.
+                    let mut band = SymBand::new(&sym, lo..hi);
+                    let mut piece = [Vec3::ZERO; 4];
+                    let mut swept = Vec::new();
+                    band.sweep(&sym, &x, &mut piece, |r, y| {
+                        assert_eq!(r.start, lo + swept.len(), "pieces ascend");
+                        swept.extend_from_slice(y);
+                    });
+                    assert_vec3_bits_eq(&swept, &want, &format!("{path} SymBand {lo}..{hi}"));
+                }
+            }
+            force_scalar(false);
+        }
+    }
+
+    #[test]
+    fn empty_sym_ranges_touch_nothing() {
+        let full = random_symmetric_bcsr(12, 4);
+        let sym = SymTiles::from_bcsr(&full).expect("bitwise symmetric");
+        let x = random_x(12, 4);
+        for k in [0, 6, 12] {
+            bmv_sym_rows_into(&sym, &x, k..k, k, &mut [], &mut []);
+        }
+        let mut acc = vec![LaneBlock([3.0; 4]); 4];
+        bmv_sym_rows_into(&sym, &x, 8..8, 12, &mut acc, &mut []);
+        assert!(acc.iter().all(|a| a.0 == [3.0; 4]));
+        let mut band = SymBand::new(&sym, 7..7);
+        band.sweep(&sym, &x, &mut [], |_, _| {
+            panic!("an empty band has no piece")
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "with limit 5 out of bounds")]
+    fn rows_past_the_limit_panic() {
+        let sym = SymTiles::from_bcsr(&random_symmetric_bcsr(10, 1)).unwrap();
+        let x = random_x(10, 1);
+        bmv_sym_rows_into(
+            &sym,
+            &x,
+            2..6,
+            5,
+            &mut [LaneBlock::default(); 3],
+            &mut [Vec3::ZERO; 4],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "acc must hold one lane block per row from rows.start to limit")]
+    fn short_scratch_panics() {
+        let sym = SymTiles::from_bcsr(&random_symmetric_bcsr(10, 1)).unwrap();
+        let x = random_x(10, 1);
+        bmv_sym_rows_into(
+            &sym,
+            &x,
+            2..6,
+            8,
+            &mut [LaneBlock::default(); 4],
+            &mut [Vec3::ZERO; 4],
+        );
     }
 
     #[test]

@@ -4,9 +4,12 @@
 //! The oracle is the scalar 3×3 kernel `bmv_range_into` over the full row
 //! range. Against it, on random block-symmetric matrices:
 //!
-//! * the tile kernel as `Simulation::advance` runs it: `broadcast_rows`
-//!   over a `WorkerPool` of 1–8 threads, each worker's rows in fixed-size
-//!   pieces through `bmv_tiles_range_into`;
+//! * the half-storage product as `Simulation::advance` runs it:
+//!   `broadcast_rows` over a `WorkerPool` of 1–8 threads, one `SymBand`
+//!   per worker, each streaming its cross strip through
+//!   `bmv_tiles_range_into` and then sweeping its rows in fixed-size
+//!   pieces through `bmv_sym_rows_into` with its scatter limit — twice, so
+//!   the second product starts from the scratch the first left dirty;
 //! * the half-storage kernel `bmv_sym_into` on `SymTiles`, as the
 //!   executor's barrier schedule runs it;
 //! * `bmv_pooled_into` at 1–8 threads;
@@ -21,12 +24,12 @@
 
 use proptest::prelude::*;
 use quake_spark::{
-    bmv_pooled_into, bmv_range_into, bmv_sym_into, bmv_tiles_range_into, broadcast_rows,
-    force_scalar, simd_active, WorkerPool,
+    bmv_pooled_into, bmv_range_into, bmv_sym_into, broadcast_rows, force_scalar, simd_active,
+    worker_rows, SymBand, WorkerPool,
 };
 use quake_sparse::bcsr::{Bcsr3, Bcsr3Builder};
 use quake_sparse::dense::{Mat3, Vec3};
-use quake_sparse::tiles::{Bcsr3Tiles, LaneBlock, SymTiles};
+use quake_sparse::tiles::{LaneBlock, SymTiles};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -118,18 +121,27 @@ fn assert_bits_eq(want: &[Vec3], got: &[Vec3], what: &str) {
     }
 }
 
-/// The product `Simulation::advance` computes: `broadcast_rows` over
-/// `pool`, each worker walking its rows in `block`-row pieces through the
-/// tile kernel.
-fn tiles_pooled(tiles: &Bcsr3Tiles, x: &[Vec3], pool: &WorkerPool, block: usize) -> Vec<Vec3> {
-    let mut y = poisoned(tiles.block_rows());
-    broadcast_rows(pool, &mut y, |rows, out| {
-        for lo in rows.clone().step_by(block) {
-            let hi = (lo + block).min(rows.end);
-            bmv_tiles_range_into(tiles, x, lo..hi, &mut out[lo - rows.start..hi - rows.start]);
-        }
-    });
-    y
+/// The product `Simulation::advance` computes: one [`SymBand`] per worker
+/// of `pool` over its `worker_rows`, swept in `block`-row pieces inside
+/// `broadcast_rows`. The same bands compute two products; the second
+/// starts from the accumulators the first left dirty.
+fn banded(sym: &SymTiles, x: &[Vec3], pool: &WorkerPool, block: usize) -> [Vec<Vec3>; 2] {
+    let n = sym.block_rows();
+    let t = pool.threads();
+    let mut bands: Vec<SymBand> = (0..t)
+        .map(|w| SymBand::new(sym, worker_rows(n, t, w)))
+        .collect();
+    [(); 2].map(|()| {
+        let mut y = poisoned(n);
+        broadcast_rows(pool, &mut y, &mut bands, |rows, out, band| {
+            assert_eq!(rows, band.rows(), "a band must cover its worker's rows");
+            let mut piece = vec![Vec3::ZERO; block];
+            band.sweep(sym, x, &mut piece, |r, products| {
+                out[r.start - rows.start..r.end - rows.start].copy_from_slice(products);
+            });
+        });
+        y
+    })
 }
 
 /// The barrier schedule's product, from scratch left dirty on purpose.
@@ -147,7 +159,7 @@ fn pooled_scalar(matrix: &Bcsr3, x: &[Vec3], pool: &WorkerPool) -> Vec<Vec3> {
     y
 }
 
-/// Checks the tile composition (at each pool in `pools`), the half-storage
+/// Checks the banded product (at each pool in `pools`), the half-storage
 /// kernel and, unless `scalar`, the pooled scalar kernel against the
 /// oracle; `scalar` pins the tile kernels to their fallback path.
 fn check_kernels(matrix: &Bcsr3, x: &[Vec3], pools: &[WorkerPool], block: usize, scalar: bool) {
@@ -160,7 +172,6 @@ fn check_kernels(matrix: &Bcsr3, x: &[Vec3], pools: &[WorkerPool], block: usize,
     }
     let path = if simd_active() { "avx" } else { "scalar" };
     let want = oracle(matrix, x);
-    let tiles = Bcsr3Tiles::from_bcsr(matrix);
     let sym = SymTiles::from_bcsr(matrix).expect("generated matrix is bitwise symmetric");
     assert_bits_eq(
         &want,
@@ -169,12 +180,13 @@ fn check_kernels(matrix: &Bcsr3, x: &[Vec3], pools: &[WorkerPool], block: usize,
     );
     for pool in pools {
         let t = pool.threads();
-        let got = tiles_pooled(&tiles, x, pool, block);
-        assert_bits_eq(
-            &want,
-            &got,
-            &format!("tiles ({path}) at {t} threads, block {block}"),
-        );
+        for (round, got) in banded(&sym, x, pool, block).iter().enumerate() {
+            assert_bits_eq(
+                &want,
+                got,
+                &format!("bands ({path}) at {t} threads, block {block}, round {round}"),
+            );
+        }
         if !scalar {
             let got = pooled_scalar(matrix, x, pool);
             assert_bits_eq(&want, &got, &format!("bmv_pooled_into at {t} threads"));
@@ -254,14 +266,15 @@ fn pooled_kernels_are_reusable_across_products() {
     // 6000-step loop shape): every round must reproduce the oracle.
     let (matrix, x) = random_block_symmetric(32, 99);
     let want = oracle(&matrix, &x);
-    let tiles = Bcsr3Tiles::from_bcsr(&matrix);
     let sym = SymTiles::from_bcsr(&matrix).expect("bitwise symmetric");
     let pool = WorkerPool::new(4);
     let mut acc = vec![LaneBlock::default(); 32];
     let _dispatch = Dispatch::pin(false);
     for round in 0..5 {
         let what = format!("round {round}");
-        assert_bits_eq(&want, &tiles_pooled(&tiles, &x, &pool, 8), &what);
+        for got in banded(&sym, &x, &pool, 8) {
+            assert_bits_eq(&want, &got, &what);
+        }
         assert_bits_eq(&want, &pooled_scalar(&matrix, &x, &pool), &what);
         let mut y = poisoned(32);
         bmv_sym_into(&sym, &x, &mut acc, &mut y);

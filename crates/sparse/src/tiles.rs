@@ -24,15 +24,25 @@
 //! * column indices narrow to `u32` (a 3×3-block matrix with 2³² block
 //!   rows would already be a 300-GB index array — asserted at
 //!   construction), shaving 4 bytes per block off the streamed index
-//!   traffic next to the 72-byte tile.
+//!   traffic next to the 72-byte tile;
+//! * on Linux the store is advised onto transparent huge pages before it
+//!   is first touched (`madvise(MADV_HUGEPAGE)` on its whole 2 MB pages;
+//!   hosts in THP `madvise` mode back nothing else with them), so a sweep
+//!   over a stream of many megabytes takes one TLB entry per 2 MB instead
+//!   of per 4 KB. Streams under 4 MB may span no whole huge page and are
+//!   unaffected.
 //!
 //! [`SymTiles`] is the same stream over the upper triangle only, for a
 //! bitwise-symmetric matrix: it streams each symmetric pair of blocks
 //! once, and its construction checks the two invariants a kernel needs
-//! to reproduce the full product bit for bit.
+//! to reproduce the full product bit for bit. Its
+//! [`cross_strip`](SymTiles::cross_strip) for a row range is the small
+//! full-orientation stream a worker owning those rows needs in addition,
+//! to take the terms that rows below the range scatter to them.
 
 use crate::bcsr::Bcsr3;
 use crate::error::SparseError;
+use std::ops::Range;
 
 /// Four `f64` lanes at the vector unit's natural 32-byte alignment — the
 /// building block of the tile stream's backing store.
@@ -101,10 +111,6 @@ impl Bcsr3Tiles {
     /// holds, each row in storage order.
     fn from_blocks_where(matrix: &Bcsr3, keep: impl Fn(usize, usize) -> bool) -> Self {
         let n = matrix.block_rows();
-        assert!(
-            u32::try_from(n).is_ok(),
-            "matrix with {n} block rows overflows u32 column indices"
-        );
         let (src_ptr, src_col) = (matrix.row_ptr(), matrix.col_idx());
         let mut row_ptr = Vec::with_capacity(n + 1);
         row_ptr.push(0);
@@ -117,20 +123,7 @@ impl Bcsr3Tiles {
             }
             row_ptr.push(col_idx.len());
         }
-        let blocks = col_idx.len();
-        // Live words + one zero tail tile, rounded up to whole LaneBlocks;
-        // the tail tile doubles as the round-up slack's zero source.
-        let words = blocks * TILE_LANES + TILE_LANES;
-        let store = vec![LaneBlock::default(); words.div_ceil(4)];
-        let mut tiles = Bcsr3Tiles {
-            n,
-            row_ptr,
-            col_idx,
-            store,
-            blocks,
-        };
-        {
-            let values = tiles.values_mut();
+        Self::with_stream(n, row_ptr, col_idx, |values| {
             let mut tile = 0;
             for r in 0..n {
                 for k in src_ptr[r]..src_ptr[r + 1] {
@@ -144,7 +137,45 @@ impl Bcsr3Tiles {
                     }
                 }
             }
-        }
+        })
+    }
+
+    /// Allocates the value stream for `col_idx.len()` tiles, advises the
+    /// kernel to back it with huge pages, zeroes it and lets `fill` write
+    /// the live tiles in order.
+    ///
+    /// The advice must precede the first touch: a page faulted in before
+    /// it stays a 4 KB page. A sweep over the sf5 stiffness touches about
+    /// 4,000 such pages per step, one TLB miss each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` does not fit a `u32` column index.
+    fn with_stream(
+        n: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<u32>,
+        fill: impl FnOnce(&mut [f64]),
+    ) -> Self {
+        assert!(
+            u32::try_from(n).is_ok(),
+            "matrix with {n} block rows overflows u32 column indices"
+        );
+        let blocks = col_idx.len();
+        // Live words + one zero tail tile, rounded up to whole LaneBlocks;
+        // the tail tile doubles as the round-up slack's zero source.
+        let words = blocks * TILE_LANES + TILE_LANES;
+        let mut store = Vec::with_capacity(words.div_ceil(4));
+        advise_huge_pages(store.as_mut_ptr() as usize, store.capacity() * STREAM_ALIGN);
+        store.resize(words.div_ceil(4), LaneBlock::default());
+        let mut tiles = Bcsr3Tiles {
+            n,
+            row_ptr,
+            col_idx,
+            store,
+            blocks,
+        };
+        fill(tiles.values_mut());
         debug_assert!(tiles.audit().is_ok(), "{:?}", tiles.audit());
         tiles
     }
@@ -326,6 +357,69 @@ impl SymTiles {
         })
     }
 
+    /// The lower-triangle blocks that `rows` takes from the rows below
+    /// it: every full-storage block `(j, c)` with `j` in `rows` and
+    /// `c < rows.start`, each row's blocks in ascending column order, as a
+    /// [`Bcsr3Tiles`] over all [`block_rows`](SymTiles::block_rows) rows
+    /// (rows outside `rows` are empty).
+    ///
+    /// Each tile is the bit-exact transpose of the stored upper tile
+    /// `(c, j)`, so a product over the strip performs the full product's
+    /// own operations on row `j`'s first terms. A worker that owns `rows`
+    /// in a pooled half-storage product streams its strip for them, then
+    /// sweeps its own upper rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` extends past the block-row count.
+    pub fn cross_strip(&self, rows: Range<usize>) -> Bcsr3Tiles {
+        let n = self.block_rows();
+        assert!(
+            rows.start <= rows.end && rows.end <= n,
+            "row range {rows:?} out of bounds for {n} block rows"
+        );
+        let (up_ptr, up_col) = (self.upper.row_ptr(), self.upper.col_idx());
+        // The upper rows `c < rows.start`, and in each the tiles whose
+        // column falls in `rows`: contiguous, since columns ascend.
+        let crossing = |c: usize| {
+            let cols = &up_col[up_ptr[c]..up_ptr[c + 1]];
+            let from = cols.partition_point(|&j| (j as usize) < rows.start);
+            let to = cols.partition_point(|&j| (j as usize) < rows.end);
+            up_ptr[c] + from..up_ptr[c] + to
+        };
+        let mut row_ptr = vec![0; n + 1];
+        for c in 0..rows.start {
+            for &j in &up_col[crossing(c)] {
+                row_ptr[j as usize + 1] += 1;
+            }
+        }
+        for r in 0..n {
+            row_ptr[r + 1] += row_ptr[r];
+        }
+        // Visiting `c` in ascending order appends to each row `j` in
+        // ascending column order.
+        let mut next = row_ptr[..n].to_vec();
+        let mut col_idx = vec![0u32; row_ptr[n]];
+        let mut source = vec![0usize; row_ptr[n]];
+        for c in 0..rows.start {
+            for k in crossing(c) {
+                let j = up_col[k] as usize;
+                col_idx[next[j]] = c as u32;
+                source[next[j]] = k;
+                next[j] += 1;
+            }
+        }
+        Bcsr3Tiles::with_stream(n, row_ptr, col_idx, |values| {
+            for (tile, &k) in source.iter().enumerate() {
+                let t = self.upper.tile(k);
+                // Column-major (c, j) holds M[r][l] at 3l + r; its
+                // transpose (j, c) holds M[l][r] there.
+                values[tile * TILE_LANES..(tile + 1) * TILE_LANES]
+                    .copy_from_slice(&[t[0], t[3], t[6], t[1], t[4], t[7], t[2], t[5], t[8]]);
+            }
+        })
+    }
+
     /// The stored upper triangle: in each row the diagonal tile (if any)
     /// comes first, then the upper tiles in ascending column order.
     #[inline]
@@ -352,6 +446,31 @@ impl SymTiles {
         18 * self.full_blocks as u64
     }
 }
+
+/// Asks the kernel to back the whole huge pages inside `[addr, addr +
+/// len)` with transparent huge pages. It is advice: where it is refused,
+/// or on a host whose THP mode is `never`, the pages stay 4 KB and nothing
+/// else changes. A region smaller than a huge page gets no advice.
+#[cfg(target_os = "linux")]
+fn advise_huge_pages(addr: usize, len: usize) {
+    extern "C" {
+        fn madvise(addr: *mut std::ffi::c_void, len: usize, advice: i32) -> i32;
+    }
+    const MADV_HUGEPAGE: i32 = 14;
+    /// Bytes per transparent huge page on x86-64 and aarch64 Linux.
+    const HUGE_PAGE: usize = 2 << 20;
+    let start = addr.next_multiple_of(HUGE_PAGE);
+    let end = (addr + len) / HUGE_PAGE * HUGE_PAGE;
+    if end > start {
+        // SAFETY: the range lies inside one live allocation of the caller,
+        // and MADV_HUGEPAGE changes only how its pages are backed, never
+        // their contents or mapping.
+        unsafe { madvise(start as *mut std::ffi::c_void, end - start, MADV_HUGEPAGE) };
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+fn advise_huge_pages(_addr: usize, _len: usize) {}
 
 /// Checks that `matrix`'s rows strictly ascend and that each lower block
 /// is the bitwise transpose of its upper mirror, and vice versa.
@@ -503,12 +622,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sym_tiles_keep_the_upper_triangle_in_row_order() {
-        let m = dense_band_matrix(40, 3);
-        // dense_band_matrix is not symmetric; mirror its upper triangle.
-        let mut b = Bcsr3Builder::new(40);
-        for r in 0..40 {
+    /// `dense_band_matrix`'s upper triangle, mirrored: bitwise symmetric.
+    fn symmetric_band_matrix(n: usize, half_band: usize) -> Bcsr3 {
+        let m = dense_band_matrix(n, half_band);
+        let mut b = Bcsr3Builder::new(n);
+        for r in 0..n {
             for k in m.row_ptr()[r]..m.row_ptr()[r + 1] {
                 let c = m.col_idx()[k];
                 if c >= r {
@@ -519,7 +637,67 @@ mod tests {
                 }
             }
         }
-        let full = b.build();
+        b.build()
+    }
+
+    #[test]
+    fn cross_strip_holds_the_lower_blocks_from_below_bit_for_bit() {
+        let full = symmetric_band_matrix(40, 4);
+        let sym = SymTiles::from_bcsr(&full).expect("mirrored matrix is symmetric");
+        for (lo, hi) in [(0, 40), (0, 0), (10, 25), (25, 40), (39, 40), (12, 12)] {
+            let strip = sym.cross_strip(lo..hi);
+            strip.audit().expect("a strip passes its audit");
+            assert_eq!(strip.block_rows(), 40);
+            let mut want = 0;
+            for r in 0..40 {
+                let cols = &strip.col_idx()[strip.row_ptr()[r]..strip.row_ptr()[r + 1]];
+                let expect: Vec<u32> = if (lo..hi).contains(&r) {
+                    let row = &full.col_idx()[full.row_ptr()[r]..full.row_ptr()[r + 1]];
+                    row.iter().filter(|&&c| c < lo).map(|&c| c as u32).collect()
+                } else {
+                    Vec::new()
+                };
+                assert_eq!(cols, expect.as_slice(), "strip {lo}..{hi}, row {r}");
+                want += expect.len();
+                for (k, &c) in (strip.row_ptr()[r]..).zip(cols) {
+                    let block = full.block(r, c as usize).unwrap();
+                    for (col, lanes) in strip.tile(k).chunks_exact(3).enumerate() {
+                        for (row, &v) in lanes.iter().enumerate() {
+                            assert_eq!(v.to_bits(), block.m[row][col].to_bits());
+                        }
+                    }
+                }
+            }
+            assert_eq!(strip.block_nnz(), want, "strip {lo}..{hi}");
+        }
+        assert_eq!(sym.cross_strip(0..40).block_nnz(), 0);
+        assert!(sym.cross_strip(20..40).block_nnz() > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn cross_strip_past_the_end_panics() {
+        let sym = SymTiles::from_bcsr(&symmetric_band_matrix(8, 1)).unwrap();
+        sym.cross_strip(4..9);
+    }
+
+    #[test]
+    fn streams_above_a_huge_page_are_aligned_and_complete() {
+        // 88,000 tiles = 6.3 MB: the store spans at least one whole 2 MB
+        // page, which gets the huge-page advice before it is touched.
+        let m = dense_band_matrix(8000, 5);
+        let tiles = Bcsr3Tiles::from_bcsr(&m);
+        assert!(tiles.values().len() * 8 > 4 << 20);
+        tiles.audit().expect("a huge stream passes its audit");
+        assert_eq!(
+            tiles.tile(tiles.block_nnz() - 1)[0],
+            m.blocks()[m.block_nnz() - 1].m[0][0]
+        );
+    }
+
+    #[test]
+    fn sym_tiles_keep_the_upper_triangle_in_row_order() {
+        let full = symmetric_band_matrix(40, 3);
         let sym = SymTiles::from_bcsr(&full).expect("mirrored matrix is symmetric");
         assert_eq!(sym.block_nnz(), full.block_nnz());
         assert_eq!(sym.smvp_flops(), full.smvp_flops());
