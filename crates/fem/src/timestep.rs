@@ -191,7 +191,9 @@ impl Step<'_> {
 impl Simulation {
     /// Creates a simulation with time step `dt` (seconds). The stiffness is
     /// converted once into the half storage the step kernel runs on, and
-    /// the source matrix is dropped.
+    /// the source matrix is consumed as it converts
+    /// ([`SymTiles::from_bcsr_owned`]), so the two are never resident at
+    /// once.
     ///
     /// # Errors
     ///
@@ -209,7 +211,7 @@ impl Simulation {
         }
         let AssembledSystem { stiffness, mass } = system;
         let n = stiffness.block_rows();
-        let stiffness = SymTiles::from_bcsr(&stiffness).map_err(SimError::NotSymmetric)?;
+        let stiffness = SymTiles::from_bcsr_owned(stiffness).map_err(SimError::NotSymmetric)?;
         Ok(Simulation {
             bands: vec![SymBand::new(&stiffness, 0..n)],
             stiffness: Arc::new(stiffness),

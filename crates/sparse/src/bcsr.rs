@@ -80,6 +80,12 @@ impl Bcsr3 {
         &self.blocks
     }
 
+    /// The block-row count, row pointers, column indices and blocks, for a
+    /// conversion that releases the arrays as it consumes them.
+    pub(crate) fn into_parts(self) -> (usize, Vec<usize>, Vec<usize>, Vec<Mat3>) {
+        (self.n, self.row_ptr, self.col_idx, self.blocks)
+    }
+
     /// The block at `(i, j)` or `None` if not stored.
     pub fn block(&self, i: usize, j: usize) -> Option<&Mat3> {
         if i >= self.n {
@@ -454,6 +460,22 @@ impl ElementAssembler {
     ///
     /// Panics if an element references a node `≥ n`.
     pub fn new<const K: usize>(n: usize, elements: &[[usize; K]]) -> Self {
+        // The pattern's scratch is freed on return, before the value array,
+        // the largest of the three, is allocated.
+        let (row_ptr, col_idx) = Self::pattern(n, elements);
+        let blocks = vec![Mat3::new([[-0.0; 3]; 3]); col_idx.len()];
+        ElementAssembler {
+            matrix: Bcsr3 {
+                n,
+                row_ptr,
+                col_idx,
+                blocks,
+            },
+        }
+    }
+
+    /// Row pointers and sorted column indices of the pattern of `elements`.
+    fn pattern<const K: usize>(n: usize, elements: &[[usize; K]]) -> (Vec<usize>, Vec<usize>) {
         // Node → incident elements, in CSR form.
         let mut inc_ptr = vec![0usize; n + 1];
         for conn in elements {
@@ -507,15 +529,7 @@ impl ElementAssembler {
             }
             col_idx[row_ptr[i]..k].sort_unstable();
         }
-        let blocks = vec![Mat3::new([[-0.0; 3]; 3]); col_idx.len()];
-        ElementAssembler {
-            matrix: Bcsr3 {
-                n,
-                row_ptr,
-                col_idx,
-                blocks,
-            },
-        }
+        (row_ptr, col_idx)
     }
 
     /// Sums element `ke` over nodes `conn` into the matrix:

@@ -30,7 +30,9 @@
 //!   hosts in THP `madvise` mode back nothing else with them), so a sweep
 //!   over a stream of many megabytes takes one TLB entry per 2 MB instead
 //!   of per 4 KB. Streams under 4 MB may span no whole huge page and are
-//!   unaffected.
+//!   unaffected. The store is allocated untouched: every live word is
+//!   first written by the conversion's fill, after the advice, and only
+//!   the tail pad is zeroed.
 //!
 //! [`SymTiles`] is the same stream over the upper triangle only, for a
 //! bitwise-symmetric matrix: it streams each symmetric pair of blocks
@@ -39,9 +41,22 @@
 //! [`cross_strip`](SymTiles::cross_strip) for a row range is the small
 //! full-orientation stream a worker owning those rows needs in addition,
 //! to take the terms that rows below the range scatter to them.
+//!
+//! A [`Bcsr3`] whose owner no longer needs it converts with
+//! [`SymTiles::from_bcsr_owned`], which never holds the matrix and its
+//! stream at once. It fills the rows from the last to the first and, every
+//! 2 MB of source consumed, cuts the source's block array to the rows
+//! still to fill and shrinks it, so the allocator gets the tail back. The
+//! stream's pages become resident only as the fill first writes them,
+//! after the huge-page advice, so the stream grows as the source shrinks
+//! and the conversion's peak is the source plus about one huge page. The
+//! words written are those of [`SymTiles::from_bcsr`], which shares the
+//! per-row fill.
 
 use crate::bcsr::Bcsr3;
+use crate::dense::Mat3;
 use crate::error::SparseError;
+use std::mem::MaybeUninit;
 use std::ops::Range;
 
 /// Four `f64` lanes at the vector unit's natural 32-byte alignment — the
@@ -104,58 +119,40 @@ impl Bcsr3Tiles {
     /// index would overflow). Debug builds additionally run the full
     /// [`audit`](Bcsr3Tiles::audit).
     pub fn from_bcsr(matrix: &Bcsr3) -> Self {
-        Self::from_blocks_where(matrix, |_, _| true)
-    }
-
-    /// Transposes the blocks `(row, col)` of `matrix` for which `keep`
-    /// holds, each row in storage order.
-    fn from_blocks_where(matrix: &Bcsr3, keep: impl Fn(usize, usize) -> bool) -> Self {
-        let n = matrix.block_rows();
-        let (src_ptr, src_col) = (matrix.row_ptr(), matrix.col_idx());
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        row_ptr.push(0);
-        let mut col_idx = Vec::with_capacity(matrix.block_nnz());
-        for r in 0..n {
-            for &c in &src_col[src_ptr[r]..src_ptr[r + 1]] {
-                if keep(r, c) {
-                    col_idx.push(c as u32);
-                }
-            }
-            row_ptr.push(col_idx.len());
+        let col_idx = matrix.col_idx().iter().map(|&c| c as u32).collect();
+        let row_ptr = matrix.row_ptr().to_vec();
+        // SAFETY: one tile per block, and the fill writes every block.
+        unsafe {
+            Self::with_stream(matrix.block_rows(), row_ptr, col_idx, |_, values| {
+                write_tiles(values, 0, matrix.blocks())
+            })
         }
-        Self::with_stream(n, row_ptr, col_idx, |values| {
-            let mut tile = 0;
-            for r in 0..n {
-                for k in src_ptr[r]..src_ptr[r + 1] {
-                    if keep(r, src_col[k]) {
-                        let m = &matrix.blocks()[k].m;
-                        values[tile * TILE_LANES..(tile + 1) * TILE_LANES].copy_from_slice(&[
-                            m[0][0], m[1][0], m[2][0], m[0][1], m[1][1], m[2][1], m[0][2], m[1][2],
-                            m[2][2],
-                        ]);
-                        tile += 1;
-                    }
-                }
-            }
-        })
     }
 
     /// Allocates the value stream for `col_idx.len()` tiles, advises the
-    /// kernel to back it with huge pages, zeroes it and lets `fill` write
-    /// the live tiles in order.
+    /// kernel to back it with huge pages, lets `fill` write the live tiles
+    /// and zeroes the tail pad.
     ///
-    /// The advice must precede the first touch: a page faulted in before
-    /// it stays a 4 KB page. A sweep over the sf5 stiffness touches about
-    /// 4,000 such pages per step, one TLB miss each.
+    /// `fill` receives the stream's row pointers and its live words.
+    /// Nothing else touches the live words, so each page of the stream is
+    /// first touched by `fill`, after the advice: a page faulted in before
+    /// it stays a 4 KB page (a sweep over the sf5 stiffness touches about
+    /// 4,000 such pages per step, one TLB miss each), and a page `fill`
+    /// has not reached yet is not resident.
+    ///
+    /// # Safety
+    ///
+    /// Unless it panics, `fill` must write every word of the slice it
+    /// receives: the stream is read as initialised `f64`s afterwards.
     ///
     /// # Panics
     ///
     /// Panics if `n` does not fit a `u32` column index.
-    fn with_stream(
+    unsafe fn with_stream(
         n: usize,
         row_ptr: Vec<usize>,
         col_idx: Vec<u32>,
-        fill: impl FnOnce(&mut [f64]),
+        fill: impl FnOnce(&[usize], &mut [MaybeUninit<f64>]),
     ) -> Self {
         assert!(
             u32::try_from(n).is_ok(),
@@ -163,19 +160,31 @@ impl Bcsr3Tiles {
         );
         let blocks = col_idx.len();
         // Live words + one zero tail tile, rounded up to whole LaneBlocks;
-        // the tail tile doubles as the round-up slack's zero source.
-        let words = blocks * TILE_LANES + TILE_LANES;
-        let mut store = Vec::with_capacity(words.div_ceil(4));
+        // everything past the live words (the pad) is zero.
+        let live = blocks * TILE_LANES;
+        let lanes = (live + TILE_LANES).div_ceil(4);
+        let mut store = Vec::with_capacity(lanes);
         advise_huge_pages(store.as_mut_ptr() as usize, store.capacity() * STREAM_ALIGN);
-        store.resize(words.div_ceil(4), LaneBlock::default());
-        let mut tiles = Bcsr3Tiles {
+        let spare = &mut store.spare_capacity_mut()[..lanes];
+        // SAFETY: MaybeUninit<LaneBlock> has LaneBlock's layout, four f64s
+        // with no padding, so `lanes` of them are exactly `4 · lanes`
+        // contiguous MaybeUninit<f64>s inside the allocation.
+        let values = unsafe {
+            std::slice::from_raw_parts_mut(spare.as_mut_ptr().cast::<MaybeUninit<f64>>(), lanes * 4)
+        };
+        let (words, pad) = values.split_at_mut(live);
+        fill(&row_ptr, words);
+        pad.fill(MaybeUninit::new(0.0));
+        // SAFETY: `fill` wrote every live word (the caller's contract) and
+        // the pad is zeroed, so the first `lanes` LaneBlocks are initialised.
+        unsafe { store.set_len(lanes) };
+        let tiles = Bcsr3Tiles {
             n,
             row_ptr,
             col_idx,
             store,
             blocks,
         };
-        fill(tiles.values_mut());
         debug_assert!(tiles.audit().is_ok(), "{:?}", tiles.audit());
         tiles
     }
@@ -218,6 +227,7 @@ impl Bcsr3Tiles {
         }
     }
 
+    #[cfg(test)]
     fn values_mut(&mut self) -> &mut [f64] {
         // SAFETY: as in `values`, plus exclusive access through &mut self.
         unsafe {
@@ -351,10 +361,66 @@ impl SymTiles {
     /// As [`Bcsr3Tiles::from_bcsr`].
     pub fn from_bcsr(matrix: &Bcsr3) -> Result<Self, SparseError> {
         check_bitwise_symmetric(matrix)?;
+        let (n, row_ptr) = (matrix.block_rows(), matrix.row_ptr());
+        let (up_ptr, up_col) = upper_pattern(n, row_ptr, matrix.col_idx());
+        // SAFETY: row r writes tiles up_ptr[r]..up_ptr[r + 1], and the rows
+        // cover every tile.
+        let upper = unsafe {
+            Bcsr3Tiles::with_stream(n, up_ptr, up_col, |up_ptr, values| {
+                for r in 0..n {
+                    fill_upper_row(values, up_ptr, r, row_ptr[r + 1], matrix.blocks());
+                }
+            })
+        };
         Ok(SymTiles {
-            upper: Bcsr3Tiles::from_blocks_where(matrix, |r, c| c >= r),
+            upper,
             full_blocks: matrix.block_nnz(),
         })
+    }
+
+    /// As [`from_bcsr`](SymTiles::from_bcsr), but consumes `matrix` and
+    /// releases it while the stream fills, so the two are never resident
+    /// together: the conversion's peak is the source plus about 2 MB
+    /// instead of the source plus the whole stream.
+    ///
+    /// The rows are filled from the last to the first. Each time the
+    /// blocks consumed since the last release reach 2 MB (one huge page),
+    /// the source's block array is cut to the rows not yet filled and
+    /// shrunk, which hands its tail back to the allocator (glibc shrinks
+    /// a large, `mmap`-backed block in place with `mremap`). The stream's
+    /// pages are first touched as the fill reaches them, so its resident
+    /// size grows only as the source's shrinks. The stream written is the
+    /// one `from_bcsr` writes, word for word.
+    ///
+    /// # Errors
+    ///
+    /// As [`from_bcsr`](SymTiles::from_bcsr); the checks run on the intact
+    /// matrix before anything is released.
+    ///
+    /// # Panics
+    ///
+    /// As [`Bcsr3Tiles::from_bcsr`].
+    pub fn from_bcsr_owned(matrix: Bcsr3) -> Result<Self, SparseError> {
+        check_bitwise_symmetric(&matrix)?;
+        let full_blocks = matrix.block_nnz();
+        let (n, row_ptr, col_idx, mut blocks) = matrix.into_parts();
+        let (up_ptr, up_col) = upper_pattern(n, &row_ptr, &col_idx);
+        drop(col_idx);
+        let chunk = RELEASE_BYTES / std::mem::size_of::<Mat3>();
+        // SAFETY: as in `from_bcsr`, in the opposite row order. A row's
+        // source blocks are released only after the row is written.
+        let upper = unsafe {
+            Bcsr3Tiles::with_stream(n, up_ptr, up_col, |up_ptr, values| {
+                for r in (0..n).rev() {
+                    fill_upper_row(values, up_ptr, r, row_ptr[r + 1], &blocks);
+                    if blocks.len() - row_ptr[r] >= chunk {
+                        blocks.truncate(row_ptr[r]);
+                        blocks.shrink_to_fit();
+                    }
+                }
+            })
+        };
+        Ok(SymTiles { upper, full_blocks })
     }
 
     /// The lower-triangle blocks that `rows` takes from the rows below
@@ -409,15 +475,21 @@ impl SymTiles {
                 next[j] += 1;
             }
         }
-        Bcsr3Tiles::with_stream(n, row_ptr, col_idx, |values| {
-            for (tile, &k) in source.iter().enumerate() {
-                let t = self.upper.tile(k);
-                // Column-major (c, j) holds M[r][l] at 3l + r; its
-                // transpose (j, c) holds M[l][r] there.
-                values[tile * TILE_LANES..(tile + 1) * TILE_LANES]
-                    .copy_from_slice(&[t[0], t[3], t[6], t[1], t[4], t[7], t[2], t[5], t[8]]);
-            }
-        })
+        // SAFETY: `source` holds one entry per tile, and each writes its
+        // whole tile.
+        unsafe {
+            Bcsr3Tiles::with_stream(n, row_ptr, col_idx, |_, values| {
+                for (tile, &k) in values.chunks_exact_mut(TILE_LANES).zip(&source) {
+                    let t = self.upper.tile(k);
+                    // Column-major (c, j) holds M[r][l] at 3l + r; its
+                    // transpose (j, c) holds M[l][r] there.
+                    tile.copy_from_slice(
+                        &[t[0], t[3], t[6], t[1], t[4], t[7], t[2], t[5], t[8]]
+                            .map(MaybeUninit::new),
+                    );
+                }
+            })
+        }
     }
 
     /// The stored upper triangle: in each row the diagonal tile (if any)
@@ -445,6 +517,57 @@ impl SymTiles {
     pub fn smvp_flops(&self) -> u64 {
         18 * self.full_blocks as u64
     }
+}
+
+/// Source bytes [`SymTiles::from_bcsr_owned`] consumes between two
+/// releases: the most of the matrix it holds twice, once in each layout.
+const RELEASE_BYTES: usize = 2 << 20;
+
+/// Writes `blocks` as consecutive column-major tiles from tile `first` on.
+fn write_tiles(values: &mut [MaybeUninit<f64>], first: usize, blocks: &[Mat3]) {
+    let words = &mut values[first * TILE_LANES..(first + blocks.len()) * TILE_LANES];
+    for (tile, block) in words.chunks_exact_mut(TILE_LANES).zip(blocks) {
+        let m = &block.m;
+        tile.copy_from_slice(
+            &[
+                m[0][0], m[1][0], m[2][0], m[0][1], m[1][1], m[2][1], m[0][2], m[1][2], m[2][2],
+            ]
+            .map(MaybeUninit::new),
+        );
+    }
+}
+
+/// The upper triangle's row pointers and columns, diagonal included. Row
+/// `r` keeps the suffix of its columns from the first `c ≥ r` on, since
+/// the columns ascend (as [`check_bitwise_symmetric`] checks).
+fn upper_pattern(n: usize, row_ptr: &[usize], col_idx: &[usize]) -> (Vec<usize>, Vec<u32>) {
+    let upper = |r: usize| {
+        let cols = &col_idx[row_ptr[r]..row_ptr[r + 1]];
+        &cols[cols.partition_point(|&c| c < r)..]
+    };
+    let mut up_ptr = Vec::with_capacity(n + 1);
+    up_ptr.push(0);
+    for r in 0..n {
+        up_ptr.push(up_ptr[r] + upper(r).len());
+    }
+    let mut up_col = Vec::with_capacity(up_ptr[n]);
+    for r in 0..n {
+        up_col.extend(upper(r).iter().map(|&c| c as u32));
+    }
+    (up_ptr, up_col)
+}
+
+/// Writes row `r`'s upper tiles: the last `up_ptr[r + 1] - up_ptr[r]`
+/// source blocks before `row_end`, the end of row `r` in `blocks`.
+fn fill_upper_row(
+    values: &mut [MaybeUninit<f64>],
+    up_ptr: &[usize],
+    r: usize,
+    row_end: usize,
+    blocks: &[Mat3],
+) {
+    let len = up_ptr[r + 1] - up_ptr[r];
+    write_tiles(values, up_ptr[r], &blocks[row_end - len..row_end]);
 }
 
 /// Asks the kernel to back the whole huge pages inside `[addr, addr +
@@ -693,6 +816,122 @@ mod tests {
             tiles.tile(tiles.block_nnz() - 1)[0],
             m.blocks()[m.block_nnz() - 1].m[0][0]
         );
+    }
+
+    /// A bitwise-symmetric matrix over `n` rows drawn from `seed`: some
+    /// rows empty, some holding only their diagonal, the rest coupled to
+    /// a few random columns, with signed zeros among the entries.
+    fn random_symmetric_matrix(n: usize, seed: u64) -> Bcsr3 {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = |below: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % below
+        };
+        let block = |next: &mut dyn FnMut(u64) -> u64| {
+            let mut m = [[0.0; 3]; 3];
+            for v in m.iter_mut().flatten() {
+                *v = match next(10) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    k => k as f64 * 0.37 - 2.0,
+                };
+            }
+            Mat3::new(m)
+        };
+        // 0: empty, 1: diagonal only, 2+: coupled.
+        let kinds: Vec<u64> = (0..n).map(|_| next(5)).collect();
+        let mut b = Bcsr3Builder::new(n);
+        for r in 0..n {
+            if kinds[r] > 0 {
+                b.add_block(r, r, block(&mut next));
+            }
+            if kinds[r] < 2 {
+                continue;
+            }
+            for c in r + 1..n {
+                if kinds[c] >= 2 && next(4) == 0 {
+                    let m = block(&mut next);
+                    b.add_block(r, c, m);
+                    b.add_block(c, r, m.transpose());
+                }
+            }
+        }
+        b.build()
+    }
+
+    /// Asserts that two half-storage streams are the same word for word:
+    /// pattern, every value word including the tail pad, and counts.
+    fn assert_same_stream(got: &SymTiles, want: &SymTiles, what: &str) {
+        let (g, w) = (got.upper(), want.upper());
+        g.audit().unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(g.block_rows(), w.block_rows(), "{what}: rows");
+        assert_eq!(g.row_ptr(), w.row_ptr(), "{what}: row_ptr");
+        assert_eq!(g.col_idx(), w.col_idx(), "{what}: col_idx");
+        assert_eq!(g.block_nnz(), w.block_nnz(), "{what}: upper blocks");
+        assert_eq!(got.block_nnz(), want.block_nnz(), "{what}: full blocks");
+        assert_eq!(g.values().len(), w.values().len(), "{what}: stream words");
+        for (k, (a, b)) in g.values().iter().zip(w.values()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}: word {k}");
+        }
+    }
+
+    #[test]
+    fn owned_conversion_writes_the_borrowed_stream_word_for_word() {
+        let mut cases = vec![
+            ("band 40/3".to_string(), symmetric_band_matrix(40, 3)),
+            ("band 1/0".to_string(), symmetric_band_matrix(1, 0)),
+            ("band 2/1".to_string(), symmetric_band_matrix(2, 1)),
+            ("empty".to_string(), Bcsr3Builder::new(0).build()),
+            ("rows, no blocks".to_string(), Bcsr3Builder::new(3).build()),
+        ];
+        for (n, seed) in [(0, 1), (1, 2), (2, 3), (2, 4), (17, 5), (60, 6), (200, 7)] {
+            cases.push((
+                format!("random n = {n}, seed {seed}"),
+                random_symmetric_matrix(n, seed),
+            ));
+        }
+        // 144,000 blocks, 10 MB: the owned path releases its source five
+        // times, at row boundaries that fall mid-chunk.
+        let big = symmetric_band_matrix(16_000, 4);
+        assert!(big.block_nnz() * std::mem::size_of::<Mat3>() > 4 * RELEASE_BYTES);
+        cases.push(("band 16000/4".to_string(), big));
+        for (what, m) in cases {
+            let want = SymTiles::from_bcsr(&m).expect("generated matrix is symmetric");
+            let got = SymTiles::from_bcsr_owned(m).expect("generated matrix is symmetric");
+            assert_same_stream(&got, &want, &what);
+        }
+    }
+
+    #[test]
+    fn owned_conversion_rejects_what_the_borrowed_one_rejects() {
+        let m = Mat3::new([[1.0, 0.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]);
+        let mut b = Bcsr3Builder::new(3);
+        b.add_block(0, 0, Mat3::identity());
+        b.add_block(0, 2, m);
+        b.add_block(2, 0, m.transpose());
+        b.add_block(2, 2, Mat3::identity());
+        let ok = b.build();
+        assert!(SymTiles::from_bcsr_owned(ok.clone()).is_ok());
+        // One bit off: the sign of a zero in the mirror.
+        let mut b = Bcsr3Builder::new(3);
+        let mut signed = m.transpose();
+        signed.m[1][0] = -0.0;
+        b.add_block(0, 0, Mat3::identity());
+        b.add_block(0, 2, m);
+        b.add_block(2, 0, signed);
+        b.add_block(2, 2, Mat3::identity());
+        assert_eq!(
+            SymTiles::from_bcsr_owned(b.build()).unwrap_err(),
+            SparseError::NotSymmetric
+        );
+        // Rows whose columns descend.
+        let unsorted = ok.permute_symmetric_stable(&[2, 1, 0]).unwrap();
+        assert!(matches!(
+            SymTiles::from_bcsr_owned(unsorted),
+            Err(SparseError::MalformedStructure(_))
+        ));
     }
 
     #[test]

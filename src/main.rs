@@ -13,6 +13,7 @@ use quake_core::paperdata;
 use quake_fem::assembly::{assemble, GroundMaterial};
 use quake_fem::source::{PointSource, Ricker};
 use quake_fem::timestep::Simulation;
+use quake_mesh::mesh::BYTES_PER_NODE;
 use quake_repro::cli::{help, CliError, Invocation};
 use quake_sparse::dense::Vec3;
 use std::error::Error;
@@ -807,6 +808,7 @@ fn cmd_simulate(inv: &Invocation) -> Result<(), Box<dyn Error>> {
     })?;
     let max_vp = 3f64.sqrt() * app.ground.vs_rock;
     let dt = Simulation::stable_dt(&app.mesh, max_vp, 0.4);
+    let smvp_flops = system.stiffness.smvp_flops();
     let mut sim = setup.time("Simulation::new", || Simulation::new(system, dt))?;
     println!("{setup}");
     let source = PointSource::nearest(
@@ -833,7 +835,6 @@ fn cmd_simulate(inv: &Invocation) -> Result<(), Box<dyn Error>> {
         sim.step_count(),
         fmt_seconds(sim.time())
     );
-    let smvp_flops = app.mesh.pattern().smvp_flops();
     println!(
         "per step: one SMVP of {smvp_flops} flops; receiver peak displacement {:.3e} m",
         sim.seismograms()[0].peak()
@@ -842,5 +843,23 @@ fn cmd_simulate(inv: &Invocation) -> Result<(), Box<dyn Error>> {
         "displacement energy: {:.3e} (finite => stable)",
         sim.displacement_energy()
     );
+    if let Some(peak) = peak_resident_bytes() {
+        let nodes = app.mesh.node_count();
+        println!(
+            "memory: peak resident {:.1} MB = {} bytes/node (paper rule: {:.1} MB at {BYTES_PER_NODE} bytes/node)",
+            peak as f64 / 1e6,
+            peak / nodes.max(1),
+            app.mesh.estimated_runtime_bytes() as f64 / 1e6
+        );
+    }
     Ok(())
+}
+
+/// The process's peak resident set size so far (`VmHWM`), where the
+/// platform reports it.
+fn peak_resident_bytes() -> Option<usize> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: usize = kb.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kb * 1024)
 }
