@@ -9,13 +9,79 @@
 //! 3 words per shared node. Its numerical output is bit-for-bit comparable
 //! with a sequential global SMVP, and its message sizes reproduce the
 //! `C_i`/`B_i` counts of [`quake_partition::comm::CommAnalysis`].
+//!
+//! Each PE's `K_ij` is resident once, in half storage ([`SymTiles`]: the
+//! upper triangle, each symmetric pair of blocks kept once). The build
+//! assembles one PE at a time and converts its full matrix as it releases
+//! it ([`SymTiles::from_bcsr_owned`]), so at most one PE's full matrix is
+//! ever resident. Every [`BspExecutor`](crate::executor::BspExecutor)
+//! built from the system shares these matrices instead of copying them;
+//! a schedule that renumbers rows expands one PE at a time with
+//! [`SymTiles::to_bcsr`], bit for bit the assembled matrix.
 
 use quake_fem::assembly::MaterialField;
 use quake_fem::elasticity::{element_stiffness, DegenerateElement};
 use quake_mesh::mesh::TetMesh;
 use quake_partition::partition::Partition;
+use quake_spark::tile_kernels::bmv_sym_into;
 use quake_sparse::bcsr::{Bcsr3, ElementAssembler};
 use quake_sparse::dense::Vec3;
+use quake_sparse::error::SparseError;
+use quake_sparse::tiles::{LaneBlock, SymTiles};
+use std::cell::RefCell;
+use std::ops::Deref;
+use std::sync::Arc;
+
+/// One PE's local stiffness in half storage, shared by every executor
+/// built from its system. It dereferences to the [`SymTiles`] it holds.
+#[derive(Debug, Clone)]
+pub struct LocalStiffness(Arc<SymTiles>);
+
+impl LocalStiffness {
+    /// Local SMVP `y = Kx` over per-node 3-vectors, into `y`, on the
+    /// half-storage kernel the barrier schedule runs
+    /// ([`bmv_sym_into`]), bit for bit the full matrix's product.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SparseError::DimensionMismatch`] if `x` or `y` does not hold
+    /// one [`Vec3`] per block row.
+    pub fn spmv(&self, x: &[Vec3], y: &mut [Vec3]) -> Result<(), SparseError> {
+        let n = self.block_rows();
+        for (len, what) in [(x.len(), "x block vector"), (y.len(), "y block vector")] {
+            if len != n {
+                return Err(SparseError::DimensionMismatch {
+                    expected: n,
+                    found: len,
+                    what,
+                });
+            }
+        }
+        // The kernel's scratch, one lane block per row, kept per thread so
+        // a repeated product neither allocates nor faults its pages in.
+        thread_local! {
+            static ACC: RefCell<Vec<LaneBlock>> = const { RefCell::new(Vec::new()) };
+        }
+        ACC.with_borrow_mut(|acc| {
+            acc.resize(n, LaneBlock::default());
+            bmv_sym_into(&self.0, x, acc, y);
+        });
+        Ok(())
+    }
+
+    /// The shared matrix itself, for an executor that streams it.
+    pub(crate) fn shared(&self) -> &Arc<SymTiles> {
+        &self.0
+    }
+}
+
+impl Deref for LocalStiffness {
+    type Target = SymTiles;
+
+    fn deref(&self) -> &SymTiles {
+        &self.0
+    }
+}
 
 /// One PE's share of the distributed system.
 #[derive(Debug, Clone)]
@@ -23,8 +89,8 @@ pub struct LocalSubdomain {
     /// Sorted global ids of the nodes residing on this PE.
     pub global_nodes: Vec<usize>,
     /// Local stiffness matrix over local node indices (contributions from
-    /// this PE's elements only).
-    pub stiffness: Bcsr3,
+    /// this PE's elements only), in half storage.
+    pub stiffness: LocalStiffness,
 }
 
 impl LocalSubdomain {
@@ -57,22 +123,20 @@ pub struct DistributedSystem {
     node_count: usize,
 }
 
-impl DistributedSystem {
-    /// Builds local matrices and the exchange schedule from a partitioned
-    /// mesh.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DegenerateElement`] if any element cannot be integrated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `partition` does not match `mesh`.
-    pub fn build<F: MaterialField>(
-        mesh: &TetMesh,
-        partition: &Partition,
-        field: &F,
-    ) -> Result<Self, DegenerateElement> {
+/// Where every node resides: each PE's sorted global nodes, and each
+/// node's local index on every PE it resides on, in a table aligned with
+/// `node_pes`: `slot[first[v] + k]` is v's index on `node_pes(v)[k]`.
+struct Residence<'a> {
+    partition: &'a Partition,
+    global_nodes: Vec<Vec<usize>>,
+    first: Vec<usize>,
+    slot: Vec<usize>,
+    /// Each PE's elements, in global element order.
+    elements: Vec<Vec<usize>>,
+}
+
+impl<'a> Residence<'a> {
+    fn new(mesh: &TetMesh, partition: &'a Partition) -> Self {
         assert_eq!(
             partition.assignments().len(),
             mesh.element_count(),
@@ -80,10 +144,7 @@ impl DistributedSystem {
         );
         let p = partition.parts();
         let n = mesh.node_count();
-        // Local node lists (sorted because node ids ascend), and each
-        // node's local index on every PE it resides on, in a table aligned
-        // with `node_pes`: `slot[first[v] + k]` is v's index on
-        // `node_pes(v)[k]`.
+        // Local node lists are sorted because node ids ascend.
         let mut global_nodes: Vec<Vec<usize>> = vec![Vec::new(); p];
         let mut first = Vec::with_capacity(n + 1);
         let mut slot = Vec::with_capacity(n);
@@ -95,41 +156,105 @@ impl DistributedSystem {
             }
             first.push(slot.len());
         }
-        let local = |q: usize, v: usize| {
-            let pes = partition.node_pes(v);
-            let k = pes
-                .iter()
-                .position(|&r| r == q)
-                .expect("an element's nodes reside on its PE");
-            slot[first[v] + k]
-        };
-        // Each PE's elements in local numbering, in global element order.
-        let mut elements: Vec<Vec<[usize; 4]>> = vec![Vec::new(); p];
-        for (conn, &q) in mesh.elements().iter().zip(partition.assignments()) {
-            elements[q].push(conn.map(|g| local(q, g)));
-        }
-        // Local assembly from each PE's own elements, in element order.
-        let mut assemblers: Vec<ElementAssembler> = global_nodes
-            .iter()
-            .zip(&elements)
-            .map(|(nodes, elems)| ElementAssembler::new(nodes.len(), elems))
-            .collect();
-        let mut next = vec![0usize; p];
+        let mut elements: Vec<Vec<usize>> = vec![Vec::new(); p];
         for (e, &q) in partition.assignments().iter().enumerate() {
-            let tet = mesh.tetra(e);
-            let mat = field.material(mesh, e);
-            let ke = element_stiffness(&tet, mat.lambda(), mat.mu())?;
-            assemblers[q].add_element(&elements[q][next[q]], &ke);
-            next[q] += 1;
+            elements[q].push(e);
         }
-        let subdomains: Vec<LocalSubdomain> = assemblers
-            .into_iter()
-            .zip(global_nodes)
-            .map(|(a, nodes)| LocalSubdomain {
-                global_nodes: nodes,
-                stiffness: a.finish(),
-            })
+        Residence {
+            partition,
+            global_nodes,
+            first,
+            slot,
+            elements,
+        }
+    }
+
+    /// Node `v`'s local index on PE `q`.
+    fn local(&self, q: usize, v: usize) -> usize {
+        let k = self
+            .partition
+            .node_pes(v)
+            .iter()
+            .position(|&r| r == q)
+            .expect("an element's nodes reside on its PE");
+        self.slot[self.first[v] + k]
+    }
+
+    /// PE `q`'s local stiffness from its own elements, in global element
+    /// order.
+    fn assemble<F: MaterialField>(
+        &self,
+        q: usize,
+        mesh: &TetMesh,
+        field: &F,
+    ) -> Result<Bcsr3, DegenerateElement> {
+        let conns: Vec<[usize; 4]> = self.elements[q]
+            .iter()
+            .map(|&e| mesh.elements()[e].map(|g| self.local(q, g)))
             .collect();
+        let mut assembler = ElementAssembler::new(self.global_nodes[q].len(), &conns);
+        for (&e, conn) in self.elements[q].iter().zip(&conns) {
+            let mat = field.material(mesh, e);
+            let ke = element_stiffness(&mesh.tetra(e), mat.lambda(), mat.mu())?;
+            assembler.add_element(conn, &ke);
+        }
+        Ok(assembler.finish())
+    }
+}
+
+/// Every PE's full local stiffness as assembly leaves it, before the half
+/// storage conversion: the reference the expansion is checked against.
+#[cfg(test)]
+pub(crate) fn assembled_pes<F: MaterialField>(
+    mesh: &TetMesh,
+    partition: &Partition,
+    field: &F,
+) -> Vec<Bcsr3> {
+    let residence = Residence::new(mesh, partition);
+    (0..partition.parts())
+        .map(|q| {
+            residence
+                .assemble(q, mesh, field)
+                .expect("elements integrate")
+        })
+        .collect()
+}
+
+impl DistributedSystem {
+    /// Builds local matrices and the exchange schedule from a partitioned
+    /// mesh.
+    ///
+    /// PEs are assembled one at a time, each from its own elements in
+    /// global element order, and each PE's full matrix is converted to
+    /// half storage as it is released, so at most one is ever resident.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DegenerateElement`] if any element cannot be integrated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `partition` does not match `mesh`, or if a PE's matrix is
+    /// not bitwise symmetric, which element stiffnesses and their
+    /// assembly in element order guarantee.
+    pub fn build<F: MaterialField>(
+        mesh: &TetMesh,
+        partition: &Partition,
+        field: &F,
+    ) -> Result<Self, DegenerateElement> {
+        let mut residence = Residence::new(mesh, partition);
+        let p = partition.parts();
+        let n = mesh.node_count();
+        let mut subdomains = Vec::with_capacity(p);
+        for q in 0..p {
+            let full = residence.assemble(q, mesh, field)?;
+            let tiles = SymTiles::from_bcsr_owned(full)
+                .unwrap_or_else(|e| panic!("PE {q} stiffness has no half storage: {e}"));
+            subdomains.push(LocalSubdomain {
+                global_nodes: std::mem::take(&mut residence.global_nodes[q]),
+                stiffness: LocalStiffness(Arc::new(tiles)),
+            });
+        }
         // Exchange schedule: for every node shared by several PEs, each
         // unordered pair of sharers exchanges that node's values. Entries
         // are listed in node order; the stable sort groups them by pair and
@@ -137,7 +262,7 @@ impl DistributedSystem {
         let mut shared: Vec<((usize, usize), (usize, usize))> = Vec::new();
         for v in 0..n {
             let pes = partition.node_pes(v);
-            let slots = &slot[first[v]..first[v + 1]];
+            let slots = &residence.slot[residence.first[v]..residence.first[v + 1]];
             for (ai, &a) in pes.iter().enumerate() {
                 for (bi, &b) in pes.iter().enumerate().skip(ai + 1) {
                     shared.push(((a, b), (slots[ai], slots[bi])));
@@ -195,7 +320,8 @@ impl DistributedSystem {
     /// [`Vec3`] per mesh node) and returns the summed global result.
     ///
     /// The computation phase runs each PE's local product over its
-    /// replicated `x` values; the communication phase exchanges partial `y`
+    /// replicated `x` values, on the barrier schedule's half-storage kernel
+    /// ([`LocalStiffness::spmv`]); the communication phase exchanges partial `y`
     /// sums pairwise and adds them, exactly as §2.3 describes.
     ///
     /// # Panics
@@ -204,7 +330,7 @@ impl DistributedSystem {
     pub fn smvp(&self, x: &[Vec3]) -> Vec<Vec3> {
         assert_eq!(x.len(), self.node_count, "x length must match mesh nodes");
         // Computation phase: local products on replicated x, in place over
-        // one reusable gather buffer (no per-subdomain spmv_alloc).
+        // one reusable gather buffer.
         let mut partials: Vec<Vec<Vec3>> = self
             .subdomains
             .iter()
@@ -258,7 +384,6 @@ mod tests {
     use quake_mesh::ground::Material;
     use quake_partition::comm::CommAnalysis;
     use quake_partition::geometric::{Partitioner, RecursiveBisection};
-    use quake_sparse::tiles::SymTiles;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -300,9 +425,10 @@ mod tests {
 
     #[test]
     fn global_and_subdomain_stiffness_are_bitwise_symmetric() {
-        // The half-storage executor kernel reproduces the full product
-        // only on bitwise-symmetric matrices with ascending rows; pin that
-        // for the heterogeneous ground model and a uniform rock.
+        // The half-storage kernels reproduce the full product only on
+        // bitwise-symmetric matrices with ascending rows; pin that for the
+        // heterogeneous ground model and a uniform rock. `build` converts
+        // every subdomain matrix itself and panics on an asymmetric one.
         let app = QuakeApp::generate(AppConfig::new("sf10", 10.0, 8.0)).unwrap();
         let ground = assemble(&app.mesh, &GroundMaterial(&app.ground)).unwrap();
         SymTiles::from_bcsr(&ground.stiffness).expect("global stiffness is bitwise symmetric");
@@ -315,12 +441,61 @@ mod tests {
                 DistributedSystem::build(&app.mesh, &partition, &UniformMaterial(mat())),
             ];
             for sys in systems {
-                for (q, sd) in sys.unwrap().subdomains().iter().enumerate() {
-                    SymTiles::from_bcsr(&sd.stiffness).unwrap_or_else(|e| {
-                        panic!("PE {q} of {parts}: subdomain stiffness not bitwise symmetric: {e}")
-                    });
-                }
+                let sys = sys.unwrap_or_else(|e| panic!("{parts} parts: {e}"));
+                assert_eq!(sys.parts(), parts);
             }
+        }
+    }
+
+    /// Asserts that two matrices hold the same words: structure and every
+    /// block bit, signed zeros included.
+    fn assert_same_matrix(got: &Bcsr3, want: &Bcsr3, what: &str) {
+        assert_eq!(got.row_ptr(), want.row_ptr(), "{what}: row_ptr");
+        assert_eq!(got.col_idx(), want.col_idx(), "{what}: col_idx");
+        for (k, (a, b)) in got.blocks().iter().zip(want.blocks()).enumerate() {
+            for (x, y) in a.m.iter().flatten().zip(b.m.iter().flatten()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{what}: block {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn resident_half_storage_expands_to_the_assembled_subdomains() {
+        let app = QuakeApp::generate(AppConfig::new("sf10", 10.0, 8.0)).unwrap();
+        let field = GroundMaterial(&app.ground);
+        let partition = RecursiveBisection::inertial()
+            .partition(&app.mesh, 4)
+            .unwrap();
+        let sys = DistributedSystem::build(&app.mesh, &partition, &field).unwrap();
+        let assembled = assembled_pes(&app.mesh, &partition, &field);
+        let x: Vec<Vec3> = (0..app.mesh.node_count())
+            .map(|i| Vec3::new((0.1 * i as f64).sin(), -0.5, 1.0 / (1.0 + i as f64)))
+            .collect();
+        for (q, (sd, full)) in sys.subdomains().iter().zip(&assembled).enumerate() {
+            let what = format!("PE {q}");
+            assert_same_matrix(&sd.stiffness.to_bcsr(), full, &what);
+            let borrowed = SymTiles::from_bcsr(full).unwrap();
+            assert_same_matrix(&borrowed.to_bcsr(), full, &format!("{what}, from_bcsr"));
+            // The local product is the full matrix's, bit for bit.
+            let xl: Vec<Vec3> = sd.global_nodes.iter().map(|&g| x[g]).collect();
+            let want = full.spmv_alloc(&xl).unwrap();
+            let mut got = vec![Vec3::ZERO; sd.node_count()];
+            sd.stiffness.spmv(&xl, &mut got).unwrap();
+            for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    [a.x, a.y, a.z].map(f64::to_bits),
+                    [b.x, b.y, b.z].map(f64::to_bits),
+                    "{what}, row {i}"
+                );
+            }
+            assert!(matches!(
+                sd.stiffness.spmv(&xl[1..], &mut got),
+                Err(SparseError::DimensionMismatch { .. })
+            ));
+            assert!(matches!(
+                sd.stiffness.spmv(&xl, &mut got[1..]),
+                Err(SparseError::DimensionMismatch { .. })
+            ));
         }
     }
 

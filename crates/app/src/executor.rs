@@ -28,6 +28,15 @@
 //! cannot reproduce. Both run AVX where the CPU has it, and both give the
 //! scalar microkernel's product bit for bit.
 //!
+//! The system already holds every PE's stiffness in half storage, and the
+//! natural barrier schedule streams those matrices themselves: a plan
+//! takes a reference, never a copy, so any number of executors built from
+//! one system hold its matrices once. The RCM and overlap plans renumber
+//! full rows. They expand one PE at a time ([`SymTiles::to_bcsr`], word
+//! for word the assembled matrix), renumber it, build their own layout
+//! and drop the expansion. RCM reads its block graph off the upper
+//! triangle, so a PE the plan does not own is never expanded.
+//!
 //! Every step, whatever its schedule, tracing or fault mode, runs one body,
 //! `run_step`, generic over a small hooks trait and monomorphized per mode.
 //! Each worker runs three stages for the PEs it owns:
@@ -321,8 +330,9 @@ struct Outbound {
 enum PeMatrix {
     /// Barrier schedules: half storage, streaming each symmetric pair of
     /// blocks once. Needs rows whose columns strictly ascend, which the
-    /// natural and RCM orders both give.
-    Sym(SymTiles),
+    /// natural and RCM orders both give. The natural order shares the
+    /// system's own matrix.
+    Sym(Arc<SymTiles>),
     /// The overlap schedule: full tiles. Its boundary-first reorder keeps
     /// each row's stage-1 entry order, which a row-ordered scatter cannot
     /// reproduce.
@@ -646,24 +656,36 @@ impl BspExecutor {
         for (q, sd) in subdomains.iter().enumerate() {
             let n = sd.node_count();
             // Stage 1: RCM bandwidth reduction — the column-sorted
-            // permutation `with_rcm` always applied.
-            let p1: Option<Vec<usize>> = if use_rcm {
-                let (row_ptr, col_idx) = sd.stiffness.adjacency();
+            // permutation `with_rcm` always applied. The block graph's
+            // edges are the upper tiles off the diagonal, in row order.
+            let p1: Option<Vec<usize>> = use_rcm.then(|| {
+                let upper = sd.stiffness.upper();
+                let (row_ptr, col_idx) = (upper.row_ptr(), upper.col_idx());
                 let mut edges = Vec::new();
                 for i in 0..n {
-                    for k in row_ptr[i]..row_ptr[i + 1] {
-                        let j = col_idx[k];
-                        if j > i {
-                            edges.push((i, j));
+                    for &j in &col_idx[row_ptr[i]..row_ptr[i + 1]] {
+                        if j as usize > i {
+                            edges.push((i, j as usize));
                         }
                     }
                 }
                 let pattern =
                     Pattern::from_edges(n, &edges).expect("block adjacency indices are in range");
-                Some(rcm(&pattern))
-            } else {
-                None
-            };
+                rcm(&pattern)
+            });
+            // The natural barrier schedule streams the system's own half
+            // storage. Every other plan renumbers full rows: it expands
+            // this PE's matrix, bit for bit the assembled one, and drops
+            // the expansion before the next PE.
+            let full = (owned.contains(&q) && (use_rcm || use_overlap)).then(|| {
+                let k = sd.stiffness.to_bcsr();
+                match &p1 {
+                    Some(a) => k
+                        .permute_symmetric(a)
+                        .expect("RCM yields a valid permutation"),
+                    None => k,
+                }
+            });
             // Stage 2: boundary-first reorder, stable within each class so
             // every row keeps its stage-1 entry order — and with it its
             // floating-point summation order. That stability is what keeps
@@ -692,25 +714,17 @@ impl BspExecutor {
                 (None, Some(b)) => Some(b.clone()),
                 (Some(a), Some(b)) => Some(a.iter().map(|&s1| b[s1]).collect()),
             };
-            // The layout follows the schedule (see `PeMatrix`), built
-            // straight from the subdomain matrix or its renumbered copy.
-            let matrix = owned.contains(&q).then(|| {
-                let renumbered = p1.as_ref().map(|a| {
-                    sd.stiffness
-                        .permute_symmetric(a)
-                        .expect("RCM yields a valid permutation")
-                });
-                let s1 = renumbered.as_ref().unwrap_or(&sd.stiffness);
-                match &p2 {
-                    None => PeMatrix::Sym(
-                        SymTiles::from_bcsr(s1)
-                            .expect("FE stiffness is bitwise symmetric with sorted rows"),
-                    ),
-                    Some(b) => PeMatrix::Full(Bcsr3Tiles::from_bcsr(
-                        &s1.permute_symmetric_stable(b)
-                            .expect("boundary-first reorder is a valid permutation"),
-                    )),
-                }
+            // The layout follows the schedule (see `PeMatrix`).
+            let matrix = owned.contains(&q).then(|| match (full, &p2) {
+                (None, _) => PeMatrix::Sym(Arc::clone(sd.stiffness.shared())),
+                (Some(k), None) => PeMatrix::Sym(Arc::new(
+                    SymTiles::from_bcsr_owned(k)
+                        .expect("FE stiffness is bitwise symmetric with sorted rows"),
+                )),
+                (Some(k), Some(b)) => PeMatrix::Full(Bcsr3Tiles::from_bcsr(
+                    &k.permute_symmetric_stable(b)
+                        .expect("boundary-first reorder is a valid permutation"),
+                )),
             });
             let gather = match &composed {
                 None => sd.global_nodes.clone(),
@@ -1864,6 +1878,7 @@ mod tests {
     use quake_partition::geometric::{Partitioner, RecursiveBisection};
     use quake_partition::partition::Partition;
     use quake_spark::tile_kernels::{force_scalar, simd_active};
+    use quake_sparse::bcsr::Bcsr3;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::sync::Mutex;
@@ -2076,6 +2091,144 @@ mod tests {
             .iter()
             .all(|s| matches!(s.matrix, Some(PeMatrix::Full(_)))));
         assert!(overlap.acc.iter().all(|a| a.is_empty()));
+    }
+
+    #[test]
+    fn barrier_plans_share_the_systems_half_storage_and_others_release_it() {
+        let (_, _, sys) = setup(4);
+        let p = sys.parts();
+        let refs = || -> Vec<usize> {
+            sys.subdomains()
+                .iter()
+                .map(|sd| Arc::strong_count(sd.stiffness.shared()))
+                .collect()
+        };
+        let shared = |exec: &BspExecutor| -> Vec<bool> {
+            exec.pe
+                .iter()
+                .zip(sys.subdomains())
+                .map(|(s, sd)| {
+                    matches!(&s.matrix, Some(PeMatrix::Sym(m)) if Arc::ptr_eq(m, sd.stiffness.shared()))
+                })
+                .collect()
+        };
+        assert_eq!(refs(), vec![1; p], "the system holds each matrix once");
+        let first = BspExecutor::new(&sys, 2);
+        assert_eq!(shared(&first), vec![true; p]);
+        assert_eq!(refs(), vec![2; p]);
+        // A second plan, as `smvp-run`'s clean-reference rerun builds it,
+        // adds a reference and no copy.
+        let link: Arc<dyn Transport> = Arc::new(SharedTransport::new(&ghost_edges(&sys)));
+        let rerun = BspExecutor::with_transport(&sys, 2, false, false, 0..p, link);
+        assert_eq!(shared(&rerun), vec![true; p]);
+        assert_eq!(refs(), vec![3; p]);
+        // A shard's plan holds only the PEs it owns.
+        let link: Arc<dyn Transport> = Arc::new(SharedTransport::new(&ghost_edges(&sys)));
+        let shard = BspExecutor::with_transport(&sys, 2, false, false, 0..p / 2, link);
+        assert_eq!(refs(), [vec![4; p / 2], vec![3; p - p / 2]].concat());
+        drop(shard);
+        // RCM and overlap plans build their own layouts from an expansion
+        // and hold no reference once built.
+        for (use_rcm, use_overlap) in [(true, false), (false, true), (true, true)] {
+            let exec = BspExecutor::with_options(&sys, 2, use_rcm, use_overlap);
+            assert_eq!(shared(&exec), vec![false; p]);
+            assert_eq!(refs(), vec![3; p], "rcm {use_rcm}, overlap {use_overlap}");
+        }
+        drop((first, rerun));
+        assert_eq!(refs(), vec![1; p]);
+    }
+
+    #[test]
+    fn renumbered_plans_from_the_expansion_match_plans_from_the_assembled_matrices() {
+        // The configuration of the `overlap_equivalence` and
+        // `chaos_recovery` suites. A plan renumbers the expansion of each
+        // PE's half storage; renumbering the assembled matrix instead must
+        // give the same permutation and the same tile words.
+        let app = QuakeApp::generate(AppConfig::new("sf10", 10.0, 8.0)).unwrap();
+        let partition = RecursiveBisection::inertial()
+            .partition(&app.mesh, 6)
+            .unwrap();
+        let field = UniformMaterial(Material {
+            vs: 1000.0,
+            vp: 2000.0,
+            rho: 2000.0,
+        });
+        let sys = DistributedSystem::build(&app.mesh, &partition, &field).unwrap();
+        let assembled = crate::distributed::assembled_pes(&app.mesh, &partition, &field);
+        // `perm[old] = new`, read off a plan's gather list.
+        let perm = |exec: &BspExecutor, q: usize| -> Vec<usize> {
+            let sd = &sys.subdomains()[q];
+            let mut new_of = vec![0; sys.global_nodes()];
+            for (new, &g) in exec.pe[q].gather.iter().enumerate() {
+                new_of[g] = new;
+            }
+            sd.global_nodes.iter().map(|&g| new_of[g]).collect()
+        };
+        let same_tiles = |got: &Bcsr3Tiles, want: &Bcsr3Tiles, what: &str| {
+            assert_eq!(got.row_ptr(), want.row_ptr(), "{what}: row_ptr");
+            assert_eq!(got.col_idx(), want.col_idx(), "{what}: col_idx");
+            assert!(
+                got.values()
+                    .iter()
+                    .zip(want.values())
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
+                    && got.values().len() == want.values().len(),
+                "{what}: values"
+            );
+        };
+        // The reference RCM permutation, from the assembled matrix's rows.
+        let rcm_of = |full: &Bcsr3| -> Vec<usize> {
+            let (row_ptr, col_idx) = (full.row_ptr(), full.col_idx());
+            let n = full.block_rows();
+            let edges: Vec<(usize, usize)> = (0..n)
+                .flat_map(|i| {
+                    col_idx[row_ptr[i]..row_ptr[i + 1]]
+                        .iter()
+                        .map(move |&j| (i, j))
+                })
+                .filter(|&(i, j)| j > i)
+                .collect();
+            rcm(&Pattern::from_edges(n, &edges).unwrap())
+        };
+        let rcm_plan = BspExecutor::with_rcm(&sys, 2);
+        let overlap_plan = BspExecutor::with_options(&sys, 2, false, true);
+        let both_plan = BspExecutor::with_options(&sys, 2, true, true);
+        for (q, full) in assembled.iter().enumerate() {
+            let p1 = rcm_of(full);
+            assert_eq!(perm(&rcm_plan, q), p1, "PE {q}: RCM permutation");
+            let Some(PeMatrix::Sym(got)) = &rcm_plan.pe[q].matrix else {
+                panic!("PE {q}: RCM runs half storage");
+            };
+            let want = SymTiles::from_bcsr(&full.permute_symmetric(&p1).unwrap()).unwrap();
+            assert_eq!(got.block_nnz(), want.block_nnz());
+            same_tiles(got.upper(), want.upper(), &format!("PE {q}, RCM"));
+            let Some(PeMatrix::Full(got)) = &overlap_plan.pe[q].matrix else {
+                panic!("PE {q}: overlap runs full tiles");
+            };
+            let want = Bcsr3Tiles::from_bcsr(
+                &full
+                    .permute_symmetric_stable(&perm(&overlap_plan, q))
+                    .unwrap(),
+            );
+            same_tiles(got, &want, &format!("PE {q}, overlap"));
+            // RCM then the boundary-first reorder: `p2[p1[old]]` is the
+            // composed plan's `perm[old]`.
+            let Some(PeMatrix::Full(got)) = &both_plan.pe[q].matrix else {
+                panic!("PE {q}: overlap runs full tiles");
+            };
+            let mut p2 = vec![0; p1.len()];
+            for (old, &new) in perm(&both_plan, q).iter().enumerate() {
+                p2[p1[old]] = new;
+            }
+            let want = Bcsr3Tiles::from_bcsr(
+                &full
+                    .permute_symmetric(&p1)
+                    .unwrap()
+                    .permute_symmetric_stable(&p2)
+                    .unwrap(),
+            );
+            same_tiles(got, &want, &format!("PE {q}, RCM and overlap"));
+        }
     }
 
     /// Runs `steps` products on two executors that each own half of the

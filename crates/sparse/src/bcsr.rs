@@ -86,6 +86,24 @@ impl Bcsr3 {
         (self.n, self.row_ptr, self.col_idx, self.blocks)
     }
 
+    /// The inverse of [`into_parts`](Bcsr3::into_parts), for a conversion
+    /// that writes a well-formed structure itself.
+    pub(crate) fn from_parts(
+        n: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<usize>,
+        blocks: Vec<Mat3>,
+    ) -> Self {
+        debug_assert_eq!(row_ptr.len(), n + 1);
+        debug_assert_eq!(col_idx.len(), blocks.len());
+        Bcsr3 {
+            n,
+            row_ptr,
+            col_idx,
+            blocks,
+        }
+    }
+
     /// The block at `(i, j)` or `None` if not stored.
     pub fn block(&self, i: usize, j: usize) -> Option<&Mat3> {
         if i >= self.n {
@@ -221,13 +239,6 @@ impl Bcsr3 {
             }
         }
         true
-    }
-
-    /// Extracts the block-adjacency structure as (row_ptr, col_idx) without
-    /// values, used to derive per-node degree statistics (the paper's
-    /// "average of 13 neighbors" ⇒ 42 nonzeros per scalar row).
-    pub fn adjacency(&self) -> (&[usize], &[usize]) {
-        (&self.row_ptr, &self.col_idx)
     }
 
     /// Applies a symmetric block permutation `B = P A Pᵀ`, i.e.

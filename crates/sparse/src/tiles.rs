@@ -492,6 +492,54 @@ impl SymTiles {
         }
     }
 
+    /// The full matrix this half storage was built from, word for word:
+    /// the inverse of [`from_bcsr`](SymTiles::from_bcsr) and
+    /// [`from_bcsr_owned`](SymTiles::from_bcsr_owned).
+    ///
+    /// Row `r` is its lower blocks, the bit-exact transposes of the upper
+    /// tiles `(c, r)` in ascending `c`, then its stored upper tiles. The
+    /// source's rows held exactly these columns in this order, since its
+    /// columns ascend and every lower block mirrors an upper one.
+    pub fn to_bcsr(&self) -> Bcsr3 {
+        let n = self.block_rows();
+        let (up_ptr, up_col) = (self.upper.row_ptr(), self.upper.col_idx());
+        let mut row_ptr = vec![0; n + 1];
+        for r in 0..n {
+            row_ptr[r + 1] += up_ptr[r + 1] - up_ptr[r];
+            for &j in &up_col[up_ptr[r]..up_ptr[r + 1]] {
+                if j as usize != r {
+                    row_ptr[j as usize + 1] += 1;
+                }
+            }
+        }
+        for r in 0..n {
+            row_ptr[r + 1] += row_ptr[r];
+        }
+        // Visiting rows in ascending order gives each row its lower blocks
+        // in ascending column order before it appends its own upper tiles.
+        let mut next = row_ptr[..n].to_vec();
+        let mut col_idx = vec![0; self.full_blocks];
+        let mut blocks = vec![Mat3::ZERO; self.full_blocks];
+        for c in 0..n {
+            for k in up_ptr[c]..up_ptr[c + 1] {
+                let j = up_col[k] as usize;
+                // Column-major (c, j) holds M[r][l] at 3l + r.
+                let t = self.upper.tile(k);
+                col_idx[next[c]] = j;
+                blocks[next[c]] =
+                    Mat3::new([[t[0], t[3], t[6]], [t[1], t[4], t[7]], [t[2], t[5], t[8]]]);
+                next[c] += 1;
+                if j != c {
+                    col_idx[next[j]] = c;
+                    blocks[next[j]] =
+                        Mat3::new([[t[0], t[1], t[2]], [t[3], t[4], t[5]], [t[6], t[7], t[8]]]);
+                    next[j] += 1;
+                }
+            }
+        }
+        Bcsr3::from_parts(n, row_ptr, col_idx, blocks)
+    }
+
     /// The stored upper triangle: in each row the diagonal tile (if any)
     /// comes first, then the upper tiles in ascending column order.
     #[inline]
@@ -932,6 +980,46 @@ mod tests {
             SymTiles::from_bcsr_owned(unsorted),
             Err(SparseError::MalformedStructure(_))
         ));
+    }
+
+    /// Asserts that two matrices hold the same words: structure and every
+    /// block bit, signed zeros included.
+    fn assert_same_matrix(got: &Bcsr3, want: &Bcsr3, what: &str) {
+        assert_eq!(got.block_rows(), want.block_rows(), "{what}: rows");
+        assert_eq!(got.row_ptr(), want.row_ptr(), "{what}: row_ptr");
+        assert_eq!(got.col_idx(), want.col_idx(), "{what}: col_idx");
+        for (k, (a, b)) in got.blocks().iter().zip(want.blocks()).enumerate() {
+            for (x, y) in a.m.iter().flatten().zip(b.m.iter().flatten()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{what}: block {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn expansion_gives_back_the_source_word_for_word() {
+        let mut cases = vec![
+            ("band 40/3".to_string(), symmetric_band_matrix(40, 3)),
+            ("band 1/0".to_string(), symmetric_band_matrix(1, 0)),
+            ("band 300/7".to_string(), symmetric_band_matrix(300, 7)),
+            ("empty".to_string(), Bcsr3Builder::new(0).build()),
+            ("rows, no blocks".to_string(), Bcsr3Builder::new(3).build()),
+        ];
+        for (n, seed) in [(1, 2), (2, 3), (17, 5), (60, 6), (200, 7)] {
+            cases.push((
+                format!("random n = {n}, seed {seed}"),
+                random_symmetric_matrix(n, seed),
+            ));
+        }
+        for (what, m) in cases {
+            let borrowed = SymTiles::from_bcsr(&m).expect("generated matrix is symmetric");
+            assert_same_matrix(&borrowed.to_bcsr(), &m, &format!("{what}, from_bcsr"));
+            let owned =
+                SymTiles::from_bcsr_owned(m.clone()).expect("generated matrix is symmetric");
+            assert_same_matrix(&owned.to_bcsr(), &m, &format!("{what}, from_bcsr_owned"));
+            // And back: the expansion converts to the same stream.
+            let again = SymTiles::from_bcsr_owned(owned.to_bcsr()).expect("expansion is symmetric");
+            assert_same_stream(&again, &owned, &format!("{what}, round trip"));
+        }
     }
 
     #[test]

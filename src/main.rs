@@ -13,7 +13,7 @@ use quake_core::paperdata;
 use quake_fem::assembly::{assemble, GroundMaterial};
 use quake_fem::source::{PointSource, Ricker};
 use quake_fem::timestep::Simulation;
-use quake_mesh::mesh::BYTES_PER_NODE;
+use quake_mesh::mesh::{TetMesh, BYTES_PER_NODE};
 use quake_repro::cli::{help, CliError, Invocation};
 use quake_sparse::dense::Vec3;
 use std::error::Error;
@@ -667,6 +667,9 @@ fn smvp_report(args: &SmvpArgs, built: &Built, out: &RunOutput) -> Result<(), Bo
             return Err("fault ledger is unbalanced (injected != detected != recovered)".into());
         }
     }
+    if let Some(line) = memory_line(&built.app.mesh) {
+        say(line);
+    }
     Ok(())
 }
 
@@ -843,16 +846,22 @@ fn cmd_simulate(inv: &Invocation) -> Result<(), Box<dyn Error>> {
         "displacement energy: {:.3e} (finite => stable)",
         sim.displacement_energy()
     );
-    if let Some(peak) = peak_resident_bytes() {
-        let nodes = app.mesh.node_count();
-        println!(
-            "memory: peak resident {:.1} MB = {} bytes/node (paper rule: {:.1} MB at {BYTES_PER_NODE} bytes/node)",
-            peak as f64 / 1e6,
-            peak / nodes.max(1),
-            app.mesh.estimated_runtime_bytes() as f64 / 1e6
-        );
+    if let Some(line) = memory_line(&app.mesh) {
+        println!("{line}");
     }
     Ok(())
+}
+
+/// The process's peak resident set so far against the paper's sizing rule
+/// for `mesh`, or `None` where the platform reports no peak.
+fn memory_line(mesh: &TetMesh) -> Option<String> {
+    let peak = peak_resident_bytes()?;
+    Some(format!(
+        "memory: peak resident {:.1} MB = {} bytes/node (paper rule: {:.1} MB at {BYTES_PER_NODE} bytes/node)",
+        peak as f64 / 1e6,
+        peak / mesh.node_count().max(1),
+        mesh.estimated_runtime_bytes() as f64 / 1e6
+    ))
 }
 
 /// The process's peak resident set size so far (`VmHWM`), where the

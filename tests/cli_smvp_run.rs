@@ -3,6 +3,8 @@
 //! exits non-zero when a proof fails, so the lines pin that each proof
 //! still runs.
 
+mod common;
+
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
@@ -55,6 +57,7 @@ fn shared_barrier_run_proves_the_scalar_fallback() {
     );
     // The clean configuration is its own reference: no rerun, no claim.
     assert!(!stdout.contains("output bitwise-equal to shared transport"));
+    common::assert_memory_line(&stdout, &common::default_app());
 }
 
 #[test]
