@@ -20,22 +20,21 @@
 //! # The local kernel and the one step body
 //!
 //! The SMVP is bound by data movement, so the executor streams as few
-//! matrix bytes as it can. The layout follows the schedule. The barrier
-//! schedules (natural or RCM order) keep each PE's stiffness as
-//! [`SymTiles`]: the upper triangle only, each symmetric pair of blocks
-//! streamed once. The overlap schedule keeps full [`Bcsr3Tiles`], because
-//! its boundary-first rows keep an entry order a row-ordered scatter
-//! cannot reproduce. Both run AVX where the CPU has it, and both give the
-//! scalar microkernel's product bit for bit.
+//! matrix bytes as it can. Every owned PE, under every schedule, holds one
+//! matrix: its stiffness as [`SymTiles`], the upper triangle only, each
+//! symmetric pair of blocks streamed once. The overlap schedule adds one
+//! small [`Bcsr3Tiles`] strip per PE (below). Both kernels run AVX where
+//! the CPU has it, and both give the scalar microkernel's product bit for
+//! bit.
 //!
-//! The system already holds every PE's stiffness in half storage, and the
-//! natural barrier schedule streams those matrices themselves: a plan
-//! takes a reference, never a copy, so any number of executors built from
-//! one system hold its matrices once. The RCM and overlap plans renumber
-//! full rows. They expand one PE at a time ([`SymTiles::to_bcsr`], word
-//! for word the assembled matrix), renumber it, build their own layout
-//! and drop the expansion. RCM reads its block graph off the upper
-//! triangle, so a PE the plan does not own is never expanded.
+//! The system already holds every PE's stiffness in half storage, and a
+//! natural-order plan streams those matrices themselves: it takes a
+//! reference, never a copy, so any number of executors built from one
+//! system hold its matrices once. An RCM plan renumbers full rows. It
+//! expands one PE at a time ([`SymTiles::to_bcsr`], word for word the
+//! assembled matrix), renumbers it, converts it back to half storage and
+//! drops the expansion. RCM reads its block graph off the upper triangle,
+//! so a PE the plan does not own is never expanded.
 //!
 //! Every step, whatever its schedule, tracing or fault mode, runs one body,
 //! `run_step`, generic over a small hooks trait and monomorphized per mode.
@@ -43,7 +42,7 @@
 //!
 //! 1. per PE: gather `x`, compute the *posted rows*, then pack and post
 //!    them;
-//! 2. under overlap only, per PE: compute the interior rows;
+//! 2. under overlap only, per PE: compute the whole product;
 //! 3. per PE: acquire and apply the inbound blocks in schedule order, then
 //!    fold the PE's nodes into `y`.
 //!
@@ -92,23 +91,28 @@
 //!
 //! [`BspExecutor::with_options`] can replace the strict compute→exchange
 //! barrier with a latency-hiding schedule. At build time each PE's local
-//! rows are split: a row is **boundary** if it appears in an exchange pair
-//! (a neighbor consumes its partial), **interior** otherwise; a stable
-//! boundary-first permutation makes the boundary rows contiguous at the
-//! front without disturbing any row's entry order. At step time the
-//! boundary rows are the posted rows: every worker computes and posts its
-//! PEs' boundary rows, computes the interior rows while other workers are
-//! still posting, then runs the exchange, blocking per inbound message
-//! only until that sender's post lands. The interior SMVP is the work the
-//! schedule hides the exchange latency behind — the paper's overlap
-//! opportunity, executed rather than simulated — and
+//! rows are split, in place and in the PE's own order: a row is
+//! **boundary** if it appears in an exchange pair (a neighbor consumes its
+//! partial), **interior** otherwise. Each PE's boundary rows get a
+//! **strip** ([`SymTiles::strip`]): a [`Bcsr3Tiles`] over all its rows in
+//! which each boundary row holds its full row in ascending column order —
+//! the lower blocks as bit-exact transposes of the stored upper tiles,
+//! then the diagonal and upper tiles — and every other row is empty. At
+//! step time the boundary rows are the posted rows: every worker streams
+//! its PEs' strips and posts, runs each PE's whole half-storage product
+//! while other workers are still posting, then runs the exchange, blocking
+//! per inbound message only until that sender's post lands. The product
+//! is the work the schedule hides the exchange latency behind — the
+//! paper's overlap opportunity, executed rather than simulated — and
 //! [`OverlapAnalysis`](quake_partition::comm::OverlapAnalysis) prices
-//! exactly this schedule (`T_step = max(T_interior, T_exchange) +
-//! T_boundary`). Because rows are independent, the permutation is
-//! entry-order-stable, and inbound pairs apply in the barrier order, the
-//! overlapped product is **bitwise-equal** to the barrier product and
-//! every flop/word/block counter is unchanged, with or without faults
-//! (asserted by the `overlap_equivalence` tests).
+//! this schedule (`T_step = max(T_interior, T_exchange) + T_boundary`);
+//! here the hidden part recomputes the boundary rows too. Both kernels sum
+//! each row in the full product's order, so the product rewrites the
+//! boundary rows with the bits the strip gave them. With inbound pairs
+//! applied in the barrier order, the overlapped product is
+//! **bitwise-equal** to the barrier product and every flop/word/block
+//! counter is unchanged, with or without faults (asserted by the
+//! `overlap_equivalence` tests).
 //!
 //! # Fault injection & recovery
 //!
@@ -325,58 +329,18 @@ struct Outbound {
     send_idx: Vec<usize>,
 }
 
-/// A PE's local stiffness in the layout its schedule runs. Both layouts
-/// reproduce the scalar microkernel's product bit for bit.
-enum PeMatrix {
-    /// Barrier schedules: half storage, streaming each symmetric pair of
-    /// blocks once. Needs rows whose columns strictly ascend, which the
-    /// natural and RCM orders both give. The natural order shares the
-    /// system's own matrix.
-    Sym(Arc<SymTiles>),
-    /// The overlap schedule: full tiles. Its boundary-first reorder keeps
-    /// each row's stage-1 entry order, which a row-ordered scatter cannot
-    /// reproduce.
-    Full(Bcsr3Tiles),
-}
-
-impl PeMatrix {
-    /// Flops of one local product: 18 per block of the full matrix, the
-    /// paper's `F_i = 2·m_i`, in either layout.
-    fn smvp_flops(&self) -> u64 {
-        match self {
-            PeMatrix::Sym(s) => s.smvp_flops(),
-            PeMatrix::Full(t) => 18 * t.block_nnz() as u64,
-        }
-    }
-
-    /// Full local SMVP, overwriting `out`. `acc` is the half-storage
-    /// kernel's scratch (one lane block per row; unused by full tiles).
-    fn mult_full(&self, xl: &[Vec3], acc: &mut [LaneBlock], out: &mut [Vec3]) {
-        match self {
-            PeMatrix::Sym(s) => bmv_sym_into(s, xl, acc, out),
-            PeMatrix::Full(t) => bmv_tiles_range_into(t, xl, 0..t.block_rows(), out),
-        }
-    }
-
-    /// Local SMVP over the block-row range `rows`; `out[i - rows.start]`
-    /// receives row `i`. Only the overlap schedule splits rows, and it
-    /// runs full tiles.
-    fn mult_range(&self, xl: &[Vec3], rows: Range<usize>, out: &mut [Vec3]) {
-        match self {
-            PeMatrix::Full(t) => bmv_tiles_range_into(t, xl, rows, out),
-            PeMatrix::Sym(_) => unreachable!("row ranges run on full tiles"),
-        }
-    }
-}
-
 /// One PE's executable state: the gather list and stiffness it actually
 /// traverses (identical to the subdomain's, or renumbered), plus the
 /// nodes it folds into the global result.
 struct PeState {
     /// `gather[l]`: global node id held in local slot `l`.
     gather: Vec<usize>,
-    /// The local stiffness, present exactly for the owned PEs.
-    matrix: Option<PeMatrix>,
+    /// The local stiffness in half storage, present exactly for the owned
+    /// PEs. The natural order shares the system's own matrix.
+    matrix: Option<Arc<SymTiles>>,
+    /// Under overlap, for an owned PE: its boundary rows' full rows (see
+    /// the module docs), every other row empty.
+    strip: Option<Bcsr3Tiles>,
     /// `(local slot, global node)` for each node this PE folds into `y`:
     /// every global node belongs to the first owned PE whose gather holds
     /// it, so each node is written exactly once per step.
@@ -384,7 +348,7 @@ struct PeState {
 }
 
 impl PeState {
-    fn matrix(&self) -> &PeMatrix {
+    fn matrix(&self) -> &SymTiles {
         self.matrix.as_ref().expect("only owned PEs are computed")
     }
 }
@@ -528,9 +492,9 @@ pub struct BspExecutor {
     fault: Option<Box<FaultState>>,
     /// Armed telemetry layer, or `None` for the untouched clean path.
     telemetry: Option<Box<TelemetryState>>,
-    /// `boundary_rows[q]`: PE q's rows `0..nb` are boundary rows (consumed
-    /// by a neighbor's exchange), `nb..n` interior. `None` for the barrier
-    /// schedule.
+    /// `boundary_rows[q]`: how many of PE q's rows are boundary rows
+    /// (consumed by a neighbor's exchange), wherever they lie in its order;
+    /// the rest are interior. `None` for the barrier schedule.
     boundary_rows: Option<Vec<usize>>,
     /// Node placement of a two-level run, or `None` when flat. Telemetry
     /// attribution only (see [`NodeView`]).
@@ -648,17 +612,16 @@ impl BspExecutor {
                 }
             }
         }
-        // Per-PE: composed local permutation (`perm[old] = new`, or None
-        // for the natural order), executable state, boundary row count.
+        // Per-PE: local permutation (`perm[old] = new`, or None for the
+        // natural order), executable state, boundary row count.
         let mut perms: Vec<Option<Vec<usize>>> = Vec::with_capacity(p);
         let mut pe: Vec<PeState> = Vec::with_capacity(p);
         let mut boundary_rows: Vec<usize> = Vec::with_capacity(p);
         for (q, sd) in subdomains.iter().enumerate() {
             let n = sd.node_count();
-            // Stage 1: RCM bandwidth reduction — the column-sorted
-            // permutation `with_rcm` always applied. The block graph's
-            // edges are the upper tiles off the diagonal, in row order.
-            let p1: Option<Vec<usize>> = use_rcm.then(|| {
+            // RCM bandwidth reduction. The block graph's edges are the
+            // upper tiles off the diagonal, in row order.
+            let perm: Option<Vec<usize>> = use_rcm.then(|| {
                 let upper = sd.stiffness.upper();
                 let (row_ptr, col_idx) = (upper.row_ptr(), upper.col_idx());
                 let mut edges = Vec::new();
@@ -673,76 +636,50 @@ impl BspExecutor {
                     Pattern::from_edges(n, &edges).expect("block adjacency indices are in range");
                 rcm(&pattern)
             });
-            // The natural barrier schedule streams the system's own half
-            // storage. Every other plan renumbers full rows: it expands
-            // this PE's matrix, bit for bit the assembled one, and drops
-            // the expansion before the next PE.
-            let full = (owned.contains(&q) && (use_rcm || use_overlap)).then(|| {
-                let k = sd.stiffness.to_bcsr();
-                match &p1 {
-                    Some(a) => k
-                        .permute_symmetric(a)
-                        .expect("RCM yields a valid permutation"),
-                    None => k,
-                }
+            // The natural order streams the system's own half storage. RCM
+            // expands this PE's matrix, bit for bit the assembled one,
+            // renumbers and converts it, and drops the expansion before
+            // the next PE.
+            let matrix = owned.contains(&q).then(|| match &perm {
+                None => Arc::clone(sd.stiffness.shared()),
+                Some(pm) => Arc::new(
+                    SymTiles::from_bcsr_owned(
+                        sd.stiffness
+                            .to_bcsr()
+                            .permute_symmetric(pm)
+                            .expect("RCM yields a valid permutation"),
+                    )
+                    .expect("FE stiffness is bitwise symmetric with sorted rows"),
+                ),
             });
-            // Stage 2: boundary-first reorder, stable within each class so
-            // every row keeps its stage-1 entry order — and with it its
-            // floating-point summation order. That stability is what keeps
-            // the overlapped schedule bitwise-equal to the barrier one.
-            let (p2, nb): (Option<Vec<usize>>, usize) = if use_overlap {
-                let mut b1 = vec![false; n];
-                for (old, &flag) in boundary_old[q].iter().enumerate() {
-                    if flag {
-                        b1[p1.as_ref().map_or(old, |pm| pm[old])] = true;
-                    }
+            let mut boundary = vec![false; n];
+            for (old, &flag) in boundary_old[q].iter().enumerate() {
+                if flag {
+                    boundary[perm.as_ref().map_or(old, |pm| pm[old])] = true;
                 }
-                let nb = b1.iter().filter(|&&b| b).count();
-                let mut order: Vec<usize> = (0..n).collect();
-                order.sort_by_key(|&i| (!b1[i], i));
-                let mut p2 = vec![0usize; n];
-                for (rank, &i) in order.iter().enumerate() {
-                    p2[i] = rank;
-                }
-                (Some(p2), nb)
-            } else {
-                (None, 0)
-            };
-            let composed: Option<Vec<usize>> = match (&p1, &p2) {
-                (None, None) => None,
-                (Some(a), None) => Some(a.clone()),
-                (None, Some(b)) => Some(b.clone()),
-                (Some(a), Some(b)) => Some(a.iter().map(|&s1| b[s1]).collect()),
-            };
-            // The layout follows the schedule (see `PeMatrix`).
-            let matrix = owned.contains(&q).then(|| match (full, &p2) {
-                (None, _) => PeMatrix::Sym(Arc::clone(sd.stiffness.shared())),
-                (Some(k), None) => PeMatrix::Sym(Arc::new(
-                    SymTiles::from_bcsr_owned(k)
-                        .expect("FE stiffness is bitwise symmetric with sorted rows"),
-                )),
-                (Some(k), Some(b)) => PeMatrix::Full(Bcsr3Tiles::from_bcsr(
-                    &k.permute_symmetric_stable(b)
-                        .expect("boundary-first reorder is a valid permutation"),
-                )),
-            });
-            let gather = match &composed {
+            }
+            let strip = matrix
+                .as_ref()
+                .filter(|_| use_overlap)
+                .map(|m| m.strip(|r| boundary[r], 0..n));
+            let gather = match &perm {
                 None => sd.global_nodes.clone(),
-                Some(f) => {
+                Some(pm) => {
                     let mut gather = vec![0usize; n];
                     for (old, &g) in sd.global_nodes.iter().enumerate() {
-                        gather[f[old]] = g;
+                        gather[pm[old]] = g;
                     }
                     gather
                 }
             };
-            perms.push(composed);
+            perms.push(perm);
             pe.push(PeState {
                 gather,
                 matrix,
+                strip,
                 fold: Vec::new(),
             });
-            boundary_rows.push(nb);
+            boundary_rows.push(boundary.iter().filter(|&&b| b).count());
         }
         // Exchange pair indices are local slots, so they follow the
         // renumbering.
@@ -779,18 +716,6 @@ impl BspExecutor {
                 send_idx: ex.pairs.iter().map(|&(la, _)| map(ex.a, la)).collect(),
             });
         }
-        if use_overlap {
-            // The overlap schedule posts right after the boundary pass, so
-            // every sent slot must be a boundary row.
-            for (q, obs) in outbound.iter().enumerate() {
-                for ob in obs {
-                    debug_assert!(
-                        ob.send_idx.iter().all(|&l| l < boundary_rows[q]),
-                        "PE {q} would post interior rows before computing them"
-                    );
-                }
-            }
-        }
         let pack: Vec<Vec<Vec3>> = outbound
             .iter()
             .map(|obs| {
@@ -819,9 +744,9 @@ impl BspExecutor {
         }
         let acc = pe
             .iter()
-            .map(|s| match &s.matrix {
-                Some(PeMatrix::Sym(m)) => vec![LaneBlock::default(); m.block_rows()],
-                _ => Vec::new(),
+            .map(|s| {
+                let rows = s.matrix.as_ref().map_or(0, |m| m.block_rows());
+                vec![LaneBlock::default(); rows]
             })
             .collect();
         let local_buf = || {
@@ -995,8 +920,9 @@ impl BspExecutor {
         self.node_view.as_ref().map(|nv| nv.node_of.as_slice())
     }
 
-    /// Per-PE boundary row counts of the overlap split, or `None` when the
-    /// executor runs the barrier schedule. Matches
+    /// Per-PE boundary row counts of the overlap split (the rows a
+    /// neighbor consumes, computed first from the PE's strip), or `None`
+    /// when the executor runs the barrier schedule. Matches
     /// [`OverlapAnalysis`](quake_partition::comm::OverlapAnalysis) exactly
     /// (checked in tests): the split the executor runs is the split the
     /// model prices.
@@ -1098,7 +1024,7 @@ impl BspExecutor {
                 pe: &self.pe,
                 inbound: &self.inbound,
                 outbound: &self.outbound,
-                boundary: self.boundary_rows.as_deref(),
+                overlap: self.boundary_rows.is_some(),
                 owned: self.owned.clone(),
                 threads: self.pool.threads(),
                 step,
@@ -1395,8 +1321,8 @@ impl StageClock {
         }
     }
 
-    /// The stamps as billed seconds. Under overlap the boundary compute
-    /// plus posting is `post` and the interior is `compute`; under the
+    /// The stamps as billed seconds. Under overlap the boundary strip plus
+    /// posting is `post` and stage 2's product is `compute`; under the
     /// barrier schedule posting is exchange, as the profiler expects.
     fn secs(&self, overlap: bool) -> PeSecs {
         let d = |a: Instant, b: Instant| (b - a).as_secs_f64();
@@ -1695,8 +1621,8 @@ struct StepCtx<'a, H> {
     pe: &'a [PeState],
     inbound: &'a [Vec<Inbound>],
     outbound: &'a [Vec<Outbound>],
-    /// Boundary row counts under overlap, `None` under the barrier schedule.
-    boundary: Option<&'a [usize]>,
+    /// True under the overlap schedule.
+    overlap: bool,
     owned: Range<usize>,
     threads: usize,
     step: u64,
@@ -1773,10 +1699,12 @@ impl<H: StepHooks> StepCtx<'_, H> {
             b.clock.compute = Instant::now();
             // SAFETY: this thread runs q's stages.
             unsafe { self.hooks.before_compute(self.step, q) };
-            let m = self.pe[q].matrix();
-            match self.boundary {
-                None => m.mult_full(b.x_local, b.acc, b.partials),
-                Some(nb) => m.mult_range(b.x_local, 0..nb[q], &mut b.partials[..nb[q]]),
+            let s = &self.pe[q];
+            match &s.strip {
+                None => bmv_sym_into(s.matrix(), b.x_local, b.acc, b.partials),
+                Some(strip) => {
+                    bmv_tiles_range_into(strip, b.x_local, 0..b.partials.len(), b.partials)
+                }
             }
             let t = Instant::now();
             b.clock.computed = t;
@@ -1784,25 +1712,23 @@ impl<H: StepHooks> StepCtx<'_, H> {
                 self.post(q, b.partials, b.pack, b.clock, t);
             }
         }
-        // Stage 2, overlap only: the interior rows, hiding the neighbors'
-        // posts.
-        if let Some(nb) = self.boundary {
+        // Stage 2, overlap only: the whole product, hiding the neighbors'
+        // posts. It rewrites the boundary rows with the bits stage 1 gave
+        // them.
+        if self.overlap {
             for q in chunk {
                 // SAFETY: as in stage 1.
                 let b = unsafe { self.bufs(q) };
                 b.clock.interior = Instant::now();
-                let rows = nb[q]..b.partials.len();
-                self.pe[q]
-                    .matrix()
-                    .mult_range(b.x_local, rows.clone(), &mut b.partials[rows]);
+                bmv_sym_into(self.pe[q].matrix(), b.x_local, b.acc, b.partials);
                 b.clock.interior_done = Instant::now();
             }
         }
     }
 
     /// Packs PE `q`'s outbound blocks in each receiver's pair order and
-    /// posts them. Under overlap every posted slot is a boundary row
-    /// (checked at build), so the blocks are complete after stage 1.
+    /// posts them. Under overlap every posted slot is a boundary row, by
+    /// the split's definition, so the blocks are complete after stage 1.
     fn post(&self, q: usize, part: &[Vec3], pack: &mut [Vec3], clk: &mut StageClock, at: Instant) {
         clk.post = at;
         let cpu = self.hooks.thread_cpu();
@@ -2069,32 +1995,35 @@ mod tests {
     }
 
     #[test]
-    fn layout_follows_the_schedule_and_dispatch_keeps_the_bits() {
+    fn every_plan_holds_half_storage_and_dispatch_keeps_the_bits() {
         let _guard = DISPATCH_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let (mesh, _, sys) = setup(2);
         let x = random_x(mesh.node_count(), 31);
-        for use_rcm in [false, true] {
-            let mut exec = BspExecutor::with_options(&sys, 2, use_rcm, false);
-            assert!(exec
-                .pe
-                .iter()
-                .all(|s| matches!(s.matrix, Some(PeMatrix::Sym(_)))));
+        for (use_rcm, use_overlap) in [(false, false), (true, false), (false, true), (true, true)] {
+            let what = format!("rcm {use_rcm}, overlap {use_overlap}");
+            let mut exec = BspExecutor::with_options(&sys, 2, use_rcm, use_overlap);
+            for (s, acc) in exec.pe.iter().zip(&exec.acc) {
+                let m = s.matrix.as_ref().expect("every PE is owned");
+                assert_eq!(acc.len(), m.block_rows(), "{what}: scratch per row");
+                match &s.strip {
+                    Some(strip) => {
+                        assert!(use_overlap, "{what}: a strip only under overlap");
+                        assert_eq!(strip.block_rows(), m.block_rows(), "{what}");
+                        assert!(strip.block_nnz() < m.block_nnz(), "{what}: strip is small");
+                    }
+                    None => assert!(!use_overlap, "{what}: overlap needs its strip"),
+                }
+            }
             let a = exec.step(&x);
             force_scalar(true);
             let b = exec.step(&x);
             force_scalar(false);
-            assert_bitwise_equal(&a, &b, &format!("rcm {use_rcm}, vector then scalar"));
+            assert_bitwise_equal(&a, &b, &format!("{what}, vector then scalar"));
         }
-        let overlap = BspExecutor::with_options(&sys, 2, false, true);
-        assert!(overlap
-            .pe
-            .iter()
-            .all(|s| matches!(s.matrix, Some(PeMatrix::Full(_)))));
-        assert!(overlap.acc.iter().all(|a| a.is_empty()));
     }
 
     #[test]
-    fn barrier_plans_share_the_systems_half_storage_and_others_release_it() {
+    fn natural_plans_share_the_systems_half_storage_and_rcm_plans_release_it() {
         let (_, _, sys) = setup(4);
         let p = sys.parts();
         let refs = || -> Vec<usize> {
@@ -2107,9 +2036,9 @@ mod tests {
             exec.pe
                 .iter()
                 .zip(sys.subdomains())
-                .map(|(s, sd)| {
-                    matches!(&s.matrix, Some(PeMatrix::Sym(m)) if Arc::ptr_eq(m, sd.stiffness.shared()))
-                })
+                .map(
+                    |(s, sd)| matches!(&s.matrix, Some(m) if Arc::ptr_eq(m, sd.stiffness.shared())),
+                )
                 .collect()
         };
         assert_eq!(refs(), vec![1; p], "the system holds each matrix once");
@@ -2122,17 +2051,21 @@ mod tests {
         let rerun = BspExecutor::with_transport(&sys, 2, false, false, 0..p, link);
         assert_eq!(shared(&rerun), vec![true; p]);
         assert_eq!(refs(), vec![3; p]);
+        // So does a natural overlap plan: its strips come on top.
+        let overlap = BspExecutor::with_options(&sys, 2, false, true);
+        assert_eq!(shared(&overlap), vec![true; p]);
+        assert_eq!(refs(), vec![4; p]);
         // A shard's plan holds only the PEs it owns.
         let link: Arc<dyn Transport> = Arc::new(SharedTransport::new(&ghost_edges(&sys)));
-        let shard = BspExecutor::with_transport(&sys, 2, false, false, 0..p / 2, link);
-        assert_eq!(refs(), [vec![4; p / 2], vec![3; p - p / 2]].concat());
-        drop(shard);
-        // RCM and overlap plans build their own layouts from an expansion
-        // and hold no reference once built.
-        for (use_rcm, use_overlap) in [(true, false), (false, true), (true, true)] {
-            let exec = BspExecutor::with_options(&sys, 2, use_rcm, use_overlap);
+        let shard = BspExecutor::with_transport(&sys, 2, false, true, 0..p / 2, link);
+        assert_eq!(refs(), [vec![5; p / 2], vec![4; p - p / 2]].concat());
+        drop((shard, overlap));
+        // RCM plans convert their own half storage from an expansion and
+        // hold no reference once built.
+        for use_overlap in [false, true] {
+            let exec = BspExecutor::with_options(&sys, 2, true, use_overlap);
             assert_eq!(shared(&exec), vec![false; p]);
-            assert_eq!(refs(), vec![3; p], "rcm {use_rcm}, overlap {use_overlap}");
+            assert_eq!(refs(), vec![3; p], "rcm, overlap {use_overlap}");
         }
         drop((first, rerun));
         assert_eq!(refs(), vec![1; p]);
@@ -2191,43 +2124,24 @@ mod tests {
             rcm(&Pattern::from_edges(n, &edges).unwrap())
         };
         let rcm_plan = BspExecutor::with_rcm(&sys, 2);
-        let overlap_plan = BspExecutor::with_options(&sys, 2, false, true);
         let both_plan = BspExecutor::with_options(&sys, 2, true, true);
         for (q, full) in assembled.iter().enumerate() {
             let p1 = rcm_of(full);
             assert_eq!(perm(&rcm_plan, q), p1, "PE {q}: RCM permutation");
-            let Some(PeMatrix::Sym(got)) = &rcm_plan.pe[q].matrix else {
-                panic!("PE {q}: RCM runs half storage");
-            };
+            let got = rcm_plan.pe[q].matrix();
             let want = SymTiles::from_bcsr(&full.permute_symmetric(&p1).unwrap()).unwrap();
             assert_eq!(got.block_nnz(), want.block_nnz());
             same_tiles(got.upper(), want.upper(), &format!("PE {q}, RCM"));
-            let Some(PeMatrix::Full(got)) = &overlap_plan.pe[q].matrix else {
-                panic!("PE {q}: overlap runs full tiles");
-            };
-            let want = Bcsr3Tiles::from_bcsr(
-                &full
-                    .permute_symmetric_stable(&perm(&overlap_plan, q))
-                    .unwrap(),
+            // Overlap renumbers nothing more: the same order, the same
+            // half storage.
+            assert_eq!(perm(&both_plan, q), p1, "PE {q}: RCM and overlap");
+            let both = both_plan.pe[q].matrix();
+            assert_eq!(both.block_nnz(), got.block_nnz());
+            same_tiles(
+                both.upper(),
+                got.upper(),
+                &format!("PE {q}, RCM and overlap"),
             );
-            same_tiles(got, &want, &format!("PE {q}, overlap"));
-            // RCM then the boundary-first reorder: `p2[p1[old]]` is the
-            // composed plan's `perm[old]`.
-            let Some(PeMatrix::Full(got)) = &both_plan.pe[q].matrix else {
-                panic!("PE {q}: overlap runs full tiles");
-            };
-            let mut p2 = vec![0; p1.len()];
-            for (old, &new) in perm(&both_plan, q).iter().enumerate() {
-                p2[p1[old]] = new;
-            }
-            let want = Bcsr3Tiles::from_bcsr(
-                &full
-                    .permute_symmetric(&p1)
-                    .unwrap()
-                    .permute_symmetric_stable(&p2)
-                    .unwrap(),
-            );
-            same_tiles(got, &want, &format!("PE {q}, RCM and overlap"));
         }
     }
 

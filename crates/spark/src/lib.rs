@@ -4,12 +4,13 @@
 //!
 //! * [`tile_kernels::bmv_tiles_range_into`] — the AVX microkernel (behind
 //!   the `simd` cargo feature, runtime-dispatched) over the flat
-//!   [`quake_sparse::tiles::Bcsr3Tiles`] layout, run by the executor's
-//!   overlap schedule and over the time loop's cross strips;
+//!   [`quake_sparse::tiles::Bcsr3Tiles`] layout, run over the strips of
+//!   half storage: the overlap schedule's boundary rows and the time
+//!   loop's cross strips;
 //! * [`tile_kernels::bmv_sym_rows_into`] — the same microkernel over the
 //!   half-storage [`quake_sparse::tiles::SymTiles`] twin, for a row range
 //!   with a scatter limit. [`tile_kernels::bmv_sym_into`] runs it over
-//!   every row for the executor's barrier schedule, and
+//!   every row for the executor's local product, and
 //!   [`tile_kernels::SymBand`] over one worker's rows for the time loop;
 //! * [`kernels::bmv_range_into`] — the scalar 3×3 kernel over
 //!   [`quake_sparse::bcsr::Bcsr3`], the oracle the other two are tested

@@ -35,8 +35,8 @@
 //! must already hold the terms from columns below `lo`. So:
 //!
 //! * [`bmv_sym_into`] is the range `0..n` with limit `n` from a zeroed
-//!   accumulator — nothing lies below row 0 — and runs the executor's
-//!   barrier schedule;
+//!   accumulator — nothing lies below row 0 — and is the executor's local
+//!   product under every schedule;
 //! * a [`SymBand`] over `lo..hi` first streams its cross strip
 //!   ([`SymTiles::cross_strip`]: the blocks `(j, c)` with `j` in `lo..hi`
 //!   and `c < lo`, each the bit-exact transpose of a stored upper tile)
@@ -48,7 +48,10 @@
 //! then its diagonal, then its upper terms, each with the operations of
 //! the full product, so these paths too are bitwise-equal to
 //! [`bmv_range_into`](crate::kernels::bmv_range_into) on the full matrix,
-//! whatever the split.
+//! whatever the split. So is [`bmv_tiles_range_into`] over a
+//! [`SymTiles::strip`] of whole rows, which the executor's overlap
+//! schedule streams for its boundary rows before [`bmv_sym_into`]
+//! recomputes them with the same bits.
 //!
 //! **Prefetch.** The irregular `x[col]` gather is the stream the hardware
 //! prefetcher cannot predict; the full-tile AVX path issues a software
@@ -772,15 +775,6 @@ mod tests {
             SymTiles::from_bcsr(&z).unwrap_err(),
             SparseError::NotSymmetric
         );
-        // Rows whose columns descend: a stable relabeling keeps the entry
-        // order, the sorting one does not.
-        let reversed = [2, 1, 0];
-        let unsorted = ok.permute_symmetric_stable(&reversed).unwrap();
-        assert!(matches!(
-            SymTiles::from_bcsr(&unsorted),
-            Err(SparseError::MalformedStructure(_))
-        ));
-        assert!(SymTiles::from_bcsr(&ok.permute_symmetric(&reversed).unwrap()).is_ok());
     }
 
     /// The oracle's rows `lo..hi` of the full product.

@@ -279,41 +279,6 @@ impl Bcsr3 {
         })
     }
 
-    /// Like [`Bcsr3::permute_symmetric`], but *order-preserving*: each
-    /// relabeled row keeps its entries in the original traversal order
-    /// instead of re-sorting them by the new column label. Because
-    /// [`Bcsr3::spmv`] accumulates a row in storage order, re-sorting
-    /// changes the floating-point summation order; this variant relabels
-    /// without touching it, so `P A Pᵀ` multiplied against a permuted `x`
-    /// is **bitwise**-identical to `A x` (modulo the row relabeling). The
-    /// latency-hiding executor uses it for its boundary-first reordering,
-    /// which must not perturb results relative to the barrier path.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Bcsr3::permute_symmetric`].
-    pub fn permute_symmetric_stable(&self, perm: &[usize]) -> Result<Bcsr3, SparseError> {
-        let inv = self.validated_inverse(perm)?;
-        let mut row_ptr = Vec::with_capacity(self.n + 1);
-        row_ptr.push(0usize);
-        let mut col_idx = Vec::with_capacity(self.block_nnz());
-        let mut blocks = Vec::with_capacity(self.block_nnz());
-        for new_r in 0..self.n {
-            let old_r = inv[new_r];
-            for k in self.row_ptr[old_r]..self.row_ptr[old_r + 1] {
-                col_idx.push(perm[self.col_idx[k]]);
-                blocks.push(self.blocks[k]);
-            }
-            row_ptr.push(col_idx.len());
-        }
-        Ok(Bcsr3 {
-            n: self.n,
-            row_ptr,
-            col_idx,
-            blocks,
-        })
-    }
-
     /// Validates `perm` (`perm[old] = new`) and returns its inverse.
     fn validated_inverse(&self, perm: &[usize]) -> Result<Vec<usize>, SparseError> {
         if perm.len() != self.n {
@@ -337,22 +302,6 @@ impl Bcsr3 {
         Ok(inv)
     }
 
-    /// A borrowed view of the contiguous block-row range `rows` — the unit
-    /// the latency-hiding executor schedules (boundary rows first, then
-    /// interior rows, each as one range).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows` extends past the block-row count.
-    pub fn row_range(&self, rows: std::ops::Range<usize>) -> Bcsr3Rows<'_> {
-        assert!(
-            rows.start <= rows.end && rows.end <= self.n,
-            "row range {rows:?} out of bounds for {} block rows",
-            self.n
-        );
-        Bcsr3Rows { matrix: self, rows }
-    }
-
     /// Average block-row degree including the self block (the paper's
     /// "14 × 3 = 42 nonzeros per row" corresponds to degree 14).
     pub fn avg_block_degree(&self) -> f64 {
@@ -361,71 +310,6 @@ impl Bcsr3 {
         } else {
             self.block_nnz() as f64 / self.n as f64
         }
-    }
-}
-
-/// A contiguous block-row slice of a [`Bcsr3`], created by
-/// [`Bcsr3::row_range`].
-///
-/// The view multiplies its rows with the exact arithmetic of
-/// [`Bcsr3::spmv`] (same per-row accumulation order), so covering the
-/// matrix with disjoint ranges and multiplying each yields a result
-/// bitwise-identical to one full `spmv` — the property the overlapped
-/// executor's split schedule relies on.
-#[derive(Debug, Clone)]
-pub struct Bcsr3Rows<'a> {
-    matrix: &'a Bcsr3,
-    rows: std::ops::Range<usize>,
-}
-
-impl Bcsr3Rows<'_> {
-    /// The block-row range this view covers.
-    pub fn rows(&self) -> std::ops::Range<usize> {
-        self.rows.clone()
-    }
-
-    /// Blocks stored in the covered rows.
-    pub fn block_nnz(&self) -> usize {
-        self.matrix.row_ptr[self.rows.end] - self.matrix.row_ptr[self.rows.start]
-    }
-
-    /// Flops one SMVP over this range executes (18 per traversed block).
-    pub fn smvp_flops(&self) -> u64 {
-        2 * 9 * self.block_nnz() as u64
-    }
-
-    /// SMVP restricted to the covered rows: writes `y[i]` for `i` in the
-    /// range, leaves every other slot untouched. `x` and `y` span the full
-    /// matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::DimensionMismatch`] if `x` or `y` does not
-    /// hold one [`Vec3`] per block row of the underlying matrix.
-    pub fn spmv_into(&self, x: &[Vec3], y: &mut [Vec3]) -> Result<(), SparseError> {
-        let m = self.matrix;
-        if x.len() != m.n {
-            return Err(SparseError::DimensionMismatch {
-                expected: m.n,
-                found: x.len(),
-                what: "x block vector",
-            });
-        }
-        if y.len() != m.n {
-            return Err(SparseError::DimensionMismatch {
-                expected: m.n,
-                found: y.len(),
-                what: "y block vector",
-            });
-        }
-        for i in self.rows.clone() {
-            let mut acc = Vec3::ZERO;
-            for k in m.row_ptr[i]..m.row_ptr[i + 1] {
-                acc += m.blocks[k].mul_vec(x[m.col_idx[k]]);
-            }
-            y[i] = acc;
-        }
-        Ok(())
     }
 }
 
@@ -843,115 +727,5 @@ mod tests {
         assert!(m.permute_symmetric(&[0]).is_err());
         assert!(m.permute_symmetric(&[0, 0]).is_err());
         assert!(m.permute_symmetric(&[0, 2]).is_err());
-    }
-
-    /// A ring of `n` nodes with deliberately non-commutative block values,
-    /// so any change in summation order shows up in the low bits.
-    fn ring(n: usize) -> Bcsr3 {
-        let mut b = Bcsr3Builder::new(n);
-        for i in 0..n {
-            let f = |s: usize| 0.1 + (s as f64) * 0.7 + (s as f64).sin();
-            b.add_block(
-                i,
-                i,
-                Mat3::identity() * f(i) + Mat3::outer(Vec3::splat(0.3), Vec3::new(f(i), 1.0, -0.5)),
-            );
-            let j = (i + 1) % n;
-            if i != j {
-                b.add_block(
-                    i,
-                    j,
-                    Mat3::outer(Vec3::new(f(i), -1.0, 2.0), Vec3::splat(f(j))),
-                );
-                b.add_block(
-                    j,
-                    i,
-                    Mat3::outer(Vec3::splat(f(j)), Vec3::new(f(i), -1.0, 2.0)),
-                );
-            }
-        }
-        b.build()
-    }
-
-    fn assert_bits_eq(a: &[Vec3], b: &[Vec3], what: &str) {
-        for (i, (u, v)) in a.iter().zip(b).enumerate() {
-            assert_eq!(
-                (u.x.to_bits(), u.y.to_bits(), u.z.to_bits()),
-                (v.x.to_bits(), v.y.to_bits(), v.z.to_bits()),
-                "{what}: row {i} differs"
-            );
-        }
-    }
-
-    #[test]
-    fn stable_permutation_is_bitwise_transparent() {
-        let n = 9;
-        let m = ring(n);
-        // A rotation mixes every row's column order when sorted.
-        let perm: Vec<usize> = (0..n).map(|i| (i + 4) % n).collect();
-        let pm = m.permute_symmetric_stable(&perm).unwrap();
-        let x: Vec<Vec3> = (0..n)
-            .map(|i| Vec3::new(1.0 + i as f64, (i as f64).cos(), 0.25 * i as f64))
-            .collect();
-        let y = m.spmv_alloc(&x).unwrap();
-        let mut px = vec![Vec3::ZERO; n];
-        let mut expect = vec![Vec3::ZERO; n];
-        for i in 0..n {
-            px[perm[i]] = x[i];
-            expect[perm[i]] = y[i];
-        }
-        let py = pm.spmv_alloc(&px).unwrap();
-        // Order preservation makes the relabeled product *bitwise* equal,
-        // not merely within rounding — the overlapped executor's contract.
-        assert_bits_eq(&py, &expect, "stable permutation");
-    }
-
-    #[test]
-    fn stable_permutation_matches_sorted_logically() {
-        let n = 7;
-        let m = ring(n);
-        let perm: Vec<usize> = (0..n).map(|i| n - 1 - i).collect();
-        let sorted = m.permute_symmetric(&perm).unwrap();
-        let stable = m.permute_symmetric_stable(&perm).unwrap();
-        for i in 0..n {
-            for j in 0..n {
-                assert_eq!(sorted.block(i, j), stable.block(i, j), "({i},{j})");
-            }
-        }
-        assert_eq!(sorted.block_nnz(), stable.block_nnz());
-    }
-
-    #[test]
-    fn row_range_views_cover_full_spmv_bitwise() {
-        let n = 8;
-        let m = ring(n);
-        let x: Vec<Vec3> = (0..n)
-            .map(|i| Vec3::new((i as f64).sin(), 1.0 - i as f64, 0.5))
-            .collect();
-        let full = m.spmv_alloc(&x).unwrap();
-        for split in [0, 1, 3, n] {
-            let mut y = vec![Vec3::ZERO; n];
-            let lo = m.row_range(0..split);
-            let hi = m.row_range(split..n);
-            assert_eq!(lo.block_nnz() + hi.block_nnz(), m.block_nnz());
-            assert_eq!(lo.smvp_flops() + hi.smvp_flops(), m.smvp_flops());
-            lo.spmv_into(&x, &mut y).unwrap();
-            hi.spmv_into(&x, &mut y).unwrap();
-            assert_bits_eq(&y, &full, &format!("split {split}"));
-        }
-        // A single-row view writes exactly its row.
-        let mut y = vec![Vec3::splat(f64::NAN); n];
-        m.row_range(2..3).spmv_into(&x, &mut y).unwrap();
-        assert_eq!(y[2], full[2]);
-        assert!(y[1].x.is_nan() && y[3].x.is_nan(), "other rows untouched");
-        // An empty view is a no-op.
-        m.row_range(5..5).spmv_into(&x, &mut y).unwrap();
-        assert!(y[5].x.is_nan());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn row_range_rejects_out_of_bounds() {
-        let _ = two_node().row_range(0..3);
     }
 }

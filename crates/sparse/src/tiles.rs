@@ -38,9 +38,11 @@
 //! bitwise-symmetric matrix: it streams each symmetric pair of blocks
 //! once, and its construction checks the two invariants a kernel needs
 //! to reproduce the full product bit for bit. Its
-//! [`cross_strip`](SymTiles::cross_strip) for a row range is the small
-//! full-orientation stream a worker owning those rows needs in addition,
-//! to take the terms that rows below the range scatter to them.
+//! [`strip`](SymTiles::strip) is a small full-orientation stream over
+//! selected rows and a column range, with the lower blocks transposed
+//! back: a pooled worker's [`cross_strip`](SymTiles::cross_strip), the
+//! terms that rows below its range scatter to it, or the overlap
+//! schedule's boundary rows, whole.
 //!
 //! A [`Bcsr3`] whose owner no longer needs it converts with
 //! [`SymTiles::from_bcsr_owned`], which never holds the matrix and its
@@ -424,16 +426,10 @@ impl SymTiles {
     }
 
     /// The lower-triangle blocks that `rows` takes from the rows below
-    /// it: every full-storage block `(j, c)` with `j` in `rows` and
-    /// `c < rows.start`, each row's blocks in ascending column order, as a
-    /// [`Bcsr3Tiles`] over all [`block_rows`](SymTiles::block_rows) rows
-    /// (rows outside `rows` are empty).
-    ///
-    /// Each tile is the bit-exact transpose of the stored upper tile
-    /// `(c, j)`, so a product over the strip performs the full product's
-    /// own operations on row `j`'s first terms. A worker that owns `rows`
-    /// in a pooled half-storage product streams its strip for them, then
-    /// sweeps its own upper rows.
+    /// it: the [`strip`](SymTiles::strip) of the rows in `rows` over the
+    /// columns below `rows.start`. A worker that owns `rows` in a pooled
+    /// half-storage product streams this strip for them, then sweeps its
+    /// own upper rows.
     ///
     /// # Panics
     ///
@@ -444,34 +440,78 @@ impl SymTiles {
             rows.start <= rows.end && rows.end <= n,
             "row range {rows:?} out of bounds for {n} block rows"
         );
+        self.strip(|j| rows.contains(&j), 0..rows.start)
+    }
+
+    /// Every full-storage block `(j, c)` of a selected row `j` (one where
+    /// `rows(j)` holds) with `c` in `cols`, each row's blocks in ascending
+    /// column order, as a [`Bcsr3Tiles`] over all
+    /// [`block_rows`](SymTiles::block_rows) rows; unselected rows are
+    /// empty.
+    ///
+    /// A block below the diagonal is the bit-exact transpose of the stored
+    /// upper tile `(c, j)`; the others are the stored tiles. A product over
+    /// the strip performs the full product's own operations on a selected
+    /// row's terms from `cols`, so over all columns it is the full product
+    /// on the selected rows, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cols` extends past the block-row count.
+    pub fn strip(&self, rows: impl Fn(usize) -> bool, cols: Range<usize>) -> Bcsr3Tiles {
+        let n = self.block_rows();
+        assert!(
+            cols.start <= cols.end && cols.end <= n,
+            "column range {cols:?} out of bounds for {n} block rows"
+        );
         let (up_ptr, up_col) = (self.upper.row_ptr(), self.upper.col_idx());
-        // The upper rows `c < rows.start`, and in each the tiles whose
-        // column falls in `rows`: contiguous, since columns ascend.
-        let crossing = |c: usize| {
-            let cols = &up_col[up_ptr[c]..up_ptr[c + 1]];
-            let from = cols.partition_point(|&j| (j as usize) < rows.start);
-            let to = cols.partition_point(|&j| (j as usize) < rows.end);
-            up_ptr[c] + from..up_ptr[c] + to
+        // Row j's stored tiles whose column falls in `cols`: contiguous,
+        // since columns ascend.
+        let own = |j: usize| {
+            let row = &up_col[up_ptr[j]..up_ptr[j + 1]];
+            let from = row.partition_point(|&c| (c as usize) < cols.start);
+            let to = row.partition_point(|&c| (c as usize) < cols.end);
+            up_ptr[j] + from..up_ptr[j] + to
         };
+        // The lower blocks (j, c) mirror the upper rows c in `cols`.
+        let mirrored = |c: usize, k: usize| {
+            let j = up_col[k] as usize;
+            (j != c && rows(j)).then_some(j)
+        };
+        let selected: Vec<usize> = (0..n).filter(|&j| rows(j)).collect();
         let mut row_ptr = vec![0; n + 1];
-        for c in 0..rows.start {
-            for &j in &up_col[crossing(c)] {
-                row_ptr[j as usize + 1] += 1;
+        for c in cols.clone() {
+            for k in up_ptr[c]..up_ptr[c + 1] {
+                if let Some(j) = mirrored(c, k) {
+                    row_ptr[j + 1] += 1;
+                }
             }
+        }
+        for &j in &selected {
+            row_ptr[j + 1] += own(j).len();
         }
         for r in 0..n {
             row_ptr[r + 1] += row_ptr[r];
         }
-        // Visiting `c` in ascending order appends to each row `j` in
-        // ascending column order.
+        // Visiting `c` in ascending order appends each row's lower blocks
+        // in ascending column order; its own tiles, from column `j` on,
+        // follow. Each strip tile's source: (upper tile, transposed).
         let mut next = row_ptr[..n].to_vec();
         let mut col_idx = vec![0u32; row_ptr[n]];
-        let mut source = vec![0usize; row_ptr[n]];
-        for c in 0..rows.start {
-            for k in crossing(c) {
-                let j = up_col[k] as usize;
-                col_idx[next[j]] = c as u32;
-                source[next[j]] = k;
+        let mut source = vec![(0usize, false); row_ptr[n]];
+        for c in cols.clone() {
+            for k in up_ptr[c]..up_ptr[c + 1] {
+                if let Some(j) = mirrored(c, k) {
+                    col_idx[next[j]] = c as u32;
+                    source[next[j]] = (k, true);
+                    next[j] += 1;
+                }
+            }
+        }
+        for &j in &selected {
+            for k in own(j) {
+                col_idx[next[j]] = up_col[k];
+                source[next[j]] = (k, false);
                 next[j] += 1;
             }
         }
@@ -479,14 +519,16 @@ impl SymTiles {
         // whole tile.
         unsafe {
             Bcsr3Tiles::with_stream(n, row_ptr, col_idx, |_, values| {
-                for (tile, &k) in values.chunks_exact_mut(TILE_LANES).zip(&source) {
+                for (tile, &(k, transposed)) in values.chunks_exact_mut(TILE_LANES).zip(&source) {
                     let t = self.upper.tile(k);
                     // Column-major (c, j) holds M[r][l] at 3l + r; its
                     // transpose (j, c) holds M[l][r] there.
-                    tile.copy_from_slice(
-                        &[t[0], t[3], t[6], t[1], t[4], t[7], t[2], t[5], t[8]]
-                            .map(MaybeUninit::new),
-                    );
+                    let words = if transposed {
+                        [t[0], t[3], t[6], t[1], t[4], t[7], t[2], t[5], t[8]]
+                    } else {
+                        *t
+                    };
+                    tile.copy_from_slice(&words.map(MaybeUninit::new));
                 }
             })
         }
@@ -853,6 +895,62 @@ mod tests {
     }
 
     #[test]
+    fn strips_of_selected_rows_over_all_columns_are_the_expanded_rows() {
+        let mut cases = vec![
+            ("band 40/4".to_string(), symmetric_band_matrix(40, 4)),
+            ("rows, no blocks".to_string(), Bcsr3Builder::new(3).build()),
+        ];
+        for (n, seed) in [(1, 2), (17, 5), (60, 6), (200, 7)] {
+            cases.push((
+                format!("random n = {n}, seed {seed}"),
+                random_symmetric_matrix(n, seed),
+            ));
+        }
+        for (what, m) in cases {
+            let n = m.block_rows();
+            let sym = SymTiles::from_bcsr(&m).expect("generated matrix is symmetric");
+            let full = sym.to_bcsr();
+            // None, every third row, every row but the first, all.
+            let selections: [&dyn Fn(usize) -> bool; 4] =
+                [&|_| false, &|r| r % 3 == 1, &|r| r > 0, &|_| true];
+            for (s, selected) in selections.iter().enumerate() {
+                let what = format!("{what}, selection {s}");
+                let strip = sym.strip(selected, 0..n);
+                strip.audit().unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert_eq!(strip.block_rows(), n, "{what}");
+                let mut want = 0;
+                for r in 0..n {
+                    let got = &strip.col_idx()[strip.row_ptr()[r]..strip.row_ptr()[r + 1]];
+                    if !selected(r) {
+                        assert!(got.is_empty(), "{what}: row {r} is not selected");
+                        continue;
+                    }
+                    let row = full.row_ptr()[r]..full.row_ptr()[r + 1];
+                    let cols: Vec<u32> = full.col_idx()[row.clone()]
+                        .iter()
+                        .map(|&c| c as u32)
+                        .collect();
+                    assert_eq!(got, cols.as_slice(), "{what}: row {r} columns");
+                    want += cols.len();
+                    for (k, block) in (strip.row_ptr()[r]..).zip(&full.blocks()[row]) {
+                        let words: Vec<u64> = strip.tile(k).iter().map(|v| v.to_bits()).collect();
+                        let m = &block.m;
+                        let expect: Vec<u64> = [
+                            m[0][0], m[1][0], m[2][0], m[0][1], m[1][1], m[2][1], m[0][2], m[1][2],
+                            m[2][2],
+                        ]
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect();
+                        assert_eq!(words, expect, "{what}: row {r}, tile {k}");
+                    }
+                }
+                assert_eq!(strip.block_nnz(), want, "{what}: tiles");
+            }
+        }
+    }
+
+    #[test]
     fn streams_above_a_huge_page_are_aligned_and_complete() {
         // 88,000 tiles = 6.3 MB: the store spans at least one whole 2 MB
         // page, which gets the huge-page advice before it is touched.
@@ -974,12 +1072,27 @@ mod tests {
             SymTiles::from_bcsr_owned(b.build()).unwrap_err(),
             SparseError::NotSymmetric
         );
-        // Rows whose columns descend.
-        let unsorted = ok.permute_symmetric_stable(&[2, 1, 0]).unwrap();
+        // Rows whose columns descend: `ok` relabeled by [2, 1, 0] with each
+        // row's entries kept in their old order. Sorting them again makes
+        // the same matrix acceptable.
+        let id = Mat3::identity();
+        let unsorted = Bcsr3::from_parts(
+            3,
+            vec![0, 2, 2, 4],
+            vec![2, 0, 2, 0],
+            vec![m.transpose(), id, id, m],
+        );
+        assert!(matches!(
+            SymTiles::from_bcsr(&unsorted),
+            Err(SparseError::MalformedStructure(_))
+        ));
         assert!(matches!(
             SymTiles::from_bcsr_owned(unsorted),
             Err(SparseError::MalformedStructure(_))
         ));
+        let sorted = ok.permute_symmetric(&[2, 1, 0]).unwrap();
+        assert!(SymTiles::from_bcsr(&sorted).is_ok());
+        assert!(SymTiles::from_bcsr_owned(sorted).is_ok());
     }
 
     /// Asserts that two matrices hold the same words: structure and every

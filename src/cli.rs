@@ -206,9 +206,9 @@ COMMANDS:
                   --period <s: 10>  --scale <x: 8>  --steps <n: 300>
   smvp-run      run the instrumented bulk-synchronous SMVP executor and
                 print a measured-vs-predicted model validation report.
-                The local kernel follows the schedule: the barrier
-                schedule streams each symmetric stiffness block once
-                (half-storage tiles), --overlap runs full tiles. Both use
+                Every schedule streams each symmetric stiffness block
+                once (half-storage tiles); --overlap first computes the
+                rows it sends from a strip of their full rows. Both use
                 AVX where the CPU has it, and every run proves its output
                 bitwise-equal to a rerun on the scalar fallback. A run
                 that differs from a plain shared-transport, barrier,

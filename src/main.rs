@@ -392,12 +392,7 @@ fn smvp_report(args: &SmvpArgs, built: &Built, out: &RunOutput) -> Result<(), Bo
         ));
     }
     say(format!(
-        "local kernel: {} tiles, AVX dispatch {}",
-        if spec.overlap {
-            "full (boundary-first rows)"
-        } else {
-            "half-storage symmetric"
-        },
+        "local kernel: half-storage symmetric tiles, AVX dispatch {}",
         if quake_spark::tile_kernels::simd_active() {
             "active"
         } else {

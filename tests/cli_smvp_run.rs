@@ -82,12 +82,21 @@ fn overlapped_chaos_run_proves_against_the_clean_reference_and_exports() {
         "--metrics",
         metrics.to_str().expect("utf-8 path"),
     ]);
+    let kernel = format!(
+        "local kernel: half-storage symmetric tiles, AVX dispatch {}",
+        if quake_spark::tile_kernels::simd_active() {
+            "active"
+        } else {
+            "unavailable (scalar fallback)"
+        }
+    );
     assert_lines(
         &stdout,
         &[
             "overlapped output bitwise-equal to barrier schedule: yes",
             "recovered output bitwise-equal to fault-free reference: yes",
             SCALAR,
+            &kernel,
         ],
     );
     assert!(stdout.contains(COUNTERS), "counters must match:\n{stdout}");
