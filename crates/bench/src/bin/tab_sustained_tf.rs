@@ -2,9 +2,11 @@
 //!
 //! The paper measures T_f = 30 ns (T3D) and 14 ns (T3E, ≈ 70 MFLOPS = 12%
 //! of 600 MFLOPS peak). Without the hardware, the cache-hierarchy simulator
-//! replays the SMVP's reference stream on an Alpha-21164-like node to show
-//! the mechanism: irregular x-gathers miss, sustained rate collapses, and
-//! bandwidth-reducing (RCM) orderings recover part of it.
+//! replays the reference stream of the local SMVP the program runs, the
+//! half-storage sweep over the sf5 stiffness's upper 3×3 tiles, on an
+//! Alpha-21164-like node to show the mechanism: the matrix stream and the
+//! irregular x-gathers and acc-scatters miss, the sustained rate collapses,
+//! and a bandwidth-reducing (RCM) ordering recovers part of it.
 
 use quake_app::report::Table;
 use quake_bench::figures::sustained_tf_rows;
@@ -38,15 +40,18 @@ fn main() {
         ]);
     }
     println!(
-        "cache-simulated sustained rate, synthetic sf5 mesh (scale {}),\n\
-         Alpha-21164-like node (8 KiB L1 / 96 KiB L2 / 60-cycle memory):\n",
+        "cache-simulated sustained rate of the half-storage SMVP (upper 3×3 tiles,\n\
+         x gather, acc scatter) over the stiffness of the synthetic sf5 mesh\n\
+         (scale {}), Alpha-21164-like node (8 KiB L1 / 96 KiB L2 / 60-cycle memory):\n",
         quake_bench::scale()
     );
     println!("{}", t.render());
     println!(
         "The simulated node sustains a modest fraction of its 300 MFLOPS peak on the\n\
          unstructured SMVP — the same phenomenon (and rough magnitude) as the paper's\n\
-         12%-of-peak T3E measurement. T_f folds all of this in, which is why the\n\
-         paper treats it as a measured input."
+         12%-of-peak T3E measurement. T_f is per flop of the full product; mem\n\
+         fraction is the share of the measured pass's references that reach memory.\n\
+         T_f folds all of this in, which is why the paper treats it as a measured\n\
+         input."
     );
 }

@@ -12,8 +12,10 @@ use quake_app::family::QuakeApp;
 use quake_core::characterize::{AppCommSummary, SmvpInstance};
 use quake_core::machine::Processor;
 use quake_core::model::eq1::required_sustained_bandwidth;
+use quake_fem::assembly::{assemble, UniformMaterial};
 use quake_memsim::hierarchy::Hierarchy;
 use quake_memsim::trace::{estimate_tf, TfEstimate};
+use quake_mesh::ground::Material;
 use quake_mesh::mesh::TetMesh;
 use quake_partition::comm::CommAnalysis;
 use quake_partition::geometric::{
@@ -22,9 +24,8 @@ use quake_partition::geometric::{
 use quake_partition::refine::{refine, RefineOptions};
 use quake_partition::sfc::MortonPartition;
 use quake_partition::spectral::SpectralBisection;
-use quake_sparse::coo::Coo;
-use quake_sparse::csr::Csr;
 use quake_sparse::reorder::{identity_perm, permuted_bandwidth, rcm};
+use quake_sparse::tiles::SymTiles;
 
 /// One mesh-size row of Figure 2.
 #[derive(Debug, Clone, PartialEq)]
@@ -196,44 +197,52 @@ pub struct SustainedTfRow {
     pub estimate: TfEstimate,
 }
 
-/// Builds the mesh's scalar graph Laplacian under the given ordering and
-/// returns it with the permuted pattern bandwidth.
-pub fn ordered_mesh_matrix(mesh: &TetMesh, ordering: &str) -> (Csr, usize) {
-    let pattern = mesh.pattern();
-    let n = pattern.node_count();
-    let perm = match ordering {
-        "natural" => identity_perm(n),
-        "rcm" => rcm(&pattern),
-        other => panic!("unknown ordering {other}"),
-    };
-    let bw = permuted_bandwidth(&pattern, &perm);
-    let mut coo = Coo::new(n, n);
-    for &p in &perm {
-        coo.push(p, p, 4.0).expect("in range");
-    }
-    for (a, b) in pattern.edges() {
-        coo.push(perm[a], perm[b], -1.0).expect("in range");
-        coo.push(perm[b], perm[a], -1.0).expect("in range");
-    }
-    (coo.to_csr(), bw)
-}
-
 /// §3.1 table: the sustained-`T_f` estimate for each ordering on an
 /// Alpha-21164-like node with raw `flop_time` seconds per flop.
+///
+/// Each row replays the half-storage SMVP the program runs over the mesh's
+/// stiffness, assembled with a uniform material (the replay reads
+/// addresses only), in natural node order or renumbered by RCM, as the
+/// executor's `--rcm` plans are.
+///
+/// # Panics
+///
+/// Panics on an ordering other than `"natural"` or `"rcm"`.
 pub fn sustained_tf_rows(
     mesh: &TetMesh,
     flop_time: f64,
     orderings: &[&str],
 ) -> Vec<SustainedTfRow> {
+    let pattern = mesh.pattern();
+    let material = Material {
+        vs: 1000.0,
+        vp: 2000.0,
+        rho: 2000.0,
+    };
     orderings
         .iter()
         .map(|&ordering| {
-            let (matrix, bw) = ordered_mesh_matrix(mesh, ordering);
+            // Each row assembles its own copy, which the conversion consumes.
+            let stiffness = assemble(mesh, &UniformMaterial(material))
+                .expect("mesh assembles")
+                .stiffness;
+            let (perm, matrix) = match ordering {
+                "natural" => (identity_perm(pattern.node_count()), stiffness),
+                "rcm" => {
+                    let perm = rcm(&pattern);
+                    let matrix = stiffness
+                        .permute_symmetric(&perm)
+                        .expect("rcm yields a permutation");
+                    (perm, matrix)
+                }
+                other => panic!("unknown ordering {other}"),
+            };
+            let sym = SymTiles::from_bcsr_owned(matrix).expect("stiffness is bitwise symmetric");
             let mut h = Hierarchy::alpha_21164_like();
             SustainedTfRow {
                 ordering: ordering.to_string(),
-                pattern_bandwidth: bw,
-                estimate: estimate_tf(&matrix, &mut h, flop_time, 1),
+                pattern_bandwidth: permuted_bandwidth(&pattern, &perm),
+                estimate: estimate_tf(&sym, &mut h, flop_time, 1),
             }
         })
         .collect()

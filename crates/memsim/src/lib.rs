@@ -6,25 +6,33 @@
 //! because of irregular memory reference patterns and because the data
 //! structures are too large to fit in cache." Without the hardware, we
 //! rebuild the mechanism: a set-associative cache hierarchy ([`cache`],
-//! [`hierarchy`]) replays the exact reference stream of a CSR SMVP
-//! ([`trace`]) to produce a sustained-`T_f` estimate, and quantifies the
-//! effect of bandwidth-reducing node orderings (RCM).
+//! [`hierarchy`]) replays the exact demand reference stream of the
+//! program's own local SMVP, the half-storage sweep over a
+//! [`SymTiles`](quake_sparse::tiles::SymTiles) stream ([`trace`]), to
+//! produce a sustained-`T_f` estimate, and quantifies the effect of
+//! bandwidth-reducing node orderings (RCM). [`predict`] replays full tile
+//! streams to rank layout transforms.
 //!
 //! # Examples
 //!
 //! ```
 //! use quake_memsim::hierarchy::Hierarchy;
 //! use quake_memsim::trace::estimate_tf;
-//! use quake_sparse::coo::Coo;
+//! use quake_sparse::bcsr::Bcsr3Builder;
+//! use quake_sparse::dense::Mat3;
+//! use quake_sparse::tiles::SymTiles;
 //!
-//! let mut coo = Coo::new(100, 100);
+//! let mut b = Bcsr3Builder::new(100);
 //! for i in 0..100 {
-//!     coo.push(i, i, 2.0)?;
-//!     if i > 0 { coo.push(i, i - 1, -1.0)?; }
+//!     b.add_block(i, i, Mat3::identity() * 2.0);
+//!     if i > 0 {
+//!         b.add_block(i, i - 1, Mat3::identity() * -1.0);
+//!         b.add_block(i - 1, i, Mat3::identity() * -1.0);
+//!     }
 //! }
-//! let m = coo.to_csr();
+//! let sym = SymTiles::from_bcsr(&b.build())?;
 //! let mut h = Hierarchy::alpha_21164_like();
-//! let est = estimate_tf(&m, &mut h, 1.0 / 300e6, 1);
+//! let est = estimate_tf(&sym, &mut h, 1.0 / 300e6, 1);
 //! assert!(est.mflops > 0.0);
 //! # Ok::<(), quake_sparse::error::SparseError>(())
 //! ```

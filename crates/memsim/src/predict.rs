@@ -21,6 +21,7 @@
 //! alongside miss rates.
 
 use crate::hierarchy::Hierarchy;
+use crate::trace::page_aligned;
 use quake_sparse::tiles::Bcsr3Tiles;
 
 /// Gather-prefetch lookahead in tiles — keep in step with the kernel's
@@ -52,34 +53,6 @@ pub struct TransformPrediction {
     pub bytes_streamed: u64,
 }
 
-/// Disjoint page-aligned base addresses for the SMVP operand arrays.
-struct Layout {
-    row_ptr: u64,
-    col_idx: u64,
-    values: u64,
-    x: u64,
-    y: u64,
-}
-
-impl Layout {
-    fn new(rows: u64, blocks: u64, idx_bytes: u64) -> Layout {
-        let page = 4096u64;
-        let align = |a: u64| a.div_ceil(page) * page;
-        let row_ptr = 0;
-        let col_idx = align(row_ptr + (rows + 1) * 8);
-        let values = align(col_idx + blocks * idx_bytes);
-        let x = align(values + blocks * BLOCK_BYTES);
-        let y = align(x + rows * VEC3_BYTES);
-        Layout {
-            row_ptr,
-            col_idx,
-            values,
-            x,
-            y,
-        }
-    }
-}
-
 /// Replays one transform: a warm-up product, then one measured product.
 /// `idx_bytes` is the block-column index width (4 tiled, 8 baseline);
 /// `gather_prefetch` adds the AVX kernel's gather and stream lookahead
@@ -93,7 +66,13 @@ fn replay(
 ) -> TransformPrediction {
     let n = tiles.block_rows() as u64;
     let nk = tiles.block_nnz();
-    let layout = Layout::new(n, nk as u64, idx_bytes);
+    let [ptr_base, col_base, values_base, x_base, y_base] = page_aligned([
+        (n + 1) * 8,
+        nk as u64 * idx_bytes,
+        nk as u64 * BLOCK_BYTES,
+        n * VEC3_BYTES,
+        n * VEC3_BYTES,
+    ]);
     let row_ptr = tiles.row_ptr();
     let col_idx = tiles.col_idx();
     let mut h = template.clone();
@@ -103,24 +82,24 @@ fn replay(
         let before_time = h.total_time();
         let before_counts = h.counts();
         for r in 0..tiles.block_rows() {
-            h.access(layout.row_ptr + (r as u64 + 1) * 8);
+            h.access(ptr_base + (r as u64 + 1) * 8);
             for k in row_ptr[r]..row_ptr[r + 1] {
                 if gather_prefetch && nk != 0 {
                     let kp = (k + LOOKAHEAD).min(nk - 1);
-                    h.prefetch(layout.x + col_idx[kp] as u64 * VEC3_BYTES);
-                    h.prefetch(layout.values + (kp as u64) * BLOCK_BYTES);
+                    h.prefetch(x_base + col_idx[kp] as u64 * VEC3_BYTES);
+                    h.prefetch(values_base + (kp as u64) * BLOCK_BYTES);
                 }
-                h.access(layout.col_idx + k as u64 * idx_bytes);
+                h.access(col_base + k as u64 * idx_bytes);
                 for w in 0..9u64 {
-                    h.access(layout.values + k as u64 * BLOCK_BYTES + w * 8);
+                    h.access(values_base + k as u64 * BLOCK_BYTES + w * 8);
                 }
                 let col = col_idx[k] as u64;
                 for w in 0..3u64 {
-                    h.access(layout.x + col * VEC3_BYTES + w * 8);
+                    h.access(x_base + col * VEC3_BYTES + w * 8);
                 }
             }
             for w in 0..3u64 {
-                h.access(layout.y + r as u64 * VEC3_BYTES + w * 8);
+                h.access(y_base + r as u64 * VEC3_BYTES + w * 8);
             }
         }
         if pass == 1 {

@@ -6,8 +6,6 @@
 //! index overhead relative to scalar CSR and matches how Archimedes-generated
 //! codes traverse the matrix.
 
-use crate::coo::Coo;
-use crate::csr::Csr;
 use crate::dense::{Mat3, Vec3};
 use crate::error::SparseError;
 
@@ -42,11 +40,6 @@ impl Bcsr3 {
     /// Number of block rows (mesh nodes).
     pub fn block_rows(&self) -> usize {
         self.n
-    }
-
-    /// Scalar dimension `3·n`.
-    pub fn scalar_dim(&self) -> usize {
-        3 * self.n
     }
 
     /// Number of stored 3×3 blocks.
@@ -160,91 +153,10 @@ impl Bcsr3 {
         Ok(y)
     }
 
-    /// Blocked SMVP over a flat scalar vector of length `3·n`
-    /// (`x = [x0x, x0y, x0z, x1x, …]`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::DimensionMismatch`] on length mismatch.
-    pub fn spmv_flat(&self, x: &[f64], y: &mut [f64]) -> Result<(), SparseError> {
-        if x.len() != 3 * self.n {
-            return Err(SparseError::DimensionMismatch {
-                expected: 3 * self.n,
-                found: x.len(),
-                what: "flat x vector",
-            });
-        }
-        if y.len() != 3 * self.n {
-            return Err(SparseError::DimensionMismatch {
-                expected: 3 * self.n,
-                found: y.len(),
-                what: "flat y vector",
-            });
-        }
-        for i in 0..self.n {
-            let mut acc = Vec3::ZERO;
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                let j = self.col_idx[k];
-                let xv = Vec3::new(x[3 * j], x[3 * j + 1], x[3 * j + 2]);
-                acc += self.blocks[k].mul_vec(xv);
-            }
-            y[3 * i] = acc.x;
-            y[3 * i + 1] = acc.y;
-            y[3 * i + 2] = acc.z;
-        }
-        Ok(())
-    }
-
-    /// Expands to a scalar CSR matrix of dimension `3n × 3n`.
-    pub fn to_scalar_csr(&self) -> Csr {
-        let mut coo = Coo::with_capacity(3 * self.n, 3 * self.n, self.scalar_nnz());
-        for i in 0..self.n {
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                let j = self.col_idx[k];
-                let b = &self.blocks[k];
-                for r in 0..3 {
-                    for c in 0..3 {
-                        coo.push(3 * i + r, 3 * j + c, b.m[r][c])
-                            .expect("indices in range by construction");
-                    }
-                }
-            }
-        }
-        coo.to_csr()
-    }
-
-    /// True if the block structure and values are symmetric to within `tol`
-    /// (i.e. block `(i, j)` equals the transpose of block `(j, i)`).
-    ///
-    /// Entries are compared by `(a - b).abs() > tol`, so even `tol = 0.0`
-    /// is not a bitwise check: it treats `+0.0` and `-0.0` as equal. The
-    /// bitwise check is [`SymTiles::from_bcsr`](crate::tiles::SymTiles::from_bcsr).
-    pub fn is_symmetric(&self, tol: f64) -> bool {
-        for i in 0..self.n {
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                let j = self.col_idx[k];
-                match self.block(j, i) {
-                    None => return false,
-                    Some(bj) => {
-                        let bt = bj.transpose();
-                        for r in 0..3 {
-                            for c in 0..3 {
-                                if (self.blocks[k].m[r][c] - bt.m[r][c]).abs() > tol {
-                                    return false;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        true
-    }
-
     /// Applies a symmetric block permutation `B = P A Pᵀ`, i.e.
     /// `B[perm[i], perm[j]] = A[i, j]` where `perm[old] = new`. Blocks are
     /// relabeled, not transposed. Used by RCM reordering of the executed
-    /// SMVP path (the block analogue of [`Csr::permute_symmetric`]).
+    /// SMVP path.
     ///
     /// # Errors
     ///
@@ -300,16 +212,6 @@ impl Bcsr3 {
             inv[new] = old;
         }
         Ok(inv)
-    }
-
-    /// Average block-row degree including the self block (the paper's
-    /// "14 × 3 = 42 nonzeros per row" corresponds to degree 14).
-    pub fn avg_block_degree(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.block_nnz() as f64 / self.n as f64
-        }
     }
 }
 
@@ -606,11 +508,9 @@ mod tests {
     fn dims_and_counts() {
         let m = two_node();
         assert_eq!(m.block_rows(), 2);
-        assert_eq!(m.scalar_dim(), 6);
         assert_eq!(m.block_nnz(), 4);
         assert_eq!(m.scalar_nnz(), 36);
         assert_eq!(m.smvp_flops(), 72);
-        assert_eq!(m.avg_block_degree(), 2.0);
     }
 
     #[test]
@@ -623,62 +523,11 @@ mod tests {
     }
 
     #[test]
-    fn spmv_flat_matches_block() {
-        let m = two_node();
-        let xb = [Vec3::new(1.0, 2.0, 3.0), Vec3::new(-1.0, 0.5, 0.0)];
-        let yb = m.spmv_alloc(&xb).unwrap();
-        let xf = [1.0, 2.0, 3.0, -1.0, 0.5, 0.0];
-        let mut yf = [0.0; 6];
-        m.spmv_flat(&xf, &mut yf).unwrap();
-        assert_eq!(yf[0..3], [yb[0].x, yb[0].y, yb[0].z]);
-        assert_eq!(yf[3..6], [yb[1].x, yb[1].y, yb[1].z]);
-    }
-
-    #[test]
-    fn scalar_csr_expansion_agrees() {
-        let m = two_node();
-        let s = m.to_scalar_csr();
-        assert_eq!(s.rows(), 6);
-        assert_eq!(s.nnz(), 36);
-        let xf = [1.0, 2.0, 3.0, -1.0, 0.5, 0.0];
-        let ys = s.spmv_alloc(&xf).unwrap();
-        let mut yf = [0.0; 6];
-        m.spmv_flat(&xf, &mut yf).unwrap();
-        for (a, b) in ys.iter().zip(yf.iter()) {
-            assert!((a - b).abs() < 1e-14);
-        }
-    }
-
-    #[test]
-    fn symmetry_detection() {
-        assert!(two_node().is_symmetric(0.0));
-        let mut b = Bcsr3Builder::new(2);
-        b.add_block(0, 1, Mat3::identity());
-        // No (1, 0) block: structurally asymmetric.
-        assert!(!b.build().is_symmetric(0.0));
-    }
-
-    #[test]
-    fn asymmetric_values_detected() {
-        let mut b = Bcsr3Builder::new(2);
-        let mut m01 = Mat3::identity();
-        m01.m[0][1] = 5.0;
-        b.add_block(0, 1, m01);
-        b.add_block(1, 0, Mat3::identity()); // not m01ᵀ
-        b.add_block(0, 0, Mat3::identity());
-        b.add_block(1, 1, Mat3::identity());
-        assert!(!b.build().is_symmetric(1e-9));
-    }
-
-    #[test]
     fn spmv_dim_mismatch() {
         let m = two_node();
         assert!(m.spmv_alloc(&[Vec3::ZERO]).is_err());
         let mut y = vec![Vec3::ZERO; 3];
         assert!(m.spmv(&[Vec3::ZERO; 2], &mut y).is_err());
-        let mut yf = vec![0.0; 5];
-        assert!(m.spmv_flat(&[0.0; 6], &mut yf).is_err());
-        assert!(m.spmv_flat(&[0.0; 4], &mut [0.0; 6]).is_err());
     }
 
     #[test]

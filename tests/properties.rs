@@ -7,7 +7,6 @@ use quake_netsim::simulate::{simulate_comm_phase, SimOptions};
 use quake_netsim::workload::Workload;
 use quake_spark::bmv_sym_into;
 use quake_sparse::bcsr::Bcsr3Builder;
-use quake_sparse::coo::Coo;
 use quake_sparse::dense::{Mat3, Vec3};
 use quake_sparse::pattern::Pattern;
 use quake_sparse::reorder::{permuted_bandwidth, rcm};
@@ -20,27 +19,6 @@ fn vec3_strategy() -> impl Strategy<Value = Vec3> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// COO → CSR → SMVP agrees with a dense reference product.
-    #[test]
-    fn coo_to_csr_matches_dense(
-        entries in prop::collection::vec((0usize..12, 0usize..12, -5.0..5.0f64), 0..60),
-        x in prop::collection::vec(-3.0..3.0f64, 12),
-    ) {
-        let n = 12;
-        let mut coo = Coo::new(n, n);
-        let mut dense = vec![vec![0.0; n]; n];
-        for (r, c, v) in entries {
-            coo.push(r, c, v).expect("bounded");
-            dense[r][c] += v;
-        }
-        let csr = coo.to_csr();
-        let y = csr.spmv_alloc(&x).expect("dims");
-        for r in 0..n {
-            let want: f64 = (0..n).map(|c| dense[r][c] * x[c]).sum();
-            prop_assert!((y[r] - want).abs() < 1e-9);
-        }
-    }
 
     /// Half storage computes the same product as full storage, bit for bit:
     /// `SymTiles` accepts a bitwise-symmetric `Bcsr3` and `bmv_sym_into`
